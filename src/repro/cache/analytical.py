@@ -149,7 +149,9 @@ class AnalyticalCacheModel:
     def __init__(self, geometry: CacheGeometry, zipf_s: float = 0.99) -> None:
         self.geometry = geometry
         self.zipf_s = zipf_s
-        self._curves: Dict[_CurveKey, np.ndarray] = {}
+        # Per footprint: the way curve and its knot table ``(0.0, *curve)``
+        # (hit rate at 0..num_ways ways), shared by both lookups below.
+        self._curves: Dict[Footprint, Tuple[np.ndarray, Tuple[float, ...]]] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -170,25 +172,38 @@ class AnalyticalCacheModel:
         """Expected steady-state LLC hit rate under a CAT way allocation.
 
         ``ways`` may be fractional; the way curve is interpolated linearly.
+        Integer ways (the only kind CAT masks grant) index the knot table
+        directly: linear interpolation at a knot returns the knot itself,
+        so both paths agree bit for bit.  Out-of-range ways clamp to
+        ``[0, num_ways]``; NaN or infinite ways raise ``ValueError``.
         """
-        if footprint.pattern is AccessPattern.NONE or footprint.wss_bytes <= 0:
-            return 0.0
-        curve = self.way_curve_fp(footprint)
+        entry = self._curves.get(footprint)
+        knots = (entry if entry is not None else self._entry(footprint))[1]
+        if type(ways) is int or isinstance(ways, np.integer):
+            if 0 <= ways < len(knots):
+                return knots[ways]
+            return knots[0] if ways < 0 else knots[-1]
+        w = float(ways)
+        if not math.isfinite(w):
+            raise ValueError(f"ways must be a finite number, got {ways!r}")
         nways = self.geometry.num_ways
-        w = float(np.clip(ways, 0.0, nways))
-        # curve[i] is the hit rate with (i + 1) ways; 0 ways -> 0 hit rate.
         xs = np.arange(0, nways + 1, dtype=float)
-        ys = np.concatenate([[0.0], curve])
-        return float(np.interp(w, xs, ys))
+        return float(np.interp(float(np.clip(w, 0.0, nways)), xs, knots))
 
     def way_curve_fp(self, footprint: Footprint) -> np.ndarray:
         """Hit rate for each allocation 1..num_ways (memoized)."""
-        key = self._key_for(footprint)
-        cached = self._curves.get(key)
-        if cached is None:
-            cached = self._compute_curve(key)
-            self._curves[key] = cached
-        return cached
+        entry = self._curves.get(footprint)
+        return (entry if entry is not None else self._entry(footprint))[0]
+
+    def _entry(self, footprint: Footprint) -> Tuple[np.ndarray, Tuple[float, ...]]:
+        curve = self._compute_curve(self._key_for(footprint))
+        if footprint.pattern is AccessPattern.NONE or footprint.wss_bytes <= 0:
+            knots = (0.0,) * (curve.size + 1)
+        else:
+            # curve[i] is the hit rate with (i + 1) ways; 0 ways -> 0 hit rate.
+            knots = (0.0, *curve.tolist())
+        entry = self._curves[footprint] = (curve, knots)
+        return entry
 
     def capacity_hit_rate_fp(
         self, footprint: Footprint, capacity_ways: float

@@ -44,6 +44,13 @@ NUM_PROGRAMMABLE_COUNTERS = 4
 NUM_FIXED_COUNTERS = 3
 COUNTER_WIDTH_BITS = 48
 _COUNTER_MASK = (1 << COUNTER_WIDTH_BITS) - 1
+_EVTSEL_EN = 1 << 22
+_INSTR_CTR = IA32_FIXED_CTR0 + FIXED_CTR_RETIRED_INSTRUCTIONS
+_CYCLE_CTR = IA32_FIXED_CTR0 + FIXED_CTR_UNHALTED_CYCLES
+#: ``(IA32_PERFEVTSELx, IA32_PMCx)`` address pairs, slot order.
+_PMC_SLOTS = tuple(
+    (IA32_PERFEVTSEL0 + i, IA32_PMC0 + i) for i in range(NUM_PROGRAMMABLE_COUNTERS)
+)
 
 
 class CounterReadError(OSError):
@@ -111,25 +118,30 @@ class CorePmu:
             instructions: Instructions retired in the slice.
             cycles: Unhalted cycles in the slice.
             event_counts: Occurrence counts keyed by programmable event.
+
+        Raises:
+            ValueError: Any total or event count is negative (it would wrap
+                a counter into a ~2**48 phantom delta); no register moves.
         """
         if instructions < 0 or cycles < 0:
             raise ValueError("activity totals cannot be negative")
-        self._bump_fixed(FIXED_CTR_RETIRED_INSTRUCTIONS, instructions)
-        self._bump_fixed(FIXED_CTR_UNHALTED_CYCLES, cycles)
-        for idx in range(NUM_PROGRAMMABLE_COUNTERS):
-            sel = self.msrs.rdmsr(IA32_PERFEVTSEL0 + idx)
-            if not (sel >> 22) & 1:  # EN bit
+        for event, count in event_counts.items():
+            if count < 0:
+                raise ValueError(
+                    f"event count for {event.name} cannot be negative, got {count}"
+                )
+        # The register file is the PMU's only state: counters update in place
+        # and every IA32_PERFEVTSELx is re-read, so a reprogrammed or
+        # disabled selector takes effect on the very next slice.
+        regs = self.msrs._regs
+        regs[_INSTR_CTR] = (regs[_INSTR_CTR] + instructions) & _COUNTER_MASK
+        regs[_CYCLE_CTR] = (regs[_CYCLE_CTR] + cycles) & _COUNTER_MASK
+        for evtsel, pmc in _PMC_SLOTS:
+            sel = regs[evtsel]
+            if not sel & _EVTSEL_EN:
                 continue
             key = (sel & 0xFF, (sel >> 8) & 0xFF)
             for event, count in event_counts.items():
                 if (event.event_select, event.umask) == key:
-                    self._bump_pmc(idx, count)
+                    regs[pmc] = (regs[pmc] + count) & _COUNTER_MASK
                     break
-
-    def _bump_pmc(self, idx: int, delta: int) -> None:
-        addr = IA32_PMC0 + idx
-        self.msrs.wrmsr(addr, (self.msrs.rdmsr(addr) + delta) & _COUNTER_MASK)
-
-    def _bump_fixed(self, idx: int, delta: int) -> None:
-        addr = IA32_FIXED_CTR0 + idx
-        self.msrs.wrmsr(addr, (self.msrs.rdmsr(addr) + delta) & _COUNTER_MASK)

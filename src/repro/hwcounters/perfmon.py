@@ -12,7 +12,7 @@ IPC / miss-rate / memory-accesses-per-instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.hwcounters.events import (
     FIXED_CTR_RETIRED_INSTRUCTIONS,
@@ -111,6 +111,15 @@ _PMC_EVENTS: Sequence[PerfEvent] = (
     L1_CACHE_MISSES,
     L1_CACHE_HITS,
 )
+_PMC_OF = {event: IA32_PMC0 + slot for slot, event in enumerate(_PMC_EVENTS)}
+_LLC_MISS_PMC = _PMC_OF[LLC_MISSES]
+_LLC_REF_PMC = _PMC_OF[LLC_REFERENCES]
+_L1_MISS_PMC = _PMC_OF[L1_CACHE_MISSES]
+_L1_HIT_PMC = _PMC_OF[L1_CACHE_HITS]
+
+#: Raw counter snapshot: LLC misses, LLC refs, L1 misses, L1 hits,
+#: instructions, cycles.
+_Raw = Tuple[int, int, int, int, int, int]
 
 
 class PerfMonitor:
@@ -124,7 +133,7 @@ class PerfMonitor:
         if not pmus:
             raise ValueError("PerfMonitor needs at least one core")
         self._pmus: Dict[int, CorePmu] = dict(pmus)
-        self._last_raw: Dict[int, List[int]] = {}
+        self._last_raw: Dict[int, _Raw] = {}
         for core, pmu in self._pmus.items():
             self._program(pmu)
             self._last_raw[core] = self._read_raw(pmu)
@@ -135,36 +144,37 @@ class PerfMonitor:
             pmu.msrs.wrmsr(IA32_PERFEVTSEL0 + slot, event.evtsel_value)
 
     @staticmethod
-    def _read_raw(pmu: CorePmu) -> List[int]:
-        raw = [pmu.msrs.rdmsr(IA32_PMC0 + slot) for slot in range(len(_PMC_EVENTS))]
-        raw.append(pmu.msrs.rdmsr(IA32_FIXED_CTR0 + FIXED_CTR_RETIRED_INSTRUCTIONS))
-        raw.append(pmu.msrs.rdmsr(IA32_FIXED_CTR0 + FIXED_CTR_UNHALTED_CYCLES))
-        return raw
-
-    @staticmethod
-    def _delta(now: int, before: int) -> int:
-        """Counter delta with 48-bit wraparound correction."""
-        return (now - before) % _WRAP
+    def _read_raw(pmu: CorePmu) -> _Raw:
+        rdmsr = pmu.msrs.rdmsr
+        return (
+            rdmsr(_LLC_MISS_PMC),
+            rdmsr(_LLC_REF_PMC),
+            rdmsr(_L1_MISS_PMC),
+            rdmsr(_L1_HIT_PMC),
+            rdmsr(IA32_FIXED_CTR0 + FIXED_CTR_RETIRED_INSTRUCTIONS),
+            rdmsr(IA32_FIXED_CTR0 + FIXED_CTR_UNHALTED_CYCLES),
+        )
 
     @property
     def cores(self) -> List[int]:
         return sorted(self._pmus)
 
     def sample_core(self, core: int) -> CounterSample:
-        """Read one core's counters and return the delta since last sample."""
-        pmu = self._pmus[core]
-        raw = self._read_raw(pmu)
-        before = self._last_raw[core]
-        deltas = [self._delta(n, b) for n, b in zip(raw, before)]
+        """Read one core's counters and return the delta since last sample.
+
+        Each delta is taken modulo 2**48, so a counter that wrapped since
+        the last sample still yields the true increment.
+        """
+        raw = self._read_raw(self._pmus[core])
+        b_miss, b_ref, b_l1_miss, b_l1_hit, b_ins, b_cyc = self._last_raw[core]
         self._last_raw[core] = raw
-        by_event = dict(zip(_PMC_EVENTS, deltas[: len(_PMC_EVENTS)]))
-        l1_ref = by_event[L1_CACHE_HITS] + by_event[L1_CACHE_MISSES]
+        miss, ref, l1_miss, l1_hit, ins, cyc = raw
         return CounterSample(
-            l1_ref=l1_ref,
-            llc_ref=by_event[LLC_REFERENCES],
-            llc_miss=by_event[LLC_MISSES],
-            ret_ins=deltas[len(_PMC_EVENTS)],
-            cycles=deltas[len(_PMC_EVENTS) + 1],
+            l1_ref=(l1_hit - b_l1_hit) % _WRAP + (l1_miss - b_l1_miss) % _WRAP,
+            llc_ref=(ref - b_ref) % _WRAP,
+            llc_miss=(miss - b_miss) % _WRAP,
+            ret_ins=(ins - b_ins) % _WRAP,
+            cycles=(cyc - b_cyc) % _WRAP,
         )
 
     def sample_cores(self, cores: Iterable[int]) -> CounterSample:

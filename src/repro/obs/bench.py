@@ -3,7 +3,8 @@
 Seeds the repo's perf trajectory: each run times the paths every interval
 exercises — the exact cache model's access loop, counter aggregation, a full
 warm controller step, a simulation step under the null vs a recording bus,
-raw event emission, and mask packing/validation — and writes the results to
+raw event emission, mask packing/validation, and one fleet interval with
+10 of 1000 hosts busy and with all 48 hosts busy — and writes the results to
 ``BENCH_controller.json`` at the repo root (schema ``dcat-bench/v1``).
 
 Timing discipline: every benchmark runs ``repeats`` batches of
@@ -284,6 +285,49 @@ def _bench_fleet_step_1k(quick: bool) -> Callable[[], None]:
     return fleet.step
 
 
+def _bench_fleet_step_dense(quick: bool) -> Callable[[], None]:
+    """One fleet interval with every host busy: 48 full xeon_d hosts.
+
+    The busy counterpart of ``fleet_step_1k``: ``first_fit`` packs five
+    long-lived tenants (3+3+2+2+2 ways, the whole 12-way LLC) onto each
+    host, so every timed step pays one ``CloudSimulation.step`` and one
+    dCat control step per host.
+    """
+    from repro.cloud.scenario import load_churn_scenario
+
+    mix = (
+        {"type": "mlr", "wss_mb": 4},
+        {"type": "mlr", "wss_mb": 16},
+        {"type": "mload", "wss_mb": 60},
+        {"type": "redis"},
+        {"type": "postgres"},
+    )
+    hosts = 48
+    tenants = [
+        {
+            "name": f"dense-{host:02d}-{slot}",
+            "arrival_s": 0,
+            "baseline_ways": ways,
+            "workload": dict(mix[(host + slot) % len(mix)]),
+        }
+        for host in range(hosts)
+        for slot, ways in enumerate((3, 3, 2, 2, 2))
+    ]
+    fleet, _ = load_churn_scenario(
+        {
+            "fleet": {"machines": hosts, "socket": "xeon_d", "seed": 42},
+            "manager": {"type": "dcat"},
+            "placement": "first_fit",
+            "duration_s": 10,
+            "tenants": tenants,
+        }
+    )
+    fleet.step()  # admit every tenant: each timed step manages 48 busy hosts
+    if not all(len(m.residents) == 5 for m in fleet.machines):
+        raise RuntimeError("fleet_step_dense: a host is not fully loaded")
+    return fleet.step
+
+
 def _bench_mask_pack(quick: bool) -> Callable[[], None]:
     from repro.cat.cos import contiguous_mask, validate_cbm
 
@@ -336,6 +380,10 @@ _BENCHMARKS: List[Dict[str, Any]] = [
      "iterations": (20, 2_000), "repeats": (3, 5),
      "note": "one fleet interval over 1000 machines (10 busy) on the "
              "event-driven clock; full mode totals 10k intervals"},
+    {"name": "fleet_step_dense", "build": _bench_fleet_step_dense,
+     "iterations": (2, 10), "repeats": (3, 5),
+     "note": "one fleet interval over 48 fully loaded xeon_d hosts "
+             "(first_fit, 5 tenants each)"},
 ]
 
 

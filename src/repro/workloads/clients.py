@@ -82,14 +82,18 @@ class ClosedLoopClient:
             raise ValueError("service time must be positive")
         if servers < 1:
             raise ValueError("need at least one server")
+        # Runs once per VM per interval, up to ``concurrency`` steps each:
+        # invariants are hoisted, but every float op stays as written.
+        think = self.think_time_s
+        in_service = servers - 1
         queue = 0.0
         response = service_time_s
         for n in range(1, self.concurrency + 1):
-            waiting_ahead = max(0.0, queue - (servers - 1))
+            ahead = queue - in_service
+            waiting_ahead = ahead if ahead > 0.0 else 0.0  # max(0.0, ahead)
             response = service_time_s * (1.0 + waiting_ahead / servers)
-            throughput = n / (self.think_time_s + response)
-            queue = throughput * response
-        throughput = self.concurrency / (self.think_time_s + response)
+            queue = n / (think + response) * response
+        throughput = self.concurrency / (think + response)
         utilization = min(1.0, throughput * service_time_s / servers)
         wait = max(0.0, response - service_time_s)
         p99 = service_time_s * (1.0 + 2.3) + wait * math.log(100.0)

@@ -162,6 +162,78 @@ class TestMemoization:
         assert a is b
 
 
+class TestWaysValidation:
+    @pytest.mark.parametrize("ways", [float("nan"), float("inf"), -float("inf"),
+                                      np.float64("nan")])
+    def test_non_finite_ways_rejected(self, e5_model, ways):
+        fp = Footprint(AccessPattern.RANDOM, 8 * MB)
+        with pytest.raises(ValueError, match=r"ways must be a finite number, got"):
+            e5_model.hit_rate_fp(fp, ways)
+
+    def test_non_finite_ways_rejected_for_idle_footprints(self, e5_model):
+        with pytest.raises(ValueError, match="nan"):
+            e5_model.hit_rate_fp(Footprint(AccessPattern.NONE, 0), float("nan"))
+
+
+# -- exactness of the knot-table lookup ---------------------------------------
+
+_XEON_D = AnalyticalCacheModel(CacheGeometry.xeon_d())
+
+
+def _interp_hit_rate(model: AnalyticalCacheModel, fp: Footprint, ways) -> float:
+    """The interpolating formula every lookup must reproduce bit for bit."""
+    if fp.pattern is AccessPattern.NONE or fp.wss_bytes <= 0:
+        return 0.0
+    curve = model.way_curve_fp(fp)
+    nways = model.geometry.num_ways
+    w = float(np.clip(ways, 0.0, nways))
+    xs = np.arange(0, nways + 1, dtype=float)
+    ys = np.concatenate([[0.0], curve])
+    return float(np.interp(w, xs, ys))
+
+
+def _footprint(pattern: AccessPattern, wss_kb: int, page: int) -> Footprint:
+    if pattern is AccessPattern.HOTCOLD:
+        hot = max(1, wss_kb // 4) * 1024
+        return Footprint(pattern, wss_kb * 1024, page_size=page,
+                         hot_bytes=hot, hot_fraction=0.8)
+    return Footprint(pattern, wss_kb * 1024, page_size=page)
+
+
+_NUM_WAYS = _XEON_D.geometry.num_ways
+_WAYS = st.one_of(
+    st.integers(min_value=-2, max_value=_NUM_WAYS + 2),
+    st.integers(min_value=0, max_value=_NUM_WAYS).map(np.int64),
+    st.floats(min_value=-1.0, max_value=_NUM_WAYS + 1.0, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    pattern=st.sampled_from(list(AccessPattern)),
+    wss_kb=st.sampled_from([0, 64, 1024, 4 * 1024, 9 * 1024, 24 * 1024, 60 * 1024]),
+    page=st.sampled_from([PAGE_4K, PAGE_2M]),
+    ways=_WAYS,
+)
+def test_hit_rate_matches_interpolation_bit_for_bit(pattern, wss_kb, page, ways):
+    if pattern is AccessPattern.HOTCOLD and wss_kb == 0:
+        wss_kb = 64
+    fp = _footprint(pattern, wss_kb, page)
+    got = _XEON_D.hit_rate_fp(fp, ways)
+    assert type(got) is float
+    assert got.hex() == _interp_hit_rate(_XEON_D, fp, ways).hex()
+
+
+def test_every_knot_matches_interpolation():
+    for pattern in AccessPattern:
+        for page in (PAGE_4K, PAGE_2M):
+            fp = _footprint(pattern, 9 * 1024, page)
+            for w in range(_NUM_WAYS + 1):
+                for ways in (w, np.int64(w), float(w)):
+                    expected = _interp_hit_rate(_XEON_D, fp, ways).hex()
+                    assert _XEON_D.hit_rate_fp(fp, ways).hex() == expected
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     wss_mb=st.integers(min_value=1, max_value=64),

@@ -1,6 +1,9 @@
 """Tests for the application workloads and the closed-loop client model."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.analytical import AccessPattern
 from repro.workloads.clients import AppMetrics, ClosedLoopClient
@@ -59,6 +62,41 @@ class TestClosedLoopClient:
         m = AppMetrics(100.0, 0.01, 0.02, 0.5)
         assert m.scaled(2.0).throughput_ops == 200.0
         assert m.scaled(2.0).avg_latency_s == 0.01
+
+
+def _mva_recurrence(client: ClosedLoopClient, service_time_s: float, servers: int):
+    """The closed-network MVA recurrence, written as plainly as possible."""
+    queue = 0.0
+    response = service_time_s
+    for n in range(1, client.concurrency + 1):
+        waiting_ahead = max(0.0, queue - (servers - 1))
+        response = service_time_s * (1.0 + waiting_ahead / servers)
+        throughput = n / (client.think_time_s + response)
+        queue = throughput * response
+    throughput = client.concurrency / (client.think_time_s + response)
+    utilization = min(1.0, throughput * service_time_s / servers)
+    wait = max(0.0, response - service_time_s)
+    p99 = service_time_s * (1.0 + 2.3) + wait * math.log(100.0)
+    return AppMetrics(throughput, response, max(p99, response), utilization)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    concurrency=st.integers(min_value=1, max_value=256),
+    servers=st.integers(min_value=1, max_value=16),
+    service_time_s=st.floats(min_value=1e-7, max_value=0.1, allow_nan=False),
+    think_time_s=st.one_of(
+        st.just(0.0), st.floats(min_value=0.0, max_value=0.01, allow_nan=False)
+    ),
+)
+def test_solve_matches_mva_recurrence_bit_for_bit(
+    concurrency, servers, service_time_s, think_time_s
+):
+    client = ClosedLoopClient(concurrency, think_time_s)
+    got = client.solve(service_time_s, servers)
+    want = _mva_recurrence(client, service_time_s, servers)
+    for field in ("throughput_ops", "avg_latency_s", "p99_latency_s", "utilization"):
+        assert getattr(got, field).hex() == getattr(want, field).hex(), field
 
 
 class TestLruBufferPool:

@@ -273,7 +273,7 @@ class TestControllerEvents:
             controller.step()
         rec.clear()
         for core in range(4):
-            feed(pmus, core, refs_per_instr=0.05)  # new signature
+            feed(pmus, core, refs_per_instr=0.15)  # new signature, -40%
         controller.step()
         changed = rec.of_type(PhaseChanged)
         assert {e.workload_id for e in changed} == {"hungry", "quiet"}

@@ -100,6 +100,32 @@ class TestCorePmu:
         with pytest.raises(ValueError):
             CorePmu().advance(-1, 0, {})
 
+    def test_negative_event_count_rejected(self):
+        pmu = CorePmu()
+        pmu.msrs.wrmsr(IA32_PERFEVTSEL0, LLC_MISSES.evtsel_value)
+        with pytest.raises(ValueError, match="llc_misses"):
+            pmu.advance(10, 10, {LLC_MISSES: -5})
+        # Rejected before any register moved: no wrapped PMC, no partial slice.
+        assert pmu.msrs.rdmsr(IA32_PMC0) == 0
+        assert pmu.msrs.rdmsr(IA32_FIXED_CTR0) == 0
+
+    def test_selector_changes_take_effect_on_next_advance(self):
+        pmu = CorePmu()
+        counts = {LLC_MISSES: 5, LLC_REFERENCES: 9}
+        pmu.msrs.wrmsr(IA32_PERFEVTSEL0, LLC_MISSES.evtsel_value)
+        pmu.advance(1, 1, counts)
+        assert pmu.msrs.rdmsr(IA32_PMC0) == 5
+        pmu.msrs.wrmsr(IA32_PERFEVTSEL0, LLC_REFERENCES.evtsel_value)  # swap
+        pmu.advance(1, 1, counts)
+        assert pmu.msrs.rdmsr(IA32_PMC0) == 14
+        pmu.msrs.wrmsr(IA32_PERFEVTSEL0, LLC_REFERENCES.evtsel_value & ~(1 << 22))
+        pmu.advance(1, 1, counts)  # EN cleared: the PMC holds its value
+        assert pmu.msrs.rdmsr(IA32_PMC0) == 14
+        pmu.msrs.wrmsr(IA32_PERFEVTSEL0 + 1, LLC_MISSES.evtsel_value)
+        pmu.advance(1, 1, counts)  # a newly programmed slot counts at once
+        assert pmu.msrs.rdmsr(IA32_PMC0) == 14
+        assert pmu.msrs.rdmsr(IA32_PMC0 + 1) == 5
+
 
 class TestCounterSample:
     def test_derived_metrics(self):
@@ -177,6 +203,23 @@ class TestPerfMonitor:
         pmus[0].advance(instructions=10, cycles=0, event_counts={})
         s = mon.sample_core(0)
         assert s.ret_ins == 10  # despite the 48-bit wrap in between
+
+    def test_multi_interval_deltas_across_48_bit_wrap(self):
+        pmus = self._pmu_set(1)
+        near = (1 << COUNTER_WIDTH_BITS) - 7
+        for addr in [IA32_PMC0 + i for i in range(4)] + [IA32_FIXED_CTR0,
+                                                         IA32_FIXED_CTR0 + 1]:
+            pmus[0].msrs.wrmsr(addr, near)
+        mon = PerfMonitor(pmus)
+        for step in range(1, 6):  # every counter wraps in one of slices 2-4
+            pmus[0].advance(3 * step, 2 * step, {
+                LLC_MISSES: step, LLC_REFERENCES: 2 * step,
+                L1_CACHE_MISSES: 3, L1_CACHE_HITS: 4,
+            })
+            s = mon.sample_core(0)
+            assert (s.ret_ins, s.cycles) == (3 * step, 2 * step)
+            assert (s.llc_miss, s.llc_ref, s.l1_ref) == (step, 2 * step, 7)
+        assert pmus[0].msrs.rdmsr(IA32_FIXED_CTR0) == 3 * 15 - 7
 
     def test_multi_core_aggregation(self):
         pmus = self._pmu_set(2)
