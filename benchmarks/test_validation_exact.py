@@ -8,10 +8,10 @@ figure/table benches.
 """
 
 from repro.mem.address import MB
-from repro.platform.exact import ExactCloudSimulation
 from repro.platform.machine import Machine
 from repro.platform.managers import DCatManager
 from repro.platform.sim import CloudSimulation
+from repro.platform.substrate import ExactSubstrate
 from repro.platform.vm import VirtualMachine, pin_vms
 from repro.workloads.lookbusy import LookbusyWorkload
 from repro.workloads.mlr import MlrWorkload
@@ -32,11 +32,8 @@ def _build(exact):
         for i in range(3)
     ]
     pin_vms(vms, machine.spec)
-    if exact:
-        return ExactCloudSimulation(
-            machine, vms, DCatManager(), accesses_per_interval=120_000
-        )
-    return CloudSimulation(machine, vms, DCatManager())
+    substrate = ExactSubstrate(accesses_per_interval=120_000) if exact else None
+    return CloudSimulation(machine, vms, DCatManager(), substrate=substrate)
 
 
 def test_validation_exact_vs_fast(benchmark):

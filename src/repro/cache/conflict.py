@@ -129,16 +129,6 @@ class ScatterSummary:
     conflicted_fraction: float
     irm_hit_rate: float
 
-    @property
-    def fraction_ge(self) -> Dict[int, float]:
-        """Cumulative tail: fraction of sets with >= k lines."""
-        out: Dict[int, float] = {}
-        running = 0.0
-        for k in sorted(self.histogram, reverse=True):
-            running += self.histogram[k]
-            out[k] = running
-        return out
-
 
 def analyze_buffer_scatter(
     wss_bytes: int,

@@ -19,7 +19,6 @@ from repro.cat.cos import MAX_COS, validate_cbm
 __all__ = ["CacheAllocationTechnology"]
 
 MaskListener = Callable[[int, int], None]  # (cos_id, new_mask)
-AssocListener = Callable[[int, int], None]  # (core, cos_id)
 
 
 class CacheAllocationTechnology:
@@ -52,17 +51,12 @@ class CacheAllocationTechnology:
         self._cos_masks: List[int] = [full] * num_cos
         self._core_cos: List[int] = [0] * num_cores
         self._mask_listeners: List[MaskListener] = []
-        self._assoc_listeners: List[AssocListener] = []
 
     # -- observers ----------------------------------------------------------
 
     def on_mask_change(self, listener: MaskListener) -> None:
         """Subscribe to COS mask updates."""
         self._mask_listeners.append(listener)
-
-    def on_assoc_change(self, listener: AssocListener) -> None:
-        """Subscribe to core association updates."""
-        self._assoc_listeners.append(listener)
 
     # -- programming ----------------------------------------------------------
 
@@ -80,11 +74,7 @@ class CacheAllocationTechnology:
         """Point a core's IA32_PQR_ASSOC at a COS."""
         self._check_core(core)
         self._check_cos(cos_id)
-        if self._core_cos[core] == cos_id:
-            return
         self._core_cos[core] = cos_id
-        for listener in self._assoc_listeners:
-            listener(core, cos_id)
 
     def reset(self) -> None:
         """Restore power-on state (all COS full-mask, all cores to COS0)."""

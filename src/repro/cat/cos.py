@@ -93,7 +93,3 @@ class ClassOfService:
     def __post_init__(self) -> None:
         if not 0 <= self.cos_id < MAX_COS:
             raise ValueError(f"cos_id must be in [0, {MAX_COS}), got {self.cos_id}")
-
-    @property
-    def way_count(self) -> int:
-        return mask_way_count(self.mask)

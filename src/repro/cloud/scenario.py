@@ -281,10 +281,9 @@ def build_fleet_machines(
             raise ChurnScenarioError(f"faults: {exc}") from None
 
     try:
+        fidelity_spec = parse_fidelity(data)
         if fidelity is not None:
             fidelity_spec = parse_fidelity({"fidelity": fidelity}, ctx="--fidelity")
-        else:
-            fidelity_spec = parse_fidelity(data)
     except ChurnScenarioError:
         raise
     except ScenarioError as exc:

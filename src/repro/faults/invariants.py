@@ -284,13 +284,6 @@ class InvariantChecker:
             if streak:
                 self.guarantee_gaps.append(streak)
 
-    def violations_by_invariant(self) -> Dict[str, int]:
-        """Violation counts keyed by invariant name (sorted), for telemetry."""
-        counts: Dict[str, int] = {}
-        for violation in self.violations:
-            counts[violation.invariant] = counts.get(violation.invariant, 0) + 1
-        return dict(sorted(counts.items()))
-
     @property
     def faulted_intervals(self) -> int:
         return sum(1 for faulted, _ in self.interval_flags if faulted)

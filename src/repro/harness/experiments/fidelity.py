@@ -7,9 +7,9 @@ growing into its working set next to lookbusy neighbors under dCat — runs
 at all three fidelities:
 
 * **analytical** — the fast closed-form path every figure bench uses;
-* **exact** — through :class:`~repro.platform.exact.ExactCloudSimulation`
-  (the compatibility shim over ``ExactSubstrate``), measuring each hit
-  rate on a real :class:`~repro.cache.setassoc.SetAssociativeCache`;
+* **exact** — :class:`~repro.platform.substrate.ExactSubstrate` injected
+  into the same ``CloudSimulation`` (``--fidelity exact``), measuring each
+  hit rate on a real :class:`~repro.cache.setassoc.SetAssociativeCache`;
 * **mixed** — analytical with the exact oracle spot-checking every
   interval (``sample_rate=1``), counting ``FidelityDivergence`` events.
 
@@ -23,10 +23,9 @@ from __future__ import annotations
 from repro.harness.results import ExperimentResult, Series, TableResult
 from repro.harness.scenarios import build_stage, paper_machine
 from repro.mem.address import MB
-from repro.platform.exact import ExactCloudSimulation
 from repro.platform.managers import DCatManager
 from repro.platform.sim import CloudSimulation
-from repro.platform.substrate import MixedSubstrate
+from repro.platform.substrate import ExactSubstrate, MixedSubstrate
 from repro.workloads.mlr import MlrWorkload
 
 __all__ = ["run_fidelity_validation"]
@@ -66,11 +65,11 @@ def run_fidelity_validation(
     runs["analytical"] = fast.run(duration_s)
 
     machine = paper_machine(seed=seed)
-    exact_sim = ExactCloudSimulation(
+    exact_sim = CloudSimulation(
         machine,
         _stage(machine),
         DCatManager(),
-        accesses_per_interval=accesses_per_interval,
+        substrate=ExactSubstrate(accesses_per_interval=accesses_per_interval),
     )
     runs["exact"] = exact_sim.run(duration_s)
 

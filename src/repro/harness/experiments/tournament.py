@@ -18,8 +18,8 @@ churn, or fairness with violations — so the summary marks the Pareto
 frontier over per-policy aggregates instead of electing a winner.
 
 The JSON payload is schema-versioned (:data:`TOURNAMENT_SCHEMA`) and
-checked by :func:`validate_tournament_report`, so CI's tournament-smoke
-job and downstream tooling can rely on its shape.  Per-cell metrics also
+checked by :func:`validate_tournament_report`, so the smoke suite and
+downstream tooling can rely on its shape.  Per-cell metrics also
 flow through a :class:`repro.obs.registry.MetricsRegistry` as one labeled
 gauge per (policy, scenario, faults, metric) combination.
 """

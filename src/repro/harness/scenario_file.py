@@ -237,21 +237,19 @@ def parse_fidelity(data: Dict[str, Any], ctx: str = "fidelity") -> Dict[str, Any
 
     Accepts a plain string (``"fidelity": "mixed"``) or an object with a
     ``mode`` plus substrate options (``{"mode": "mixed", "sample_rate":
-    0.5, "tolerance": 0.15}``).  The legacy boolean ``"exact": true`` flag
-    maps to ``{"mode": "exact"}``; combining it with ``fidelity`` is an
-    error.  Every problem is reported with its field path under ``ctx``.
+    0.5, "tolerance": 0.15}``).  A missing ``fidelity`` means analytical.
+    The retired ``"exact": true`` flag is an error naming its replacement.
+    Every problem is reported with its field path under ``ctx``.
 
     Raises:
         ScenarioError: Naming the offending field.
     """
-    if "fidelity" not in data:
-        mode = "exact" if data.get("exact") else "analytical"
-        return {"mode": mode}
     if "exact" in data:
         raise ScenarioError(
-            f"{ctx}: cannot combine the legacy 'exact' flag with 'fidelity'; "
-            "drop 'exact'"
+            'exact: the legacy flag is retired; use "fidelity": "exact" instead'
         )
+    if "fidelity" not in data:
+        return {"mode": "analytical"}
     raw = data["fidelity"]
     if isinstance(raw, str):
         spec: Dict[str, Any] = {"mode": raw}
@@ -382,7 +380,7 @@ def run_scenario_file(
     Args:
         source: Scenario dict, JSON string, or file path.
         fidelity: Optional fidelity override (``--fidelity``); wins over
-            the scenario file's own ``fidelity`` / ``exact`` fields.
+            the scenario file's own ``fidelity`` field.
         policy: Optional allocation-policy override (``--policy``); wins
             over the scenario's manager config.
     """

@@ -123,8 +123,3 @@ class CacheGeometry:
         """Xeon E5-2697 v4 LLC from the paper: 20-way, 45 MB, 36864 sets,
         2.25 MB per way."""
         return cls(line_size=64, num_sets=45 * MB // (64 * 20), num_ways=20)
-
-
-def xeon_e5_waysize() -> int:
-    """The paper's quoted Xeon-E5 way capacity: 2.25 MB."""
-    return 45 * MB // 20

@@ -402,7 +402,7 @@ def validate_bench_payload(payload: Any) -> Dict[str, Any]:
     """Check a bench payload against the ``dcat-bench/v1`` schema.
 
     Returns the payload unchanged; raises ``ValueError`` naming the first
-    problem found.  Used by tests and the CI bench-smoke step.
+    problem found.  Used by :func:`write_bench` and the tests.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"payload must be an object, got {type(payload).__name__}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "MetricError",
@@ -311,14 +311,3 @@ class MetricsRegistry:
             raise MetricError(f"{name} is a {family.kind}; use value() instead")
         child = family.child(**labels)
         return child.sum if child is not None else 0.0
-
-    def label_values(self, name: str) -> List[Tuple[str, ...]]:
-        """All label-value combinations a family has seen, sorted."""
-        return sorted(self._families[name]._children)
-
-
-def merge_label_dict(
-    label_names: Iterable[str], values: Iterable[str]
-) -> Mapping[str, str]:
-    """Zip label names and values into the dict form exporters use."""
-    return dict(zip(label_names, (str(v) for v in values)))

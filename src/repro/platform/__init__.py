@@ -1,6 +1,5 @@
 """Multi-tenant platform: machine, VMs, cache managers, simulation loop."""
 
-from repro.platform.exact import ExactCloudSimulation
 from repro.platform.machine import Machine
 from repro.platform.managers import (
     CacheManager,
@@ -23,7 +22,6 @@ from repro.platform.substrate import (
 from repro.platform.vm import VirtualMachine, pin_vms
 
 __all__ = [
-    "ExactCloudSimulation",
     "Machine",
     "CacheManager",
     "DCatManager",

@@ -197,11 +197,14 @@ class ExactSubstrate(CacheSubstrate):
     the traces in proportion to reference rates, and drives them through a
     shared :class:`SetAssociativeCache` under the live CAT masks.  The
     first half of each interval's interleaved trace warms the cache after
-    any allocation change; only the second half is measured.
+    any allocation change; only the second half is measured.  Unlike real
+    hardware, accesses are sampled (counter magnitudes are scaled, rates
+    preserved) and chunked round-robin stands in for cycle-accurate
+    arbitration.
 
     VMs present at :meth:`bind` time draw their page-table and trace RNG
-    streams sequentially from the master seed (the historical
-    ``ExactCloudSimulation`` discipline, preserved bit-for-bit); VMs that
+    streams sequentially from the master seed (the historical exact-platform
+    discipline, preserved bit-for-bit); VMs that
     churn in later derive per-name seeds so arrival order cannot perturb
     other tenants' streams.  A departed tenant's lines stay resident until
     evicted — exactly as on real hardware.

@@ -204,10 +204,6 @@ class PhasedWorkload(Workload):
 
     # -- progress inspection ----------------------------------------------------
 
-    @property
-    def phase_index(self) -> int:
-        return self._index
-
     def peek_phases(self) -> Sequence[Phase]:
         """The full phase sequence (read-only; placement policies inspect
         footprints before a tenant has ever run)."""

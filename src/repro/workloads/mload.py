@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.cache.analytical import AccessPattern
 from repro.cpu.coremodel import MemoryBehavior
-from repro.mem.paging import PAGE_4K, MappedBuffer, PageTable
+from repro.mem.paging import PAGE_4K
 from repro.workloads.base import Phase, PhasedWorkload, l1_miss_ratio_for
 
 __all__ = ["mload_phase", "MloadWorkload", "generate_mload_offsets"]
@@ -87,28 +87,3 @@ def generate_mload_offsets(
     nlines = max(1, wss_bytes // line_size)
     idx = (start + np.arange(count, dtype=np.int64)) % nlines
     return idx * line_size
-
-
-def run_mload_exact(
-    table: PageTable,
-    buf: MappedBuffer,
-    cache,
-    accesses: int,
-    mask: Optional[int] = None,
-    cos: int = 0,
-    warmup_fraction: float = 0.5,
-) -> float:
-    """Drive MLOAD through an exact cache; returns the post-warmup hit rate."""
-    if not 0 <= warmup_fraction < 1:
-        raise ValueError("warmup_fraction must be in [0, 1)")
-    offsets = generate_mload_offsets(
-        buf.size, accesses, line_size=cache.geometry.line_size
-    )
-    paddrs = table.translate_buffer(buf, offsets)
-    warm = int(accesses * warmup_fraction)
-    cache.access_many(paddrs[:warm], mask=mask, cos=cos)
-    measured = accesses - warm
-    if measured == 0:
-        return 0.0
-    hits = cache.access_many(paddrs[warm:], mask=mask, cos=cos)
-    return hits / measured

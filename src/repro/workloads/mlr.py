@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.cache.analytical import AccessPattern
 from repro.cpu.coremodel import MemoryBehavior
-from repro.mem.paging import PAGE_4K, MappedBuffer, PageTable
+from repro.mem.paging import PAGE_4K
 from repro.workloads.base import Phase, PhasedWorkload, l1_miss_ratio_for
 
 __all__ = ["mlr_phase", "MlrWorkload", "generate_mlr_offsets"]
@@ -90,36 +90,3 @@ def generate_mlr_offsets(
     gen = rng if rng is not None else np.random.default_rng(11)
     nlines = max(1, wss_bytes // line_size)
     return gen.integers(0, nlines, size=count, dtype=np.int64) * line_size
-
-
-def run_mlr_exact(
-    table: PageTable,
-    buf: MappedBuffer,
-    cache,
-    accesses: int,
-    mask: Optional[int] = None,
-    cos: int = 0,
-    rng: Optional[np.random.Generator] = None,
-    warmup_fraction: float = 0.5,
-) -> float:
-    """Drive MLR through an exact cache; returns the post-warmup hit rate.
-
-    Args:
-        table: Page table owning ``buf``.
-        buf: The mapped working-set buffer.
-        cache: A :class:`~repro.cache.setassoc.SetAssociativeCache`.
-        accesses: Total accesses (first ``warmup_fraction`` excluded from the
-            reported rate).
-        mask: CAT way mask to fill under.
-    """
-    if not 0 <= warmup_fraction < 1:
-        raise ValueError("warmup_fraction must be in [0, 1)")
-    offsets = generate_mlr_offsets(buf.size, accesses, rng=rng, line_size=cache.geometry.line_size)
-    paddrs = table.translate_buffer(buf, offsets)
-    warm = int(accesses * warmup_fraction)
-    cache.access_many(paddrs[:warm], mask=mask, cos=cos)
-    measured = accesses - warm
-    if measured == 0:
-        return 0.0
-    hits = cache.access_many(paddrs[warm:], mask=mask, cos=cos)
-    return hits / measured

@@ -8,10 +8,10 @@ included — in both modes and require matching trajectories.
 import pytest
 
 from repro.mem.address import MB
-from repro.platform.exact import ExactCloudSimulation
 from repro.platform.machine import Machine
 from repro.platform.managers import DCatManager, SharedCacheManager, StaticCatManager
 from repro.platform.sim import CloudSimulation
+from repro.platform.substrate import ExactSubstrate
 from repro.platform.vm import VirtualMachine, pin_vms
 from repro.workloads.lookbusy import LookbusyWorkload
 from repro.workloads.mload import MloadWorkload
@@ -30,12 +30,8 @@ def stage(machine, target):
 def run_mode(exact, manager_factory, target_factory, duration=18.0, seed=5):
     machine = Machine(seed=seed)
     vms = stage(machine, target_factory())
-    if exact:
-        sim = ExactCloudSimulation(
-            machine, vms, manager_factory(), accesses_per_interval=120_000
-        )
-    else:
-        sim = CloudSimulation(machine, vms, manager_factory())
+    substrate = ExactSubstrate(accesses_per_interval=120_000) if exact else None
+    sim = CloudSimulation(machine, vms, manager_factory(), substrate=substrate)
     return sim.run(duration)
 
 
@@ -93,8 +89,11 @@ class TestSharedModeContention:
                     )
                 )
             pin_vms(vms, machine.spec)
-            sim = ExactCloudSimulation(
-                machine, vms, SharedCacheManager(), accesses_per_interval=150_000
+            sim = CloudSimulation(
+                machine,
+                vms,
+                SharedCacheManager(),
+                substrate=ExactSubstrate(accesses_per_interval=150_000),
             )
             return sim.run(12.0)
 
@@ -108,8 +107,11 @@ class TestSharedModeContention:
             [VirtualMachine("v", MlrWorkload(4 * MB, name="v"), baseline_ways=1)],
             machine.spec,
         )
-        sim = ExactCloudSimulation(
-            machine, vms, SharedCacheManager(), accesses_per_interval=100_000
+        sim = CloudSimulation(
+            machine,
+            vms,
+            SharedCacheManager(),
+            substrate=ExactSubstrate(accesses_per_interval=100_000),
         )
         res = sim.run(8.0)
         # Reported "ways" are occupancy-equivalents and grow as it warms.
@@ -126,8 +128,11 @@ class TestExactValidation:
             machine.spec,
         )
         with pytest.raises(ValueError):
-            ExactCloudSimulation(
-                machine, vms, StaticCatManager(), accesses_per_interval=0
+            CloudSimulation(
+                machine,
+                vms,
+                StaticCatManager(),
+                substrate=ExactSubstrate(accesses_per_interval=0),
             )
 
     def test_idle_vms_drive_no_accesses(self):
@@ -136,7 +141,9 @@ class TestExactValidation:
             [VirtualMachine("v", LookbusyWorkload(name="v"), baseline_ways=1)],
             machine.spec,
         )
-        sim = ExactCloudSimulation(machine, vms, StaticCatManager())
+        sim = CloudSimulation(
+            machine, vms, StaticCatManager(), substrate=ExactSubstrate()
+        )
         res = sim.run(3.0)
-        assert sim.llc.stats.accesses == 0
+        assert sim.substrate.llc.stats.accesses == 0
         assert all(r.llc_hit_rate == 0.0 for r in res.timeline("v"))

@@ -243,6 +243,17 @@ class TestBenchPayload:
         assert loaded["format"] == BENCH_FORMAT
         validate_bench_payload(loaded)
 
+    def test_committed_payload_is_full_mode_with_fleet_rows(self):
+        """The repo's committed BENCH_controller.json must stay schema-valid,
+        full mode, and carry both fleet-step baseline rows."""
+        from pathlib import Path
+
+        path = Path(__file__).parent.parent / "BENCH_controller.json"
+        payload = validate_bench_payload(json.loads(path.read_text()))
+        assert payload["quick"] is False
+        names = {b["name"] for b in payload["benchmarks"]}
+        assert {"fleet_step_1k", "fleet_step_dense"} <= names, sorted(names)
+
     def test_write_bench_refuses_invalid(self, tmp_path):
         payload = _good_payload()
         payload["benchmarks"] = []

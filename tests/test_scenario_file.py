@@ -154,12 +154,38 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="does not accept option"):
             load_scenario(data)
 
-    def test_fidelity_conflicts_with_legacy_exact(self):
-        data = dict(BASIC)
-        data["exact"] = True
-        data["fidelity"] = "analytical"
-        with pytest.raises(ScenarioError, match="legacy 'exact'"):
-            load_scenario(data)
+    def test_fidelity_conflicts_with_legacy_exact(self, tmp_path, capsys):
+        """The retired ``exact`` key is refused everywhere, naming ``fidelity``."""
+        from repro.cloud.scenario import ChurnScenarioError, load_churn_scenario
+        from repro.harness.cli import main
+
+        def assert_names_replacement(message):
+            assert "exact" in message
+            assert '"fidelity": "exact"' in message
+
+        for extra in ({}, {"fidelity": "analytical"}):
+            data = {**BASIC, "exact": True, **extra}
+            with pytest.raises(ScenarioError) as single:
+                load_scenario(data)
+            assert_names_replacement(str(single.value))
+
+        churn = {
+            "fleet": {"machines": 1},
+            "duration_s": 2,
+            "exact": True,
+            "tenants": [{"name": "t", "workload": {"type": "mlr", "wss_mb": 2}}],
+        }
+        with pytest.raises(ChurnScenarioError) as fleet:
+            load_churn_scenario(churn)
+        assert_names_replacement(str(fleet.value))
+        # An override does not hide the retired key in the file.
+        with pytest.raises(ChurnScenarioError):
+            load_churn_scenario(churn, fidelity="analytical")
+
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(churn))
+        assert main(["churn", str(path)]) == 2
+        assert_names_replacement(capsys.readouterr().err)
 
 
 class TestRunning:
@@ -169,9 +195,9 @@ class TestRunning:
         # dCat grew the hungry tenant beyond its baseline.
         assert result.final("hungry", "ways") > 3
 
-    def test_exact_mode_flag(self):
+    def test_exact_fidelity_field(self):
         data = dict(BASIC)
-        data["exact"] = True
+        data["fidelity"] = "exact"
         data["duration_s"] = 4
         data["vms"] = [
             {"name": "hungry", "baseline_ways": 3,

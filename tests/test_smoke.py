@@ -1,0 +1,200 @@
+"""End-to-end smoke runs of the shipped examples and CLI surfaces.
+
+These are the slow, whole-command checks that tier-1 leaves out: they run
+the ``examples/`` files, the quick policy tournament, a real daemon
+process on a loopback socket, and the quick bench.  Each one pins a
+contract the unit tests cannot see from inside one process: a clean exit,
+a trace free of alarm events, or byte-identical reports across runs.
+
+They carry the ``smoke`` marker, which the default run deselects::
+
+    PYTHONPATH=src python -m pytest -q -m smoke
+"""
+
+import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.harness.cli import main
+
+pytestmark = pytest.mark.smoke
+
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
+SRC = Path(repro.__file__).resolve().parent.parent
+
+
+def _events(trace: Path) -> set:
+    return {json.loads(line)["event"] for line in trace.read_text().splitlines()}
+
+
+# -- bench -------------------------------------------------------------------
+
+
+def test_batch_access_pipeline_beats_the_scalar_reference(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--quick", "--out", str(out)]) == 0
+    capsys.readouterr()
+    by_name = {b["name"]: b for b in json.loads(out.read_text())["benchmarks"]}
+    batch = by_name["setassoc_access_many"]["median_s"]
+    scalar = by_name["setassoc_access_scalar"]["median_s"]
+    assert batch <= scalar, f"batch {batch:.6f}s slower than scalar {scalar:.6f}s"
+
+
+def test_metrics_export_carries_stage_and_grant_families(tmp_path, capsys):
+    prom = tmp_path / "out.prom"
+    assert main(["run", "fig10", "--metrics", str(prom)]) == 0
+    capsys.readouterr()
+    text = prom.read_text()
+    assert "dcat_stage_seconds_bucket" in text
+    assert "dcat_ways_granted_total" in text
+    json.loads((tmp_path / "out.prom.json").read_text())
+
+
+# -- churn and fidelity ------------------------------------------------------
+
+
+def test_churn_experiments_under_the_parallel_runner(capsys):
+    assert main(
+        ["run", "cloud_churn_poisson", "cloud_churn_scripted", "--jobs", "2"]
+    ) == 0
+    capsys.readouterr()
+
+
+def test_churn_experiment_trace_records_admissions(tmp_path, capsys):
+    trace = tmp_path / "churn.jsonl"
+    assert main(["run", "cloud_churn_poisson", "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert "TenantAdmitted" in _events(trace)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["churn", str(EXAMPLES / "churn.json")],
+        ["churn", str(EXAMPLES / "policy_churn.json")],
+    ],
+    ids=["churn", "policy_churn"],
+)
+def test_example_churn_scenarios_run(args, capsys):
+    assert main(args) == 0
+    assert "== per-tenant SLO ==" in capsys.readouterr().out
+
+
+def test_mixed_fidelity_churn_has_no_divergence(tmp_path, capsys):
+    trace = tmp_path / "fidelity.jsonl"
+    code = main(["churn", str(EXAMPLES / "churn_mixed.json"), "--trace", str(trace)])
+    assert code == 0
+    capsys.readouterr()
+    events = _events(trace)
+    assert events
+    assert "FidelityDivergence" not in events
+
+
+def test_fidelity_validation_reports_zero_divergences(capsys):
+    assert main(["run", "fidelity_validation"]) == 0
+    assert "0 divergences" in capsys.readouterr().out
+
+
+# -- tournament and chaos ----------------------------------------------------
+
+
+def test_quick_tournament_is_valid_and_byte_identical(tmp_path, capsys):
+    from repro.harness.experiments.tournament import validate_tournament_report
+
+    first, second = tmp_path / "t1.json", tmp_path / "t2.json"
+    assert main(["tournament", "--quick", "--out", str(first)]) == 0
+    assert main(["tournament", "--quick", "--json", "--out", str(second)]) == 0
+    capsys.readouterr()
+    assert first.read_bytes() == second.read_bytes()
+
+    payload = json.loads(first.read_text())
+    validate_tournament_report(payload)
+    assert payload["quick"] is True
+    assert len(payload["policies"]) >= 3
+    assert len(payload["scenarios"]) >= 2
+    assert payload["fault_modes"] == ["off", "on"]
+    assert any(agg["pareto"] for agg in payload["summary"].values())
+
+
+def test_example_chaos_scenario_holds_its_invariants(tmp_path, capsys):
+    trace = tmp_path / "chaos.jsonl"
+    assert main(["chaos", str(EXAMPLES / "chaos.json"), "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    events = _events(trace)
+    assert "FaultInjected" in events
+    assert "InvariantViolated" not in events
+
+
+def test_chaos_report_is_byte_identical_across_runs(capsys):
+    reports = []
+    for _ in range(2):
+        assert main(["chaos", str(EXAMPLES / "chaos.json"), "--json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+# -- service daemon ----------------------------------------------------------
+
+
+def _http(method, url, payload=None):
+    data = None if payload is None else json.dumps(payload).encode()
+    request = urllib.request.Request(url, data=data, method=method)
+    with urllib.request.urlopen(request, timeout=10) as response:
+        return response.read().decode()
+
+
+def test_daemon_serves_a_lifecycle_and_stops_on_sigterm(tmp_path):
+    trace = tmp_path / "service.jsonl"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.harness", "serve",
+         str(EXAMPLES / "service.json"), "--port", "0", "--trace", str(trace)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+    )
+    try:
+        # The daemon prints its bound address once listening (--port 0).
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        banner = proc.stdout.readline() if ready else ""
+        match = re.search(r"serving on (http://\S+) ", banner)
+        assert match, f"no serving banner within 30 s: {banner!r}"
+        base = match.group(1)
+
+        health = json.loads(_http("GET", f"{base}/healthz"))
+        assert health["status"] == "ok"
+        admit = json.loads(_http("POST", f"{base}/v1/tenants", {
+            "name": "smoke", "baseline_ways": 3,
+            "workload": {"type": "mlr", "wss_mb": 8},
+        }))
+        assert admit["admitted"] is True
+        _http("GET", f"{base}/v1/tenants/smoke/stats")
+        assert "dcat_http_requests_total" in _http("GET", f"{base}/metrics")
+        detach = json.loads(_http("DELETE", f"{base}/v1/tenants/smoke"))
+        assert detach["reason"] == "detached"
+        assert json.loads(_http("GET", f"{base}/healthz"))["invariant_violations"] == 0
+
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+    events = _events(trace)
+    assert "TenantAdmitted" in events
+    assert "InvariantViolated" not in events
