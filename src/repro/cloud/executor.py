@@ -42,11 +42,19 @@ from __future__ import annotations
 
 import multiprocessing
 import traceback
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cloud.fleet import CloudFleet, FleetMachine, entitled_ipc
+from repro.cloud.fleet import (
+    CloudFleet,
+    FleetMachine,
+    ResidentTenant,
+    checker_totals,
+    entitled_ipc,
+)
 from repro.cloud.lifecycle import TenantSpec
 from repro.cloud.placement import build_policy
+from repro.engine.context import RunContext
 from repro.engine.events import NULL_BUS, Event, EventBus, set_default_bus
 from repro.platform.sim import SimulationResult
 
@@ -86,8 +94,7 @@ def _worker_main(
     conn,
     data: Dict[str, Any],
     shard: Sequence[str],
-    fidelity: Optional[str],
-    policy: Optional[str],
+    ctx: RunContext,
     capture: bool,
     checkers: bool,
 ) -> None:
@@ -102,32 +109,18 @@ def _worker_main(
     from repro.cloud.scenario import build_fleet_machines
 
     recorder = _SliceRecorder() if capture else None
-    buses: Dict[str, EventBus] = {}
 
     def machine_bus(name: str) -> EventBus:
         mbus = EventBus()
         if recorder is not None:
             mbus.subscribe(recorder)
-        buses[name] = mbus
         return mbus
 
     factory = machine_bus if (capture or checkers) else (lambda name: NULL_BUS)
     machines, _, _ = build_fleet_machines(
-        data, fidelity=fidelity, machine_bus=factory, policy=policy, only=shard
+        data, ctx, machine_bus=factory, only=shard, checkers=checkers
     )
     by_name = {m.name: m for m in machines}
-    checker_objs = {}
-    if checkers:
-        from repro.faults.invariants import InvariantChecker
-
-        for machine in machines:
-            controller = getattr(machine.sim.manager, "controller", None)
-            if controller is not None:
-                checker_objs[machine.name] = InvariantChecker(
-                    total_ways=controller.total_ways,
-                    config=controller.config,
-                    bus=buses[machine.name],
-                )
 
     def take_events() -> List[Event]:
         return recorder.take() if recorder is not None else []
@@ -223,13 +216,7 @@ def _worker_main(
                     payload[machine.name] = dict(sorted(counts.items()))
                 conn.send(payload)
             elif cmd == "checker_stats":
-                violations = sum(
-                    len(c.violations) for c in checker_objs.values()
-                )
-                intervals = sum(
-                    c.intervals_checked for c in checker_objs.values()
-                )
-                conn.send((violations, intervals))
+                conn.send(checker_totals(machines))
             else:
                 conn.send(_WorkerFailure(f"unknown command {cmd!r}"))
         except Exception:
@@ -250,10 +237,10 @@ class ParallelCloudFleet(CloudFleet):
         data: The churn-scenario/service-config document (the fleet
             vocabulary sections; ``tenants``/``poisson`` are ignored here
             — pass the parsed stream via ``tenants``).
-        jobs: Worker processes (capped at the machine count).
         tenants: The scripted lifecycle stream (empty for the service).
-        fidelity: Optional fidelity override, forwarded to workers.
-        policy: Optional allocation-policy override, forwarded to workers.
+        ctx: The run's choices, shipped to the workers;
+            ``ctx.fleet_jobs`` worker processes (capped at the machine
+            count) run the machines.
         bus: Event bus for lifecycle events (defaults to the process
             default; when it is active, workers capture and ship their
             event streams for in-order re-emission).
@@ -265,30 +252,25 @@ class ParallelCloudFleet(CloudFleet):
     def __init__(
         self,
         data: Dict[str, Any],
-        jobs: int,
         tenants: Sequence[TenantSpec],
-        fidelity: Optional[str] = None,
-        policy: Optional[str] = None,
+        ctx: RunContext,
         bus: Optional[EventBus] = None,
         checkers: bool = False,
     ) -> None:
-        from repro.cloud.scenario import build_fleet_machines
+        from repro.cloud.scenario import allocation_policy, build_fleet_machines
 
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         # Validate the full document once, building zero machines.
-        _, placement, tolerance = build_fleet_machines(
-            data, fidelity=fidelity, policy=policy, only=()
-        )
+        _, placement, tolerance = build_fleet_machines(data, ctx, only=())
+        # A spawned worker starts without this process's ambient run
+        # context, so ship the policy it resolves to here.
+        ctx = replace(ctx, policy=allocation_policy(data, ctx))
         mirror_data = dict(data)
         mirror_data["manager"] = {"type": "shared"}
         mirror_data.pop("faults", None)
         mirror_data.pop("fidelity", None)
         mirror_data.pop("policy", None)
         mirrors, _, _ = build_fleet_machines(
-            mirror_data,
-            fidelity="analytical",
-            machine_bus=lambda name: NULL_BUS,
+            mirror_data, RunContext(), machine_bus=lambda name: NULL_BUS
         )
         super().__init__(
             machines=mirrors,
@@ -307,28 +289,19 @@ class ParallelCloudFleet(CloudFleet):
         ] = None
         self._workers: List[Tuple[Any, Any]] = []
         self._worker_of: Dict[str, Any] = {}
-        self._spawn(data, jobs, fidelity, policy, checkers)
-        for machine in mirrors:
-            self._instrument(machine)
+        self._spawn(data, ctx, checkers)
 
     # -- worker plumbing ---------------------------------------------------
 
-    def _spawn(
-        self,
-        data: Dict[str, Any],
-        jobs: int,
-        fidelity: Optional[str],
-        policy: Optional[str],
-        checkers: bool,
-    ) -> None:
+    def _spawn(self, data: Dict[str, Any], ctx: RunContext, checkers: bool) -> None:
         names = [m.name for m in self.machines]
-        jobs = min(jobs, len(names))
+        jobs = min(ctx.fleet_jobs, len(names))
         method = (
             "fork"
             if "fork" in multiprocessing.get_all_start_methods()
             else "spawn"
         )
-        ctx = multiprocessing.get_context(method)
+        mp = multiprocessing.get_context(method)
         base, extra = divmod(len(names), jobs)
         start = 0
         for w in range(jobs):
@@ -337,15 +310,14 @@ class ParallelCloudFleet(CloudFleet):
             start += size
             if not shard:
                 continue
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
+            parent_conn, child_conn = mp.Pipe()
+            proc = mp.Process(
                 target=_worker_main,
                 args=(
                     child_conn,
                     data,
                     shard,
-                    fidelity,
-                    policy,
+                    ctx,
                     self._capture,
                     checkers,
                 ),
@@ -361,45 +333,6 @@ class ParallelCloudFleet(CloudFleet):
         # events exactly as the serial fleet's constructor would.
         for _, conn in self._workers:
             self._emit_events(self._checked(conn.recv()))
-
-    def _instrument(self, machine: FleetMachine) -> None:
-        """Forward a mirror's churn ops to its worker's replica.
-
-        The base class's ``admit_tenant``/``depart_tenant`` call
-        ``machine.admit``/``machine.depart`` between their lifecycle-event
-        emissions; forwarding from inside those calls re-emits the
-        worker's control-plane events in exactly the serial slots.
-        ``catch_up`` becomes a no-op — the worker replica catches up on
-        dispatch, and the mirror's sim (with VMs attached) must never
-        skip.
-        """
-        mirror_admit = machine.admit
-        mirror_depart = machine.depart
-
-        def admit(spec, workload, now):
-            vm = mirror_admit(spec, workload, now)
-            events, cos_id = self._ask(
-                machine.name, ("admit", self._tick, machine.name, spec, now)
-            )
-            self._emit_events(events)
-            if cos_id is not None:
-                self._cos_cache[spec.name] = cos_id
-            self._results_cache = None
-            return vm
-
-        def depart(tenant_id):
-            resident = mirror_depart(tenant_id)
-            events = self._ask(
-                machine.name, ("depart", self._tick, machine.name, tenant_id)
-            )
-            self._emit_events(events)
-            self._cos_cache.pop(tenant_id, None)
-            self._results_cache = None
-            return resident
-
-        machine.admit = admit
-        machine.depart = depart
-        machine.catch_up = lambda fleet_tick: None
 
     def _ask(self, machine_name: str, msg: Tuple) -> Any:
         conn = self._worker_of[machine_name]
@@ -423,6 +356,36 @@ class ParallelCloudFleet(CloudFleet):
                 self.bus.emit(event)
 
     # -- overridden fleet machinery ----------------------------------------
+
+    def _admit_on(
+        self, machine: FleetMachine, spec: TenantSpec, workload, now: float
+    ) -> None:
+        """Admit on the mirror, then on the worker's replica.
+
+        Called between the base class's lifecycle-event emissions, so the
+        worker's control-plane events re-emit in exactly the serial
+        slots.  The mirror never catches up: its sim (with VMs attached)
+        must never skip; the replica catches up on dispatch.
+        """
+        machine.admit(spec, workload, now)
+        events, cos_id = self._ask(
+            machine.name, ("admit", self._tick, machine.name, spec, now)
+        )
+        self._emit_events(events)
+        if cos_id is not None:
+            self._cos_cache[spec.name] = cos_id
+        self._results_cache = None
+
+    def _depart_from(self, machine: FleetMachine, tenant_id: str) -> ResidentTenant:
+        """Depart from the mirror, then from the worker's replica."""
+        resident = machine.depart(tenant_id)
+        events = self._ask(
+            machine.name, ("depart", self._tick, machine.name, tenant_id)
+        )
+        self._emit_events(events)
+        self._cos_cache.pop(tenant_id, None)
+        self._results_cache = None
+        return resident
 
     def step(self) -> None:
         """One fleet interval, with the simulation barrier in the workers."""

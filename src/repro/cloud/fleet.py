@@ -51,6 +51,7 @@ __all__ = [
     "PlacementRecord",
     "FleetResult",
     "CloudFleet",
+    "checker_totals",
     "entitled_ipc",
 ]
 
@@ -83,6 +84,15 @@ def entitled_ipc(
         phase.behavior, hit, dram_latency=dram_latency_cycles
     )
     return 1.0 / cpi
+
+
+def checker_totals(machines: Sequence["FleetMachine"]) -> Tuple[int, int]:
+    """``(violations, intervals checked)`` over the machines' checkers."""
+    checkers = [m.checker for m in machines if m.checker is not None]
+    return (
+        sum(len(c.violations) for c in checkers),
+        sum(c.intervals_checked for c in checkers),
+    )
 
 
 @dataclass
@@ -118,7 +128,7 @@ class FleetMachine:
             each machine its own derived seed so schedules differ.
         substrate: Optional :class:`~repro.platform.substrate.CacheSubstrate`
             for this host's simulation (one instance per machine); defaults
-            to the process default fidelity.
+            to the run context's fidelity.
     """
 
     def __init__(
@@ -149,6 +159,9 @@ class FleetMachine:
                     f"manager (other regimes have no control loop to fault)"
                 )
             self.injector = FaultInjector(fault_plan).install(controller)
+        #: Optional :class:`~repro.faults.invariants.InvariantChecker`
+        #: watching this host's bus (see ``build_fleet(checkers=True)``).
+        self.checker = None
         self.residents: Dict[str, ResidentTenant] = {}
         self.reserved_ways = 0
         self._free_threads: List[int] = list(range(machine.spec.num_threads))
@@ -501,10 +514,9 @@ class CloudFleet:
         return populations
 
     def checker_stats(self) -> Tuple[int, int]:
-        """``(violations, intervals checked)`` from executor-side invariant
-        checkers.  The serial fleet's checkers subscribe in-process, so
-        there is nothing extra to fold here."""
-        return (0, 0)
+        """``(violations, intervals checked)`` summed over the machines'
+        invariant checkers (zero when none are attached)."""
+        return checker_totals(self.machines)
 
     def close(self) -> None:
         """Release executor resources (no-op for the serial fleet)."""
@@ -557,8 +569,7 @@ class CloudFleet:
                     policy=self.policy.name,
                 )
             )
-        chosen.catch_up(self._tick)
-        chosen.admit(spec, workload, now)
+        self._admit_on(chosen, spec, workload, now)
         self._hosts[spec.name] = chosen
         self._active_stale = True
         self.accountant.admitted(spec.name, chosen.name, now)
@@ -602,7 +613,7 @@ class CloudFleet:
             raise UnknownTenantError(
                 f"tenant {tenant_id!r} is not resident in the fleet"
             )
-        resident = machine.depart(tenant_id)
+        resident = self._depart_from(machine, tenant_id)
         self._active_stale = True
         if reason is None:
             reason = (
@@ -619,6 +630,18 @@ class CloudFleet:
                 )
             )
         return resident
+
+    def _admit_on(
+        self, machine: FleetMachine, spec: TenantSpec, workload, now: float
+    ) -> None:
+        """Attach a placed tenant to its host (the parallel executor
+        forwards it to the worker that simulates the host)."""
+        machine.catch_up(self._tick)
+        machine.admit(spec, workload, now)
+
+    def _depart_from(self, machine: FleetMachine, tenant_id: str) -> ResidentTenant:
+        """Detach a tenant from its host (forwarded like :meth:`_admit_on`)."""
+        return machine.depart(tenant_id)
 
     # -- interval stages -----------------------------------------------------
 

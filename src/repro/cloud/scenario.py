@@ -47,13 +47,15 @@ errors.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cloud.fleet import CloudFleet, FleetMachine, FleetResult
 from repro.cloud.lifecycle import MixEntry, TenantSpec, poisson_tenants
 from repro.cloud.placement import build_policy, policy_names
+from repro.core.policies import canonical_name, policy_name
+from repro.engine.context import RunContext, read_document
+from repro.engine.events import EventBus
 from repro.engine.runner import derive_seed
 from repro.harness.scenario_file import (
     ScenarioError,
@@ -67,6 +69,8 @@ from repro.platform.machine import Machine
 
 __all__ = [
     "ChurnScenarioError",
+    "allocation_policy",
+    "build_fleet",
     "build_fleet_machines",
     "load_churn_scenario",
     "run_churn_scenario",
@@ -210,12 +214,45 @@ def _parse_poisson(spec: Any, duration_s: float) -> List[TenantSpec]:
     )
 
 
+def allocation_policy(data: Dict[str, Any], ctx: RunContext) -> Optional[str]:
+    """The allocation strategy every dcat machine of ``data`` runs.
+
+    Precedence, highest first: ``ctx.policy`` (``--policy``), the
+    document's top-level ``policy``, the manager config's ``policy``,
+    the ambient run context's (``run --policy``), ``max_fairness``.
+    ``None`` for shared/static managers, which have no objective.
+
+    Raises:
+        ChurnScenarioError: For a malformed ``policy`` or ``manager``.
+    """
+    policy = ctx.policy
+    if policy is None and "policy" in data:
+        file_policy = data["policy"]
+        if not isinstance(file_policy, str):
+            raise ChurnScenarioError(
+                f"policy: expected a string, got {type(file_policy).__name__}"
+            )
+        try:
+            policy = canonical_name(file_policy)
+        except ValueError as exc:
+            raise ChurnScenarioError(f"policy: {exc}") from None
+    manager_spec = _require_mapping(
+        data.get("manager", {"type": "dcat"}), "manager"
+    )
+    try:
+        manager = build_manager(dict(manager_spec), policy=policy)
+    except ScenarioError as exc:
+        raise ChurnScenarioError(f"manager: {exc}") from None
+    config = getattr(manager, "config", None)
+    return None if config is None else policy_name(config.policy)
+
+
 def build_fleet_machines(
     data: Dict[str, Any],
-    fidelity: Optional[str] = None,
+    ctx: RunContext,
     machine_bus: Optional[Callable[[str], Any]] = None,
-    policy: Optional[str] = None,
     only: Optional[Sequence[str]] = None,
+    checkers: bool = False,
 ) -> Tuple[List[FleetMachine], str, float]:
     """Build the machines a scenario's shared fleet vocabulary describes.
 
@@ -226,18 +263,21 @@ def build_fleet_machines(
 
     Args:
         data: The scenario document (already a mapping).
-        fidelity: Optional CLI override for the file's ``fidelity``.
+        ctx: The run's choices: ``fidelity`` wins over the file's
+            ``fidelity`` (the ambient run context's never applies: every
+            host gets an explicit substrate), and ``policy`` over the
+            file's policy fields (see :func:`allocation_policy`).
         machine_bus: Optional factory giving each machine its own event
-            bus (the service uses per-machine buses so invariant
-            checkers never conflate controllers); ``None`` leaves the
-            process-default bus.
-        policy: Optional CLI override for the allocation policy; wins
-            over the file's top-level ``policy`` field, which in turn
-            wins over the manager config's own ``policy``.
+            bus; ``None`` leaves the process-default bus.
         only: When given, build only the named machines (a process-pool
             worker's shard); every section is still validated, so
             ``only=()`` validates the whole document while building
             nothing.
+        checkers: Attach an
+            :class:`~repro.faults.invariants.InvariantChecker` to each
+            dcat machine's bus as ``FleetMachine.checker`` (the service's
+            watchdogs).  Controller events carry no machine identity, so
+            ``machine_bus`` must give each machine a bus of its own.
 
     Returns:
         ``(machines, placement_name, slo_tolerance)``.
@@ -281,39 +321,16 @@ def build_fleet_machines(
             raise ChurnScenarioError(f"faults: {exc}") from None
 
     try:
-        fidelity_spec = parse_fidelity(data)
-        if fidelity is not None:
-            fidelity_spec = parse_fidelity({"fidelity": fidelity}, ctx="--fidelity")
+        fidelity_spec = parse_fidelity(data, override=ctx.fidelity)
     except ChurnScenarioError:
         raise
     except ScenarioError as exc:
         raise ChurnScenarioError(str(exc)) from None
 
-    alloc_policy = policy
-    if alloc_policy is None and "policy" in data:
-        file_policy = data["policy"]
-        if not isinstance(file_policy, str):
-            raise ChurnScenarioError(
-                f"policy: expected a string, got {type(file_policy).__name__}"
-            )
-        alloc_policy = file_policy
-    if alloc_policy is not None:
-        from repro.core.policies import canonical_name
-
-        try:
-            canonical_name(alloc_policy)
-        except ValueError as exc:
-            raise ChurnScenarioError(f"policy: {exc}") from None
-
-    manager_spec = _require_mapping(
-        data.get("manager", {"type": "dcat"}), "manager"
-    )
-    # Validate the manager spec up front (not per machine) so a sharded
-    # build with an empty `only` still rejects a malformed document.
-    try:
-        build_manager(dict(manager_spec), policy=alloc_policy)
-    except ScenarioError as exc:
-        raise ChurnScenarioError(f"manager: {exc}") from None
+    # Validated up front (not per machine) so a sharded build with an
+    # empty `only` still rejects a malformed document.
+    alloc_policy = allocation_policy(data, ctx)
+    manager_spec = dict(data.get("manager", {"type": "dcat"}))
     from repro.harness.scenario_file import _SOCKETS as SOCKET_FACTORIES
 
     only_set = None if only is None else set(only)
@@ -327,10 +344,7 @@ def build_fleet_machines(
             seed=derive_seed(seed, name),
             interval_s=interval_s,
         )
-        try:
-            manager = build_manager(dict(manager_spec), policy=alloc_policy)
-        except ScenarioError as exc:
-            raise ChurnScenarioError(f"manager: {exc}") from None
+        manager = build_manager(dict(manager_spec), policy=alloc_policy)
         machine_plan = None
         if fleet_plan is not None:
             from repro.faults.plan import FaultPlan
@@ -357,8 +371,71 @@ def build_fleet_machines(
             )
         except ValueError as exc:
             raise ChurnScenarioError(f"faults: {exc}") from None
+        controller = getattr(manager, "controller", None)
+        if checkers and controller is not None:
+            from repro.faults.invariants import InvariantChecker
+
+            fleet_machine.checker = InvariantChecker(
+                total_ways=controller.total_ways,
+                config=controller.config,
+                bus=fleet_machine.sim.bus,
+            )
         machines.append(fleet_machine)
     return machines, placement, tolerance
+
+
+def build_fleet(
+    data: Dict[str, Any],
+    tenants: Sequence[TenantSpec],
+    ctx: RunContext,
+    bus: Optional[EventBus] = None,
+    checkers: bool = False,
+) -> CloudFleet:
+    """The fleet ``data`` describes: serial, or sharded when ``ctx.fleet_jobs > 1``.
+
+    A :class:`~repro.cloud.executor.ParallelCloudFleet` runs the machines
+    in ``ctx.fleet_jobs`` worker processes with byte-identical results;
+    call ``fleet.close()`` to release them (a no-op for the serial
+    fleet).
+
+    Args:
+        data: The scenario or service-config document.
+        tenants: The scripted lifecycle stream (empty for the service).
+        ctx: The run's choices.
+        bus: Event bus for lifecycle events (default: the process
+            default bus).
+        checkers: Watch every dcat machine with its own
+            :class:`~repro.faults.invariants.InvariantChecker` (inside
+            the workers for a parallel fleet); each machine then gets a
+            bus of its own that forwards into ``bus``.  The tallies
+            surface through :meth:`CloudFleet.checker_stats`.
+
+    Raises:
+        ChurnScenarioError: On any malformed fleet section.
+    """
+    if ctx.fleet_jobs > 1:
+        # Imported lazily: the executor imports this module for its
+        # worker-side shard builds.
+        from repro.cloud.executor import ParallelCloudFleet
+
+        return ParallelCloudFleet(data, tenants, ctx, bus=bus, checkers=checkers)
+
+    def machine_bus(name: str) -> EventBus:
+        mbus = EventBus()
+        if bus is not None:
+            mbus.subscribe(bus.emit)
+        return mbus
+
+    machines, placement, tolerance = build_fleet_machines(
+        data, ctx, machine_bus=machine_bus if checkers else None, checkers=checkers
+    )
+    return CloudFleet(
+        machines=machines,
+        policy=build_policy(placement),
+        tenants=tenants,
+        bus=bus,
+        slo_tolerance=tolerance,
+    )
 
 
 def load_churn_scenario(
@@ -389,29 +466,14 @@ def load_churn_scenario(
         ``(fleet, duration_s)`` — a ready-to-run :class:`CloudFleet`.
 
     Raises:
-        ChurnScenarioError: On any malformed field, naming field and entry.
+        ChurnScenarioError: On any malformed field or argument, naming
+            field and entry.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        path = Path(source)
-        try:
-            is_file = path.exists()
-        except OSError:
-            is_file = False
-        if is_file:
-            data = json.loads(path.read_text())
-        else:
-            try:
-                data = json.loads(str(source))
-            except json.JSONDecodeError:
-                raise ChurnScenarioError(
-                    f"churn scenario {source!r} is neither a file nor valid JSON"
-                ) from None
-    data = _require_mapping(data, "scenario")
-
-    if fleet_jobs < 1:
-        raise ChurnScenarioError(f"fleet_jobs: must be >= 1, got {fleet_jobs}")
+    try:
+        ctx = RunContext.parse(fidelity, policy, fleet_jobs)
+    except ValueError as exc:
+        raise ChurnScenarioError(str(exc)) from None
+    data = read_document(source, "churn scenario", ChurnScenarioError)
 
     duration_s = _get_number(data, "scenario", "duration_s", default=30.0, positive=True)
     fleet_spec = _require_mapping(data.get("fleet", {}), "fleet")
@@ -438,31 +500,7 @@ def load_churn_scenario(
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ChurnScenarioError(f"tenants: duplicate tenant names {dupes}")
 
-    if fleet_jobs > 1:
-        # Imported lazily: the executor imports this module for its
-        # worker-side shard builds.
-        from repro.cloud.executor import ParallelCloudFleet
-
-        parallel = ParallelCloudFleet(
-            data,
-            jobs=fleet_jobs,
-            tenants=tenants,
-            fidelity=fidelity,
-            policy=policy,
-        )
-        return parallel, duration_s
-
-    machines, placement, tolerance = build_fleet_machines(
-        data, fidelity=fidelity, policy=policy
-    )
-
-    fleet = CloudFleet(
-        machines=machines,
-        policy=build_policy(placement),
-        tenants=tenants,
-        slo_tolerance=tolerance,
-    )
-    return fleet, duration_s
+    return build_fleet(data, tenants, ctx), duration_s
 
 
 def run_churn_scenario(

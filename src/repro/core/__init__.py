@@ -19,7 +19,6 @@ from repro.core.policies import (
     policy_name,
     register_strategy,
     strategy_names,
-    use_policy,
 )
 from repro.core.states import ALLOWED_TRANSITIONS, WorkloadState, can_transition
 from repro.core.stats import WorkloadRecord
@@ -49,7 +48,6 @@ __all__ = [
     "policy_name",
     "register_strategy",
     "strategy_names",
-    "use_policy",
     "ALLOWED_TRANSITIONS",
     "WorkloadState",
     "can_transition",

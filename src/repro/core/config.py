@@ -59,7 +59,8 @@ class DCatConfig:
         policy: Which allocation objective to pursue — an
             :class:`AllocationPolicy` member, any registered strategy name
             or alias (case/separator-insensitive), or None to pick up the
-            process default (see :func:`repro.core.policies.use_policy`).
+            current run context's (see
+            :func:`repro.engine.context.use_context`), else max-fairness.
         grow_step_ways: Ways added per control round to a growing workload.
         shrink_step_ways: Ways removed per round from a low-miss-rate Donor.
         use_performance_table: Reuse per-phase performance tables to jump

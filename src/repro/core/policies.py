@@ -29,16 +29,15 @@ only moves capacity *between* protected floors and the pool, so the §3.5
 contract (min-ways, socket budget, baseline guarantee when feasible)
 holds for all of them — the allocation fuzz suite pins this per strategy.
 
-A process-default slot (:func:`use_policy`) mirrors the fidelity slot in
-:mod:`repro.platform.substrate` so ``dcat-experiment run --policy`` takes
-effect inside process-pool workers too.
+A config built without a policy takes the current
+:class:`~repro.engine.context.RunContext`'s — the route ``dcat-experiment
+run --policy`` takes into registry experiments.
 """
 
 from __future__ import annotations
 
 import abc
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.allocation import (
     AllocationInput,
@@ -49,6 +48,7 @@ from repro.core.config import AllocationPolicy, DCatConfig
 from repro.core.grouping import curvature_score
 from repro.core.perftable import PhaseTable
 from repro.core.states import WorkloadState
+from repro.engine.context import current_context
 
 __all__ = [
     "AllocationStrategy",
@@ -63,15 +63,12 @@ __all__ = [
     "normalize_policy",
     "policy_name",
     "get_strategy",
-    "get_default_policy",
-    "set_default_policy",
-    "use_policy",
     "protected_floors",
     "fit_to_budget",
 ]
 
 #: Anything ``DCatConfig.policy`` accepts: an enum member (legacy), a
-#: registered strategy name, or None (resolve the process default).
+#: registered strategy name, or None (resolve the run context's).
 PolicyLike = Union[AllocationPolicy, str]
 
 
@@ -450,13 +447,14 @@ _LEGACY = {p.value: p for p in AllocationPolicy}
 def normalize_policy(value: Optional[PolicyLike]) -> PolicyLike:
     """What ``DCatConfig.policy`` stores: enum for legacy names, else str.
 
-    ``None`` resolves to the process default (see :func:`use_policy`).
+    ``None`` resolves to the current run context's policy (see
+    :func:`repro.engine.context.use_context`), else ``max_fairness``.
 
     Raises:
         ValueError: For an unknown policy, listing the registered names.
     """
     if value is None:
-        return get_default_policy()
+        value = current_context().policy or AllocationPolicy.MAX_FAIRNESS
     name = canonical_name(value)
     return _LEGACY.get(name, name)
 
@@ -469,48 +467,6 @@ def policy_name(value: PolicyLike) -> str:
 def get_strategy(policy: PolicyLike) -> AllocationStrategy:
     """The registered strategy behind a normalized policy value."""
     return _STRATEGIES[canonical_name(policy)]
-
-
-# -- default-policy plumbing (mirrors substrate.use_fidelity) ------------------
-
-_default_policy: PolicyLike = AllocationPolicy.MAX_FAIRNESS
-
-
-def get_default_policy() -> PolicyLike:
-    """The policy configs fall back to when none is given."""
-    return _default_policy
-
-
-def set_default_policy(policy: Optional[PolicyLike]) -> None:
-    """Install a process-wide default policy (``None`` restores fairness).
-
-    Raises:
-        ValueError: For an unknown policy, listing the registered names.
-    """
-    global _default_policy
-    if policy is None:
-        _default_policy = AllocationPolicy.MAX_FAIRNESS
-        return
-    name = canonical_name(policy)
-    _default_policy = _LEGACY.get(name, name)
-
-
-@contextmanager
-def use_policy(policy: PolicyLike) -> Iterator[PolicyLike]:
-    """Temporarily install ``policy`` as the process default.
-
-    The seam ``dcat-experiment run --policy`` uses: every
-    :class:`~repro.core.config.DCatConfig` built without an explicit
-    policy — including each fleet machine's — picks the default up at
-    construction, in process-pool workers too.
-    """
-    global _default_policy
-    previous = _default_policy
-    set_default_policy(policy)
-    try:
-        yield _default_policy
-    finally:
-        _default_policy = previous
 
 
 for _strategy in (

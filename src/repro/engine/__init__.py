@@ -8,9 +8,12 @@ This package is the seam between the reproduction's layers:
 * :mod:`repro.engine.pipeline` — the :class:`Stage` protocol and
   :class:`StagedLoop` that both interval loops are composed from;
 * :mod:`repro.engine.runner` — the deterministic process-pool experiment
-  runner behind ``dcat-experiment run all --jobs N``.
+  runner behind ``dcat-experiment run all --jobs N``;
+* :mod:`repro.engine.context` — the :class:`RunContext` (fidelity,
+  policy, fleet jobs) parsed once at a run's edge.
 """
 
+from repro.engine.context import RunContext, current_context, use_context
 from repro.engine.events import (
     AllocationPlanned,
     Event,
@@ -34,6 +37,9 @@ from repro.engine.pipeline import FunctionStage, Stage, StagedLoop
 from repro.engine.runner import derive_seed, run_experiments
 
 __all__ = [
+    "RunContext",
+    "current_context",
+    "use_context",
     "AllocationPlanned",
     "Event",
     "EventBus",

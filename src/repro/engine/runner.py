@@ -15,6 +15,8 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
+from repro.engine.context import RunContext, use_context
+
 if TYPE_CHECKING:  # imported lazily at runtime: harness pulls in the world
     from repro.harness.results import ExperimentResult
 
@@ -30,31 +32,17 @@ def derive_seed(seed: int, experiment_id: str) -> int:
 
 
 def _run_one(
-    experiment_id: str,
-    seed: int,
-    fidelity: Optional[str] = None,
-    policy: Optional[str] = None,
+    experiment_id: str, seed: int, ctx: RunContext
 ) -> "ExperimentResult":
     """Worker entry point: run one experiment under its derived seed.
 
-    ``fidelity`` installs the process-default cache substrate and
-    ``policy`` the process-default allocation strategy for the
-    experiment's simulations; applied here (not in the parent) so they
-    also take effect inside process-pool workers.
+    Installs ``ctx`` around the experiment — here, not in the parent, so
+    it also takes effect inside process-pool workers — because registry
+    experiments build their own simulations and configs.
     """
-    from contextlib import ExitStack
-
     from repro.harness.registry import run_experiment
 
-    with ExitStack() as stack:
-        if fidelity is not None:
-            from repro.platform.substrate import use_fidelity
-
-            stack.enter_context(use_fidelity(fidelity))
-        if policy is not None:
-            from repro.core.policies import use_policy
-
-            stack.enter_context(use_policy(policy))
+    with use_context(ctx):
         return run_experiment(experiment_id, seed=derive_seed(seed, experiment_id))
 
 
@@ -81,21 +69,22 @@ def run_experiments(
             there as Prometheus text plus a ``.json`` sibling.  Reports are
             unchanged: telemetry goes to the files, not into the results.
         fidelity: Optional cache-substrate fidelity (``analytical`` /
-            ``exact`` / ``mixed``) installed as the process default around
-            each experiment, in workers too.
-        policy: Optional allocation strategy (any registered name)
-            installed as the process default around each experiment, in
-            workers too; configs built without an explicit policy pick
-            it up.
+            ``exact`` / ``mixed``) for simulations built without a
+            substrate.
+        policy: Optional allocation strategy (any registered name) for
+            configs built without a policy.  Both reach the experiments
+            as one :class:`~repro.engine.context.RunContext`, in workers
+            too.
 
     Returns:
         Results in the order of ``ids``, identical for any ``jobs`` value.
 
     Raises:
         KeyError: For unknown experiment ids.
-        ValueError: If ``jobs`` is not positive, or if ``trace_path`` /
-            ``metrics_path`` is combined with ``jobs > 1`` (the subscribers
-            would live in the wrong process).
+        ValueError: If ``jobs`` is not positive, ``fidelity`` or
+            ``policy`` is unknown, or ``trace_path`` / ``metrics_path`` is
+            combined with ``jobs > 1`` (the subscribers would live in the
+            wrong process).
     """
     from repro.harness.registry import EXPERIMENTS
 
@@ -113,32 +102,16 @@ def run_experiments(
     if metrics_path is not None and jobs > 1:
         raise ValueError("--metrics requires a serial run (jobs=1)")
 
-    if fidelity is not None:
-        from repro.platform.substrate import FIDELITIES
-
-        if fidelity not in FIDELITIES:
-            raise ValueError(
-                f"unknown fidelity {fidelity!r}; use one of {list(FIDELITIES)}"
-            )
-
-    if policy is not None:
-        from repro.core.policies import canonical_name
-
-        canonical_name(policy)  # raises ValueError listing the registry
+    ctx = RunContext.parse(fidelity=fidelity, policy=policy)
 
     if jobs <= 1 or len(ids) <= 1:
         if trace_path is not None or metrics_path is not None:
-            return _run_observed(
-                ids, seed, trace_path, metrics_path, fidelity, policy
-            )
-        return [
-            _run_one(experiment_id, seed, fidelity, policy)
-            for experiment_id in ids
-        ]
+            return _run_observed(ids, seed, trace_path, metrics_path, ctx)
+        return [_run_one(experiment_id, seed, ctx) for experiment_id in ids]
 
     with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
         futures = [
-            pool.submit(_run_one, experiment_id, seed, fidelity, policy)
+            pool.submit(_run_one, experiment_id, seed, ctx)
             for experiment_id in ids
         ]
         return [f.result() for f in futures]
@@ -149,8 +122,7 @@ def _run_observed(
     seed: int,
     trace_path: Optional[str],
     metrics_path: Optional[str],
-    fidelity: Optional[str] = None,
-    policy: Optional[str] = None,
+    ctx: RunContext,
 ) -> "List[ExperimentResult]":
     """Serial run under observation: JSONL trace and/or metrics snapshot.
 
@@ -193,7 +165,7 @@ def _run_observed(
             if collector is not None:
                 bus.subscribe(collector.on_event)
             with use_bus(bus):
-                result = _run_one(experiment_id, seed, fidelity, policy)
+                result = _run_one(experiment_id, seed, ctx)
             if metrics is not None and metrics.counters:
                 for line in render_metrics(metrics).splitlines():
                     result.note(line)

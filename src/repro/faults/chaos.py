@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.engine.context import RunContext, read_document
 from repro.engine.events import EventBus, FaultRecovered, JsonlTraceWriter
 from repro.faults.injectors import FaultInjector
 from repro.faults.invariants import InvariantChecker
@@ -187,28 +188,6 @@ def _parse_restarts(spec: Any, vm_names: List[str]) -> List[_Restart]:
     return restarts
 
 
-def _load_chaos_spec(
-    source: Union[str, Path, Dict[str, Any]]
-) -> Dict[str, Any]:
-    from repro.harness.scenario_file import ScenarioError
-
-    if isinstance(source, dict):
-        return dict(source)
-    path = Path(source)
-    try:
-        is_file = path.exists()
-    except OSError:
-        is_file = False
-    if is_file:
-        return dict(json.loads(path.read_text()))
-    try:
-        return dict(json.loads(str(source)))
-    except (json.JSONDecodeError, TypeError):
-        raise ScenarioError(
-            f"chaos scenario {source!r} is neither a file nor valid JSON"
-        ) from None
-
-
 _CHAOS_KEYS = {"faults", "restarts", "patience"}
 
 
@@ -247,7 +226,6 @@ def run_chaos(
     from repro.harness.scenario_file import (
         ScenarioError,
         load_scenario,
-        parse_fidelity,
         substrate_from_spec,
     )
     from repro.hwcounters.msr import CounterReadError
@@ -255,15 +233,17 @@ def run_chaos(
     from repro.platform.sim import CloudSimulation
     from repro.platform.vm import VirtualMachine
 
-    data = _load_chaos_spec(source)
+    try:
+        ctx = RunContext.parse(fidelity=fidelity, policy=policy)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+    data = read_document(source, "chaos scenario", ScenarioError)
     plan = FaultPlan.from_spec(data.get("faults", {"seed": 0}))
     patience = int(data.get("patience", 5))
     scenario = {k: v for k, v in data.items() if k not in _CHAOS_KEYS}
     machine, vms, manager, duration_s, fidelity_spec = load_scenario(
-        scenario, policy=policy
+        scenario, ctx
     )
-    if fidelity is not None:
-        fidelity_spec = parse_fidelity({"fidelity": fidelity}, ctx="--fidelity")
     if not isinstance(manager, DCatManager):
         raise ScenarioError(
             "chaos runs need a dcat manager (faults target its control loop)"

@@ -25,12 +25,12 @@ Plans can be built programmatically or loaded from JSON::
 from __future__ import annotations
 
 import enum
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.engine.context import read_document
 from repro.engine.runner import derive_seed
 
 __all__ = ["FaultKind", "FaultPlanError", "FaultRule", "FaultPlan"]
@@ -197,22 +197,9 @@ class FaultPlan:
     @staticmethod
     def load(source: Union[str, Path, Dict[str, Any]]) -> "FaultPlan":
         """Load a plan from a dict, a JSON string, or a file path."""
-        if isinstance(source, dict):
-            return FaultPlan.from_spec(source)
-        path = Path(source)
-        try:
-            is_file = path.exists()
-        except OSError:
-            is_file = False
-        if is_file:
-            return FaultPlan.from_spec(json.loads(path.read_text()))
-        try:
-            data = json.loads(str(source))
-        except json.JSONDecodeError:
-            raise FaultPlanError(
-                f"fault plan {source!r} is neither a file nor valid JSON"
-            ) from None
-        return FaultPlan.from_spec(data)
+        return FaultPlan.from_spec(
+            read_document(source, "fault plan", FaultPlanError)
+        )
 
 
 _RULE_KEYS = {

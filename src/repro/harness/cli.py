@@ -39,6 +39,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.engine.context import RunContext
 from repro.engine.runner import run_experiments
 from repro.harness.registry import EXPERIMENTS
 from repro.harness.report import render_experiment
@@ -135,7 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_fidelity_flag(chaos)
     _add_policy_flag(chaos)
-    _add_fleet_jobs_flag(chaos)
     bench = sub.add_parser(
         "bench",
         help="time the hot paths and write a dcat-bench/v1 JSON payload",
@@ -238,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_fidelity_flag(parser: argparse.ArgumentParser) -> None:
-    # Validated manually in main() (not with argparse choices=) so invalid
+    # --fidelity, --policy and --fleet-jobs are validated together by
+    # RunContext.parse in main() (not with argparse choices=), so invalid
     # values follow the scenario error contract: stderr message + exit 2.
     parser.add_argument(
         "--fidelity",
@@ -250,22 +251,7 @@ def _add_fidelity_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _check_fidelity(args) -> Optional[str]:
-    """Field-contextual validation for --fidelity; returns an error or None."""
-    from repro.platform.substrate import FIDELITIES
-
-    fidelity = getattr(args, "fidelity", None)
-    if fidelity is not None and fidelity not in FIDELITIES:
-        return (
-            f"--fidelity: unknown fidelity {fidelity!r}; "
-            f"use one of {list(FIDELITIES)}"
-        )
-    return None
-
-
 def _add_policy_flag(parser: argparse.ArgumentParser) -> None:
-    # Like --fidelity: validated manually in main() rather than with
-    # choices=, so unknown names get the field-contextual error + exit 2.
     parser.add_argument(
         "--policy",
         metavar="NAME",
@@ -277,8 +263,6 @@ def _add_policy_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_fleet_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    # Like --fidelity/--policy: validated manually in main() so bad values
-    # get the field-contextual stderr message + exit 2.
     parser.add_argument(
         "--fleet-jobs",
         metavar="N",
@@ -289,48 +273,31 @@ def _add_fleet_jobs_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _check_fleet_jobs(args) -> Optional[str]:
-    """Field-contextual validation for --fleet-jobs; returns error or None."""
-    jobs = getattr(args, "fleet_jobs", None)
-    if jobs is not None and jobs < 1:
-        return f"--fleet-jobs: must be >= 1, got {jobs}"
-    return None
-
-
-def _check_policy(args) -> Optional[str]:
-    """Field-contextual validation for --policy; returns an error or None."""
-    policy = getattr(args, "policy", None)
-    if policy is None:
-        return None
-    from repro.core.policies import canonical_name
-
-    try:
-        canonical_name(policy)
-    except ValueError as exc:
-        return f"--policy: {exc}"
-    return None
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    error = _check_fidelity(args) or _check_policy(args) or _check_fleet_jobs(args)
-    if error is not None:
-        print(error, file=sys.stderr)
+    try:
+        ctx = RunContext.parse(
+            fidelity=getattr(args, "fidelity", None),
+            policy=getattr(args, "policy", None),
+            fleet_jobs=getattr(args, "fleet_jobs", 1),
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     if args.command == "tournament":
-        return _run_tournament(args)
+        return _run_tournament(args, ctx)
     if args.command == "scenario":
-        return _run_scenario(args)
+        return _run_scenario(args, ctx)
     if args.command == "churn":
-        return _run_churn(args)
+        return _run_churn(args, ctx)
     if args.command == "chaos":
-        return _run_chaos(args)
+        return _run_chaos(args, ctx)
     if args.command == "bench":
         return _run_bench(args)
     if args.command == "serve":
-        return _run_serve(args)
+        return _run_serve(args, ctx)
     if args.command == "loadtest":
-        return _run_loadtest(args)
+        return _run_loadtest(args, ctx)
     if args.command == "list":
         for experiment_id in EXPERIMENTS:
             print(experiment_id)
@@ -349,8 +316,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed,
             trace_path=args.trace,
             metrics_path=args.metrics,
-            fidelity=args.fidelity,
-            policy=args.policy,
+            fidelity=ctx.fidelity,
+            policy=ctx.policy,
         )
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -367,12 +334,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def _run_scenario(args) -> int:
+def _run_scenario(args, ctx: RunContext) -> int:
     from repro.harness.scenario_file import ScenarioError, run_scenario_file
 
     try:
         result = run_scenario_file(
-            args.path, fidelity=args.fidelity, policy=args.policy
+            args.path, fidelity=ctx.fidelity, policy=ctx.policy
         )
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
@@ -394,24 +361,18 @@ def _run_scenario(args) -> int:
     return 0
 
 
-def _run_chaos(args) -> int:
+def _run_chaos(args, ctx: RunContext) -> int:
     from repro.faults.chaos import run_chaos
     from repro.faults.plan import FaultPlanError
     from repro.harness.scenario_file import ScenarioError
 
-    if args.fleet_jobs > 1:
-        # Chaos verdicts hang off per-machine invariant checkers wired to
-        # the report; those live in-process, so chaos runs stay serial.
-        print(
-            "chaos runs are serial; ignoring --fleet-jobs", file=sys.stderr
-        )
     try:
         report = run_chaos(
             args.path,
             trace=args.trace,
             metrics=args.metrics,
-            fidelity=args.fidelity,
-            policy=args.policy,
+            fidelity=ctx.fidelity,
+            policy=ctx.policy,
         )
     except (ScenarioError, FaultPlanError) as exc:
         print(f"chaos scenario error: {exc}", file=sys.stderr)
@@ -442,7 +403,7 @@ def _run_bench(args) -> int:
     return 0
 
 
-def _run_serve(args) -> int:
+def _run_serve(args, ctx: RunContext) -> int:
     import asyncio
 
     from repro.harness.scenario_file import ScenarioError
@@ -453,9 +414,9 @@ def _run_serve(args) -> int:
 
         config = load_service_config(
             args.path,
-            fidelity=args.fidelity,
-            policy=args.policy,
-            fleet_jobs=args.fleet_jobs,
+            fidelity=ctx.fidelity,
+            policy=ctx.policy,
+            fleet_jobs=ctx.fleet_jobs,
         )
         daemon = ControllerDaemon(
             config,
@@ -508,7 +469,7 @@ def _run_serve(args) -> int:
     return 0
 
 
-def _run_loadtest(args) -> int:
+def _run_loadtest(args, ctx: RunContext) -> int:
     from repro.harness.scenario_file import ScenarioError
 
     try:
@@ -521,8 +482,8 @@ def _run_loadtest(args) -> int:
             rps=args.rps,
             duration_s=args.duration,
             seed=args.seed,
-            fidelity=args.fidelity,
-            policy=args.policy,
+            fidelity=ctx.fidelity,
+            policy=ctx.policy,
         )
     except ScenarioError as exc:
         print(f"service config error: {exc}", file=sys.stderr)
@@ -553,7 +514,7 @@ def _run_loadtest(args) -> int:
     return 1 if failures else 0
 
 
-def _run_tournament(args) -> int:
+def _run_tournament(args, ctx: RunContext) -> int:
     import json
 
     from repro.harness.experiments.tournament import (
@@ -563,7 +524,7 @@ def _run_tournament(args) -> int:
     )
 
     payload = build_tournament_report(
-        seed=args.seed, quick=args.quick, fleet_jobs=args.fleet_jobs
+        seed=args.seed, quick=args.quick, fleet_jobs=ctx.fleet_jobs
     )
     validate_tournament_report(payload)
     try:
@@ -581,7 +542,7 @@ def _run_tournament(args) -> int:
     return 0
 
 
-def _run_churn(args) -> int:
+def _run_churn(args, ctx: RunContext) -> int:
     from repro.harness.scenario_file import ScenarioError
 
     try:
@@ -591,9 +552,9 @@ def _run_churn(args) -> int:
             args.path,
             metrics=args.metrics,
             trace=args.trace,
-            fidelity=args.fidelity,
-            policy=args.policy,
-            fleet_jobs=args.fleet_jobs,
+            fidelity=ctx.fidelity,
+            policy=ctx.policy,
+            fleet_jobs=ctx.fleet_jobs,
         )
     except ScenarioError as exc:
         print(f"churn scenario error: {exc}", file=sys.stderr)

@@ -43,7 +43,6 @@ overrides it.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
@@ -51,6 +50,7 @@ from repro.core.config import DCatConfig
 from repro.core.hints import DeclaredSchedule
 from repro.core.policies import normalize_policy
 from repro.cpu.socket import SocketSpec
+from repro.engine.context import RunContext, read_document
 from repro.mem.address import MB
 from repro.platform.machine import Machine
 from repro.platform.managers import (
@@ -232,14 +232,18 @@ def build_manager(
     return DCatManager(config=config)
 
 
-def parse_fidelity(data: Dict[str, Any], ctx: str = "fidelity") -> Dict[str, Any]:
+def parse_fidelity(
+    data: Dict[str, Any], override: Optional[str] = None
+) -> Dict[str, Any]:
     """Normalize a scenario's fidelity into ``{"mode": ..., **options}``.
 
     Accepts a plain string (``"fidelity": "mixed"``) or an object with a
     ``mode`` plus substrate options (``{"mode": "mixed", "sample_rate":
     0.5, "tolerance": 0.15}``).  A missing ``fidelity`` means analytical.
     The retired ``"exact": true`` flag is an error naming its replacement.
-    Every problem is reported with its field path under ``ctx``.
+    Every problem is reported with its field path.  ``override`` (an
+    already-validated ``--fidelity`` mode) wins over the document's
+    field, which is still validated.
 
     Raises:
         ScenarioError: Naming the offending field.
@@ -249,7 +253,7 @@ def parse_fidelity(data: Dict[str, Any], ctx: str = "fidelity") -> Dict[str, Any
             'exact: the legacy flag is retired; use "fidelity": "exact" instead'
         )
     if "fidelity" not in data:
-        return {"mode": "analytical"}
+        return {"mode": override or "analytical"}
     raw = data["fidelity"]
     if isinstance(raw, str):
         spec: Dict[str, Any] = {"mode": raw}
@@ -257,23 +261,23 @@ def parse_fidelity(data: Dict[str, Any], ctx: str = "fidelity") -> Dict[str, Any
         spec = dict(raw)
         if "mode" not in spec:
             raise ScenarioError(
-                f"{ctx}.mode: missing required field; use one of {list(FIDELITIES)}"
+                f"fidelity.mode: missing required field; use one of {list(FIDELITIES)}"
             )
     else:
         raise ScenarioError(
-            f"{ctx}: expected a string or an object, got {type(raw).__name__}"
+            f"fidelity: expected a string or an object, got {type(raw).__name__}"
         )
     mode = spec["mode"]
     if mode not in FIDELITIES:
         raise ScenarioError(
-            f"{ctx}.mode: unknown fidelity {mode!r}; use one of {list(FIDELITIES)}"
+            f"fidelity.mode: unknown fidelity {mode!r}; use one of {list(FIDELITIES)}"
         )
     try:
         # Validate option names and values eagerly, with field context.
         build_substrate(mode, **{k: v for k, v in spec.items() if k != "mode"})
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{ctx}: {exc}") from None
-    return spec
+        raise ScenarioError(f"fidelity: {exc}") from None
+    return {"mode": override} if override is not None else spec
 
 
 def substrate_from_spec(spec: Dict[str, Any]) -> CacheSubstrate:
@@ -285,13 +289,13 @@ def substrate_from_spec(spec: Dict[str, Any]) -> CacheSubstrate:
 
 def load_scenario(
     source: Union[str, Path, Dict[str, Any]],
-    policy: Optional[str] = None,
+    ctx: RunContext = RunContext(),
 ):
     """Parse a scenario (dict, JSON string, or file path) into build parts.
 
     Args:
-        policy: Optional allocation-policy override (``--policy``); wins
-            over the scenario's manager config.
+        ctx: The run's choices; its ``policy`` wins over the scenario's
+            manager config and its ``fidelity`` over the scenario's own.
 
     Returns:
         ``(machine, vms, manager, duration_s, fidelity_spec)`` — the last
@@ -301,23 +305,7 @@ def load_scenario(
     Raises:
         ScenarioError: On any malformed field, naming it.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        path = Path(source)
-        try:
-            is_file = path.exists()
-        except OSError:  # e.g. a JSON blob too long to be a filename
-            is_file = False
-        if is_file:
-            data = json.loads(path.read_text())
-        else:
-            try:
-                data = json.loads(str(source))
-            except json.JSONDecodeError:
-                raise ScenarioError(
-                    f"scenario {source!r} is neither a file nor valid JSON"
-                ) from None
+    data = read_document(source, "scenario", ScenarioError)
 
     machine_spec = data.get("machine", {})
     socket_name = machine_spec.get("socket", "xeon_e5")
@@ -362,11 +350,11 @@ def load_scenario(
         raise ScenarioError(f"duplicate VM names: {names}")
     pin_vms(vms, machine.spec)
 
-    manager = build_manager(data.get("manager", {}), policy=policy)
+    manager = build_manager(data.get("manager", {}), policy=ctx.policy)
     duration = float(data.get("duration_s", 30.0))
     if duration <= 0:
         raise ScenarioError("duration_s must be positive")
-    fidelity = parse_fidelity(data)
+    fidelity = parse_fidelity(data, override=ctx.fidelity)
     return machine, vms, manager, duration, fidelity
 
 
@@ -384,9 +372,11 @@ def run_scenario_file(
         policy: Optional allocation-policy override (``--policy``); wins
             over the scenario's manager config.
     """
-    machine, vms, manager, duration, spec = load_scenario(source, policy=policy)
-    if fidelity is not None:
-        spec = parse_fidelity({"fidelity": fidelity}, ctx="--fidelity")
+    try:
+        ctx = RunContext.parse(fidelity=fidelity, policy=policy)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+    machine, vms, manager, duration, spec = load_scenario(source, ctx)
     sim = CloudSimulation(
         machine, vms, manager, substrate=substrate_from_spec(spec)
     )

@@ -15,9 +15,6 @@ from repro.platform.substrate import (
     ExactSubstrate,
     MixedSubstrate,
     build_substrate,
-    get_default_fidelity,
-    set_default_fidelity,
-    use_fidelity,
 )
 from repro.platform.vm import VirtualMachine, pin_vms
 
@@ -36,9 +33,6 @@ __all__ = [
     "ExactSubstrate",
     "MixedSubstrate",
     "build_substrate",
-    "get_default_fidelity",
-    "set_default_fidelity",
-    "use_fidelity",
     "VirtualMachine",
     "pin_vms",
 ]

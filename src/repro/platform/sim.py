@@ -30,16 +30,13 @@ from repro.engine.events import (
     SampleCollected,
     get_default_bus,
 )
+from repro.engine.context import current_context
 from repro.engine.pipeline import FunctionStage, StagedLoop
 from repro.errors import UnknownTenantError
 from repro.hwcounters.events import L1_CACHE_HITS, L1_CACHE_MISSES, LLC_MISSES, LLC_REFERENCES
 from repro.platform.machine import Machine
 from repro.platform.managers import CacheManager
-from repro.platform.substrate import (
-    CacheSubstrate,
-    build_substrate,
-    get_default_fidelity,
-)
+from repro.platform.substrate import CacheSubstrate, build_substrate
 from repro.platform.vm import VirtualMachine
 from repro.workloads.apps import AppWorkload
 from repro.workloads.base import Phase, PhasedWorkload
@@ -200,8 +197,8 @@ class CloudSimulation:
         bus: Event bus for interval events (defaults to the process default
             bus, which is the null bus unless e.g. ``--trace`` installed one).
         substrate: The cache substrate resolving per-VM hit rates (defaults
-            to a fresh substrate at the process default fidelity, which is
-            analytical unless e.g. ``--fidelity`` installed another).
+            to a fresh substrate at the current run context's fidelity,
+            which is analytical unless ``run --fidelity`` chose another).
     """
 
     def __init__(
@@ -248,7 +245,7 @@ class CloudSimulation:
         # Virtual time requested by run() but not yet a whole interval.
         self._residual_s = 0.0
         if substrate is None:
-            substrate = build_substrate(get_default_fidelity())
+            substrate = build_substrate(current_context().fidelity or "analytical")
         self.substrate = substrate
         self.substrate.bind(self)
         self.loop = StagedLoop(

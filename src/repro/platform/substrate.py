@@ -20,8 +20,9 @@ execute.  Three substrates implement that contract:
 
 Fidelity is a per-experiment dial: pass a substrate to
 :class:`~repro.platform.sim.CloudSimulation` (or a ``fidelity`` spec to
-scenario files / :class:`~repro.cloud.fleet.FleetMachine`), or install a
-process default with :func:`use_fidelity` — the route ``dcat-experiment
+scenario files / :class:`~repro.cloud.fleet.FleetMachine`); a simulation
+built without one takes the fidelity of the current
+:class:`~repro.engine.context.RunContext` — the route ``dcat-experiment
 run --fidelity exact|analytical|mixed`` takes, so any registered
 experiment can run at any fidelity without code changes.
 
@@ -38,8 +39,7 @@ is byte-identical to an analytical one.
 from __future__ import annotations
 
 import abc
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -63,9 +63,6 @@ __all__ = [
     "ExactSubstrate",
     "MixedSubstrate",
     "build_substrate",
-    "get_default_fidelity",
-    "set_default_fidelity",
-    "use_fidelity",
 ]
 
 #: The fidelity dial's legal positions, in increasing cost order.
@@ -600,42 +597,3 @@ def build_substrate(fidelity: str, **options: Any) -> CacheSubstrate:
     if fidelity == "exact":
         return ExactSubstrate(**options)
     return MixedSubstrate(**options)
-
-
-# -- default-fidelity plumbing -------------------------------------------------
-
-_default_fidelity: str = "analytical"
-
-
-def get_default_fidelity() -> str:
-    """The fidelity simulations fall back to when no substrate is passed."""
-    return _default_fidelity
-
-
-def set_default_fidelity(fidelity: Optional[str]) -> None:
-    """Install a process-wide default fidelity (``None`` restores analytical)."""
-    global _default_fidelity
-    if fidelity is None:
-        fidelity = "analytical"
-    if fidelity not in FIDELITIES:
-        raise ValueError(
-            f"unknown fidelity {fidelity!r}; use one of {list(FIDELITIES)}"
-        )
-    _default_fidelity = fidelity
-
-
-@contextmanager
-def use_fidelity(fidelity: str) -> Iterator[str]:
-    """Temporarily install ``fidelity`` as the process default.
-
-    This is the seam ``dcat-experiment run --fidelity`` uses: every
-    :class:`~repro.platform.sim.CloudSimulation` built without an explicit
-    substrate — including each :class:`~repro.cloud.fleet.FleetMachine`'s —
-    picks the default up at construction.
-    """
-    previous = _default_fidelity
-    set_default_fidelity(fidelity)
-    try:
-        yield fidelity
-    finally:
-        set_default_fidelity(previous)

@@ -29,20 +29,19 @@ service bus so traces and metrics see the whole fleet.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.cloud.fleet import CloudFleet
-from repro.cloud.placement import build_policy
 from repro.cloud.scenario import (
     ChurnScenarioError,
     _get_int,
     _get_number,
     _require_mapping,
-    build_fleet_machines,
+    build_fleet,
 )
+from repro.engine.context import RunContext, read_document
 from repro.engine.events import EventBus
 from repro.faults.invariants import InvariantChecker
 from repro.harness.scenario_file import ScenarioError
@@ -64,23 +63,23 @@ class ServiceConfigError(ScenarioError):
 
 @dataclass
 class ServiceSetup:
-    """One built service backend: the fleet plus its per-machine watchdogs."""
+    """One built service backend: the fleet and its invariant watchdogs."""
 
     fleet: CloudFleet
-    buses: Dict[str, EventBus] = field(default_factory=dict)
-    checkers: Dict[str, InvariantChecker] = field(default_factory=dict)
+
+    @property
+    def checkers(self) -> Dict[str, InvariantChecker]:
+        """In-process checkers by machine (empty for a parallel fleet,
+        whose checkers live in its workers)."""
+        return {
+            m.name: m.checker for m in self.fleet.machines if m.checker is not None
+        }
 
     def violation_count(self) -> int:
-        fleet_violations, _ = self.fleet.checker_stats()
-        return fleet_violations + sum(
-            len(c.violations) for c in self.checkers.values()
-        )
+        return self.fleet.checker_stats()[0]
 
     def intervals_checked(self) -> int:
-        _, fleet_intervals = self.fleet.checker_stats()
-        return fleet_intervals + sum(
-            c.intervals_checked for c in self.checkers.values()
-        )
+        return self.fleet.checker_stats()[1]
 
 
 @dataclass
@@ -89,75 +88,25 @@ class ServiceConfig:
 
     data: Dict[str, Any]
     tick_interval_s: float
-    fidelity: Optional[str] = None
-    policy: Optional[str] = None
-    fleet_jobs: int = 1
+    ctx: RunContext
 
     def build(self, bus: Optional[EventBus] = None) -> ServiceSetup:
         """Construct the fleet (and invariant checkers) this config describes.
 
-        With ``fleet_jobs > 1`` the fleet is a
-        :class:`~repro.cloud.executor.ParallelCloudFleet`: invariant
-        checkers run inside the workers (their tallies surface through
-        :meth:`CloudFleet.checker_stats`) and ``ServiceSetup.buses`` /
-        ``checkers`` stay empty.  The caller owns the worker pool and
-        must :meth:`~repro.cloud.fleet.CloudFleet.close` the fleet.
+        With ``ctx.fleet_jobs > 1`` the fleet is a
+        :class:`~repro.cloud.executor.ParallelCloudFleet` whose invariant
+        checkers run inside the workers.  The caller must
+        :meth:`~repro.cloud.fleet.CloudFleet.close` the fleet.
 
         Args:
             bus: Optional shared service bus; tenant lifecycle events go
                 there directly and every machine bus forwards into it.
         """
-        if self.fleet_jobs > 1:
-            from repro.cloud.executor import ParallelCloudFleet
-
-            try:
-                fleet = ParallelCloudFleet(
-                    self.data,
-                    jobs=self.fleet_jobs,
-                    tenants=[],
-                    fidelity=self.fidelity,
-                    policy=self.policy,
-                    bus=bus,
-                    checkers=True,
-                )
-            except ChurnScenarioError as exc:
-                raise ServiceConfigError(str(exc)) from None
-            return ServiceSetup(fleet=fleet)
-        buses: Dict[str, EventBus] = {}
-
-        def machine_bus(name: str) -> EventBus:
-            mbus = EventBus()
-            if bus is not None:
-                mbus.subscribe(bus.emit)
-            buses[name] = mbus
-            return mbus
-
         try:
-            machines, placement, tolerance = build_fleet_machines(
-                self.data,
-                fidelity=self.fidelity,
-                machine_bus=machine_bus,
-                policy=self.policy,
-            )
+            fleet = build_fleet(self.data, [], self.ctx, bus=bus, checkers=True)
         except ChurnScenarioError as exc:
             raise ServiceConfigError(str(exc)) from None
-        checkers: Dict[str, InvariantChecker] = {}
-        for machine in machines:
-            controller = getattr(machine.sim.manager, "controller", None)
-            if controller is not None:
-                checkers[machine.name] = InvariantChecker(
-                    total_ways=controller.total_ways,
-                    config=controller.config,
-                    bus=buses[machine.name],
-                )
-        fleet = CloudFleet(
-            machines=machines,
-            policy=build_policy(placement),
-            tenants=[],
-            bus=bus,
-            slo_tolerance=tolerance,
-        )
-        return ServiceSetup(fleet=fleet, buses=buses, checkers=checkers)
+        return ServiceSetup(fleet=fleet)
 
 
 def load_service_config(
@@ -177,29 +126,10 @@ def load_service_config(
             (``--fleet-jobs``); wins over ``service.fleet_jobs``.
 
     Raises:
-        ServiceConfigError: On any malformed field, naming the field.
+        ServiceConfigError: On any malformed field or argument, naming
+            the field.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        path = Path(source)
-        try:
-            is_file = path.exists()
-        except OSError:
-            is_file = False
-        if is_file:
-            data = json.loads(path.read_text())
-        else:
-            try:
-                data = json.loads(str(source))
-            except json.JSONDecodeError:
-                raise ServiceConfigError(
-                    f"service config {source!r} is neither a file nor valid JSON"
-                ) from None
-    try:
-        data = _require_mapping(data, "service config")
-    except ChurnScenarioError as exc:
-        raise ServiceConfigError(str(exc)) from None
+    data = read_document(source, "service config", ServiceConfigError)
     for key in _BATCH_ONLY_KEYS:
         if key in data:
             raise ServiceConfigError(
@@ -217,27 +147,16 @@ def load_service_config(
         )
     except ChurnScenarioError as exc:
         raise ServiceConfigError(str(exc)) from None
-    if fleet_jobs is not None:
-        if fleet_jobs < 1:
-            raise ServiceConfigError(
-                f"service.fleet_jobs: must be >= 1, got {fleet_jobs}"
-            )
-        jobs = fleet_jobs
-    config = ServiceConfig(
-        data=dict(data),
-        tick_interval_s=float(tick),
-        fidelity=fidelity,
-        policy=policy,
-        fleet_jobs=int(jobs),
-    )
+    try:
+        ctx = RunContext.parse(
+            fidelity, policy, jobs if fleet_jobs is None else fleet_jobs
+        )
+    except ValueError as exc:
+        raise ServiceConfigError(str(exc)) from None
+    config = ServiceConfig(data=dict(data), tick_interval_s=float(tick), ctx=ctx)
     # Validate the fleet vocabulary eagerly by building it once: config
     # errors surface at load time (CLI exit 2), not mid-serve.  The
     # validation build is always serial so loading never spawns (and
     # leaks) worker processes just to check the vocabulary.
-    ServiceConfig(
-        data=config.data,
-        tick_interval_s=config.tick_interval_s,
-        fidelity=fidelity,
-        policy=policy,
-    ).build()
+    replace(config, ctx=replace(ctx, fleet_jobs=1)).build()
     return config

@@ -9,6 +9,8 @@ field context, and the ``bench`` / ``--metrics`` flows.
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.harness.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -213,6 +215,36 @@ class TestChaosExitCodes:
         ])
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
+
+
+    def test_fleet_jobs_flag_is_gone(self, capsys):
+        # A chaos run is one host: there is no fleet to shard.
+        with pytest.raises(SystemExit) as info:
+            main(["chaos", "examples/chaos.json", "--fleet-jobs", "2"])
+        assert info.value.code == 2
+        assert "--fleet-jobs" in capsys.readouterr().err
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "command", ["scenario", "churn", "chaos", "serve", "loadtest"]
+    )
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ('{"vms": [', "invalid JSON at line 1 column 10"),
+            ("[1, 2]", "expected an object, got list"),
+        ],
+        ids=["truncated", "top_level_list"],
+    )
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command, text, detail):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert f"{str(path)!r}: {detail}" in err
+        assert "Traceback" not in err
 
 
 class TestBenchExitCodes:

@@ -14,6 +14,7 @@ These pin the two bug classes this layer existed to eliminate:
 
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +249,28 @@ class TestParallelByteIdentity:
         del data["slo"]
         a, b = self.run_pair(data)
         assert a.canonical_bytes() == b.canonical_bytes()
+
+
+class TestSpawnParity:
+    def test_run_level_policy_reaches_spawned_workers(self, monkeypatch):
+        # A spawned worker starts without the parent's ambient context;
+        # the parent must ship the policy it resolved, or the workers
+        # fall back to max_fairness and the parallel run diverges.
+        import repro.cloud.executor as executor
+        from repro.engine.context import RunContext, use_context
+
+        monkeypatch.setattr(
+            executor.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        path = Path(__file__).parent.parent / "examples" / "churn.json"
+        data = json.loads(path.read_text())
+        data["duration_s"] = 12
+        with use_context(RunContext.parse(policy="max_performance")):
+            serial, parallel = (
+                run_churn_scenario(dict(data), fleet_jobs=jobs).canonical_bytes()
+                for jobs in (1, 2)
+            )
+        assert serial == parallel
 
 
 # -- executor plumbing -------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The fuzz suite (``test_allocation_fuzz.py``) pins the §3.5 contract and
 the legacy byte-identity; this file covers the registry surface (names,
-aliases, normalization, the process-default slot), the declared-phase
+aliases, normalization, the run context's policy), the declared-phase
 hint types, and each rival strategy's characteristic behaviour on
 hand-built inputs.
 """
@@ -18,17 +18,15 @@ from repro.core.policies import (
     AllocationStrategy,
     canonical_name,
     fit_to_budget,
-    get_default_policy,
     get_strategy,
     normalize_policy,
     policy_name,
     protected_floors,
     register_strategy,
-    set_default_policy,
     strategy_names,
-    use_policy,
 )
 from repro.core.states import WorkloadState
+from repro.engine.context import RunContext, current_context, use_context
 
 
 def _inp(wid, state=WorkloadState.KEEPER, target=3, grow=0, baseline=3,
@@ -117,24 +115,28 @@ def test_config_rejects_unknown_policy_listing_registry():
         DCatConfig(policy="banana")
 
 
-def test_use_policy_slot_feeds_fresh_configs():
-    assert get_default_policy() is AllocationPolicy.MAX_FAIRNESS
-    with use_policy("reserved_pooled"):
-        assert get_default_policy() == "reserved_pooled"
+def test_use_context_policy_feeds_fresh_configs():
+    assert current_context().policy is None
+    assert DCatConfig().policy is AllocationPolicy.MAX_FAIRNESS
+    with use_context(RunContext.parse(policy="reserved_pooled")):
         assert DCatConfig().policy == "reserved_pooled"
-        with use_policy("performance"):
+        with use_context(RunContext.parse(policy="performance")):
             assert DCatConfig().policy is AllocationPolicy.MAX_PERFORMANCE
-        assert get_default_policy() == "reserved_pooled"
-    assert get_default_policy() is AllocationPolicy.MAX_FAIRNESS
+        # Leaving the inner block restores the outer context.
+        assert DCatConfig().policy == "reserved_pooled"
+        # An explicit policy still wins over the context's.
+        assert DCatConfig(policy="lfoc").policy == "lfoc_clustering"
+    assert DCatConfig().policy is AllocationPolicy.MAX_FAIRNESS
 
 
-def test_set_default_policy_none_restores_fairness():
-    set_default_policy("lfoc")
-    try:
-        assert get_default_policy() == "lfoc_clustering"
-    finally:
-        set_default_policy(None)
-    assert get_default_policy() is AllocationPolicy.MAX_FAIRNESS
+def test_context_without_policy_restores_fairness():
+    with use_context(RunContext.parse(policy="lfoc")):
+        assert current_context().policy == "lfoc_clustering"
+        with pytest.raises(ValueError, match="--policy: unknown allocation policy 'banana'"):
+            use_context(RunContext.parse(policy="banana"))
+        assert current_context().policy == "lfoc_clustering"
+        with use_context(RunContext()):
+            assert DCatConfig().policy is AllocationPolicy.MAX_FAIRNESS
 
 
 def test_register_strategy_rejects_collisions():

@@ -13,8 +13,8 @@ Three claims pinned here:
    observation-only and its absence leaves no fingerprint.
 
 Plus the plumbing: ``build_substrate`` validation, the one-simulation
-bind contract, exact-substrate COS recycling across churn, and the
-``use_fidelity`` process-default slot.
+bind contract, exact-substrate COS recycling across churn, and the run
+context's fidelity as the default for simulations built without one.
 """
 
 import io
@@ -22,6 +22,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.engine.context import RunContext, current_context, use_context
 from repro.engine.events import (
     EventBus,
     FidelityDivergence,
@@ -39,9 +40,6 @@ from repro.platform.substrate import (
     ExactSubstrate,
     MixedSubstrate,
     build_substrate,
-    get_default_fidelity,
-    set_default_fidelity,
-    use_fidelity,
 )
 from repro.platform.vm import VirtualMachine, pin_vms
 from repro.workloads.lookbusy import LookbusyWorkload
@@ -263,31 +261,42 @@ class TestExactCosRecycling:
 
 
 class TestDefaultFidelitySlot:
-    def test_default_is_analytical(self):
-        assert get_default_fidelity() == "analytical"
+    """The run context's fidelity: what a simulation built without a
+    substrate runs on."""
 
-    def test_use_fidelity_scopes_the_default(self):
+    @staticmethod
+    def default_substrate():
         machine = Machine(seed=1)
-        with use_fidelity("exact"):
-            assert get_default_fidelity() == "exact"
-            sim = CloudSimulation(
-                machine, single_tenant_stage(machine), StaticCatManager()
-            )
-            assert isinstance(sim.substrate, ExactSubstrate)
-        assert get_default_fidelity() == "analytical"
+        return CloudSimulation(
+            machine, single_tenant_stage(machine), StaticCatManager()
+        ).substrate
 
-    def test_set_default_fidelity_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown fidelity"):
-            set_default_fidelity("bogus")
-        assert get_default_fidelity() == "analytical"
+    def test_default_is_analytical(self):
+        assert current_context().fidelity is None
+        assert isinstance(self.default_substrate(), AnalyticalSubstrate)
+
+    def test_use_context_scopes_the_fidelity(self):
+        with use_context(RunContext.parse(fidelity="exact")):
+            with use_context(RunContext.parse(fidelity="mixed")):
+                assert isinstance(self.default_substrate(), MixedSubstrate)
+            # Leaving the inner block restores the outer context.
+            assert current_context().fidelity == "exact"
+            assert isinstance(self.default_substrate(), ExactSubstrate)
+        assert current_context().fidelity is None
+
+    def test_unknown_fidelity_leaves_context_untouched(self):
+        with use_context(RunContext.parse(fidelity="mixed")):
+            with pytest.raises(ValueError, match="--fidelity: unknown fidelity 'bogus'"):
+                use_context(RunContext.parse(fidelity="bogus"))
+            with pytest.raises(TypeError, match="RunContext"):
+                with use_context("exact"):
+                    pass
+            assert current_context().fidelity == "mixed"
 
     def test_none_restores_analytical(self):
-        set_default_fidelity("mixed")
-        try:
-            assert get_default_fidelity() == "mixed"
-        finally:
-            set_default_fidelity(None)
-        assert get_default_fidelity() == "analytical"
+        with use_context(RunContext.parse(fidelity="exact")):
+            with use_context(RunContext()):
+                assert isinstance(self.default_substrate(), AnalyticalSubstrate)
 
     def test_fidelity_order_is_cost_order(self):
         assert FIDELITIES == ("analytical", "mixed", "exact")
