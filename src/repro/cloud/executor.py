@@ -17,25 +17,38 @@ so placement policies, admission control, and SLO accounting run in the
 parent unchanged, while the worker's replica does the actual simulation.
 Mirror workloads never advance and mirror sims never step.
 
+A worker that dies mid-conversation surfaces as
+:class:`~repro.errors.FleetWorkerDied` naming its machines and exit code;
+:meth:`ParallelCloudFleet.close` still returns afterwards.
+
 Determinism contract (the serial fleet is the spec):
 
+* one host interval: the worker's ``step`` runs the same
+  :meth:`~repro.cloud.fleet.FleetMachine.step_interval` the serial fleet
+  runs, and the parent's ``step`` *is* :meth:`CloudFleet.step
+  <repro.cloud.fleet.CloudFleet.step>` — only the ``_step_hosts`` hook
+  differs, returning the workers' reports instead of stepping locally;
+* one ``step`` barrier per fleet interval; per-machine interval events
+  are re-emitted in fleet order, then the base class folds the
+  observations into the :class:`~repro.cloud.slo.SloAccountant` in fleet
+  order, so ``SloViolated`` lands after all interval events, as in serial;
+* one "finished" rule: the tenants whose workload finished in the last
+  interval (reported by the hosts, never read off the mirrors) drive both
+  the next interval's departures and ``depart_tenant``'s default reason;
 * every lifecycle op dispatches to the owning worker immediately, and the
   worker's control-plane events are re-emitted on the parent bus between
   the parent's own ``TenantPlaced``/``TenantAdmitted`` (or before
   ``TenantDeparted``) — the exact slots the serial fleet fills;
-* one ``step`` barrier per fleet interval; per-machine interval events
-  are re-emitted in fleet order, then observations are folded into the
-  parent's :class:`~repro.cloud.slo.SloAccountant` in fleet order, so
-  ``SloViolated`` lands after all interval events, as in serial;
-* workers compute entitled IPC per machine *before* stepping it (the
-  serial snapshot point); entitlements only read that machine's state,
-  so per-shard computation equals the serial global snapshot;
 * events cross the pipe as pickled :class:`~repro.engine.events.Event`
   dataclasses — exact float and tuple round-trip, no re-parsing.
 
 The result: JSONL traces, placements, SLO ledgers, and
 :class:`~repro.cloud.fleet.FleetResult` are byte-identical for any
 ``--fleet-jobs`` value.
+
+perfbench's traced run wraps ``step``, ``_ask`` and ``_broadcast``
+through ``vars(ParallelCloudFleet)``, so all three stay in this class's
+own dict (``step`` as an alias of the base method, not an override).
 """
 
 from __future__ import annotations
@@ -43,19 +56,14 @@ from __future__ import annotations
 import multiprocessing
 import traceback
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.cloud.fleet import (
-    CloudFleet,
-    FleetMachine,
-    ResidentTenant,
-    checker_totals,
-    entitled_ipc,
-)
+from repro.cloud.fleet import CloudFleet, FleetMachine, ResidentTenant, checker_totals
 from repro.cloud.lifecycle import TenantSpec
 from repro.cloud.placement import build_policy
 from repro.engine.context import RunContext
 from repro.engine.events import NULL_BUS, Event, EventBus, set_default_bus
+from repro.errors import FleetWorkerDied
 from repro.platform.sim import SimulationResult
 
 __all__ = ["ParallelCloudFleet"]
@@ -66,6 +74,37 @@ class _WorkerFailure:
 
     def __init__(self, message: str) -> None:
         self.message = message
+
+
+#: What a dead worker's pipe raises on ``send``/``recv``.
+_PIPE_ERRORS = (BrokenPipeError, EOFError, ConnectionResetError)
+
+
+class _Worker(NamedTuple):
+    """One worker process, the parent's end of its pipe, and its shard."""
+
+    proc: Any
+    conn: Any
+    shard: Tuple[str, ...]
+
+    def send(self, msg: Tuple) -> None:
+        try:
+            self.conn.send(msg)
+        except _PIPE_ERRORS:
+            raise self._died() from None
+
+    def recv(self) -> Any:
+        try:
+            reply = self.conn.recv()
+        except _PIPE_ERRORS:
+            raise self._died() from None
+        if isinstance(reply, _WorkerFailure):
+            raise RuntimeError(f"fleet worker failed:\n{reply.message}")
+        return reply
+
+    def _died(self) -> FleetWorkerDied:
+        self.proc.join(timeout=5)  # reap it, so the exit code is known
+        return FleetWorkerDied(self.shard, self.proc.exitcode)
 
 
 class _SliceRecorder:
@@ -80,14 +119,6 @@ class _SliceRecorder:
     def take(self) -> List[Event]:
         taken, self.events = self.events, []
         return taken
-
-
-def _controller_cos(machine: FleetMachine, tenant_id: str) -> Optional[int]:
-    controller = getattr(machine.sim.manager, "controller", None)
-    if controller is None:
-        return None
-    record = controller.records.get(tenant_id)
-    return record.cos_id if record is not None else None
 
 
 def _worker_main(
@@ -145,7 +176,7 @@ def _worker_main(
                 machine = by_name[name]
                 machine.catch_up(tick)
                 machine.admit(spec, spec.build_workload(), now)
-                conn.send((take_events(), _controller_cos(machine, spec.name)))
+                conn.send((take_events(), machine.cos_of(spec.name)))
             elif cmd == "depart":
                 _, tick, name, tenant_id = msg
                 by_name[name].depart(tenant_id)
@@ -154,39 +185,9 @@ def _worker_main(
                 _, tick = msg
                 out = []
                 for machine in machines:
-                    if not machine.should_step:
-                        continue
-                    machine.catch_up(tick)
-                    # Entitlements from the phase about to execute, under
-                    # the pre-step DRAM latency — the serial snapshot.
-                    dram = machine.sim.dram_latency_cycles
-                    entitlements = {
-                        tid: entitled_ipc(
-                            machine.machine, res.vm, dram_latency_cycles=dram
-                        )
-                        for tid, res in machine.residents.items()
-                    }
-                    machine.sim.step()
-                    events = take_events()
-                    obs = []
-                    for tid in machine.residents:
-                        timeline = machine.sim.result.records[tid]
-                        if not timeline:
-                            continue
-                        rec = timeline[-1]
-                        active = (
-                            rec.phase_name is not None
-                            and "idle" not in rec.phase_name
-                        )
-                        obs.append(
-                            (tid, rec.ipc, entitlements.get(tid), active)
-                        )
-                    finished = [
-                        tid
-                        for tid, res in machine.residents.items()
-                        if res.vm.workload.finished
-                    ]
-                    out.append((machine.name, events, obs, finished))
+                    if machine.should_step:
+                        report = machine.step_interval(tick)
+                        out.append((take_events(), report))
                 conn.send(out)
             elif cmd == "result":
                 _, tick = msg
@@ -201,20 +202,7 @@ def _worker_main(
                     payload[machine.name] = (machine.sim.result, faults)
                 conn.send(payload)
             elif cmd == "states":
-                payload = {}
-                for machine in machines:
-                    controller = getattr(
-                        machine.sim.manager, "controller", None
-                    )
-                    if controller is None:
-                        payload[machine.name] = None
-                        continue
-                    counts: Dict[str, int] = {}
-                    for rec in controller.records.values():
-                        key = rec.state.value
-                        counts[key] = counts.get(key, 0) + 1
-                    payload[machine.name] = dict(sorted(counts.items()))
-                conn.send(payload)
+                conn.send({m.name: m.state_counts() for m in machines})
             elif cmd == "checker_stats":
                 conn.send(checker_totals(machines))
             else:
@@ -281,14 +269,12 @@ class ParallelCloudFleet(CloudFleet):
         )
         self._has_faults = "faults" in data
         self._capture = self.bus.active
-        self._order = {m.name: i for i, m in enumerate(mirrors)}
-        self._finished: set = set()
         self._cos_cache: Dict[str, int] = {}
         self._results_cache: Optional[
             Tuple[int, Dict[str, SimulationResult], Dict[str, Dict[str, int]]]
         ] = None
-        self._workers: List[Tuple[Any, Any]] = []
-        self._worker_of: Dict[str, Any] = {}
+        self._workers: List[_Worker] = []  # in fleet order
+        self._worker_of: Dict[str, _Worker] = {}
         self._spawn(data, ctx, checkers)
 
     # -- worker plumbing ---------------------------------------------------
@@ -325,30 +311,25 @@ class ParallelCloudFleet(CloudFleet):
             )
             proc.start()
             child_conn.close()
-            self._workers.append((proc, parent_conn))
+            worker = _Worker(proc, parent_conn, shard)
+            self._workers.append(worker)
             for name in shard:
-                self._worker_of[name] = parent_conn
+                self._worker_of[name] = worker
         # Shards are contiguous and built in fleet order, so draining the
         # construction slices worker by worker re-emits machine-build
         # events exactly as the serial fleet's constructor would.
-        for _, conn in self._workers:
-            self._emit_events(self._checked(conn.recv()))
+        for worker in self._workers:
+            self._emit_events(worker.recv())
 
     def _ask(self, machine_name: str, msg: Tuple) -> Any:
-        conn = self._worker_of[machine_name]
-        conn.send(msg)
-        return self._checked(conn.recv())
+        worker = self._worker_of[machine_name]
+        worker.send(msg)
+        return worker.recv()
 
     def _broadcast(self, msg: Tuple) -> List[Any]:
-        for _, conn in self._workers:
-            conn.send(msg)
-        return [self._checked(conn.recv()) for _, conn in self._workers]
-
-    @staticmethod
-    def _checked(reply: Any) -> Any:
-        if isinstance(reply, _WorkerFailure):
-            raise RuntimeError(f"fleet worker failed:\n{reply.message}")
-        return reply
+        for worker in self._workers:
+            worker.send(msg)
+        return [worker.recv() for worker in self._workers]
 
     def _emit_events(self, events: Sequence[Event]) -> None:
         if events and self.bus.active:
@@ -387,40 +368,21 @@ class ParallelCloudFleet(CloudFleet):
         self._results_cache = None
         return resident
 
-    def step(self) -> None:
-        """One fleet interval, with the simulation barrier in the workers."""
-        now = self._time_s
-        self._process_departures(now)
-        self._process_arrivals(now)
-        self._results_cache = None
-        merged: Dict[str, Tuple] = {}
-        for reply in self._broadcast(("step", self._tick)):
-            for name, events, obs, finished in reply:
-                merged[name] = (events, obs, finished)
-        order = sorted(merged, key=self._order.__getitem__)
-        for name in order:
-            self._emit_events(merged[name][0])
-        finished_now: set = set()
-        for name in order:
-            _, obs, finished = merged[name]
-            for tid, ipc, entitled, active in obs:
-                self.accountant.observe(
-                    tid, now, ipc=ipc, entitled_ipc=entitled, active=active
-                )
-            finished_now.update(finished)
-        self._finished = finished_now
-        self._tick += 1
+    # perfbench's traced run wraps methods found in each class's own
+    # ``vars()``; ``step`` must be in this class dict, and an overriding
+    # ``def step`` calling ``super().step()`` would nest two spans.
+    step = CloudFleet.step
 
-    def _due_departures(self, machine: FleetMachine, now: float):
-        """Worker-reported completions stand in for ``workload.finished``
-        (mirror workloads never advance); same priority as serial."""
-        due = []
-        for tid, res in machine.residents.items():
-            if tid in self._finished:
-                due.append((tid, "finished"))
-            elif res.lease_end_s <= now:
-                due.append((tid, "lease-end"))
-        return due
+    def _step_hosts(self) -> List[Tuple[List, List[str]]]:
+        """The workers' ``step_interval`` reports, their interval events
+        re-emitted in fleet order (replies arrive shard by shard, and the
+        shards are contiguous in fleet order)."""
+        reports = []
+        for reply in self._broadcast(("step", self._tick)):
+            for events, report in reply:
+                self._emit_events(events)
+                reports.append(report)
+        return reports
 
     def _fleet_quiescent(self) -> bool:
         # Mirrors carry no injectors: with a fault plan in play every
@@ -463,7 +425,7 @@ class ParallelCloudFleet(CloudFleet):
         merged: Dict[str, Optional[Dict[str, int]]] = {}
         for reply in self._broadcast(("states",)):
             merged.update(reply)
-        return {m.name: merged[m.name] for m in self.machines}
+        return merged
 
     def checker_stats(self) -> Tuple[int, int]:
         violations = 0
@@ -477,12 +439,12 @@ class ParallelCloudFleet(CloudFleet):
         """Stop and reap the worker processes (idempotent)."""
         workers, self._workers = self._workers, []
         self._worker_of = {}
-        for _, conn in workers:
+        for _, conn, _ in workers:
             try:
                 conn.send(("stop",))
             except (BrokenPipeError, OSError):
                 pass
-        for proc, conn in workers:
+        for proc, conn, _ in workers:
             try:
                 conn.recv()
             except (EOFError, OSError):

@@ -11,7 +11,7 @@ through a tenant lifecycle stream.  One fleet interval is:
    :class:`~repro.cloud.placement.PlacementPolicy`; admission control
    rejects tenants no machine can host (reserved ways, vCPU slots, or COS
    classes exhausted);
-3. **step** — every machine advances one simulation interval;
+3. **step** — every active host runs :meth:`FleetMachine.step_interval`;
 4. **account** — each resident tenant's measured IPC is compared against
    its entitlement (deterministic IPC at its reserved ways) by the
    :class:`~repro.cloud.slo.SloAccountant`.
@@ -246,6 +246,55 @@ class FleetMachine:
         if behind > 0:
             self.sim.skip_idle(behind)
 
+    def step_interval(self, fleet_tick: int) -> Tuple[List[tuple], List[str]]:
+        """One host interval, shared by the serial fleet and the executor
+        workers: ``(observations, finished)``.
+
+        Entitlements come from the phase about to execute, under the
+        pre-step DRAM latency; observations are one ``(tenant, ipc,
+        entitled_ipc, active)`` per resident with a timeline record, and
+        ``finished`` lists the residents whose workload finished.
+        """
+        self.catch_up(fleet_tick)
+        dram = self.sim.dram_latency_cycles
+        residents = list(self.residents.items())
+        entitled = [
+            entitled_ipc(self.machine, res.vm, dram_latency_cycles=dram)
+            for _, res in residents
+        ]
+        self.sim.step()
+        records = self.sim.result.records
+        observations = []
+        for (tid, _), entitlement in zip(residents, entitled):
+            timeline = records[tid]
+            if timeline:
+                rec = timeline[-1]
+                active = rec.phase_name is not None and "idle" not in rec.phase_name
+                observations.append((tid, rec.ipc, entitlement, active))
+        finished = [tid for tid, res in residents if res.vm.workload.finished]
+        return observations, finished
+
+    # -- controller queries ------------------------------------------------
+
+    def cos_of(self, tenant_id: str) -> Optional[int]:
+        """The COS this host's controller assigned ``tenant_id``.
+
+        ``None`` for non-resident tenants and for non-dcat managers.
+        """
+        controller = getattr(self.sim.manager, "controller", None)
+        record = None if controller is None else controller.records.get(tenant_id)
+        return None if record is None else record.cos_id
+
+    def state_counts(self) -> Optional[Dict[str, int]]:
+        """Controller-state populations (``None`` for non-dcat managers)."""
+        controller = getattr(self.sim.manager, "controller", None)
+        if controller is None:
+            return None
+        counts: Dict[str, int] = {}
+        for rec in controller.records.values():
+            counts[rec.state.value] = counts.get(rec.state.value, 0) + 1
+        return dict(sorted(counts.items()))
+
 
 @dataclass(frozen=True)
 class PlacementRecord:
@@ -358,6 +407,10 @@ class CloudFleet:
         # fleet interval costs O(active hosts), not O(fleet size).
         self._active: List[FleetMachine] = []
         self._active_stale = True
+        # Tenants whose workload finished in the last interval: they
+        # depart "finished" at the next one (the one completion rule for
+        # the serial fleet and the executor, whose mirrors never advance).
+        self._finished: set = set()
         self.accountant = SloAccountant(
             self.interval_s, tolerance=slo_tolerance, bus=self.bus
         )
@@ -421,16 +474,28 @@ class CloudFleet:
         return self.result()
 
     def step(self) -> None:
-        """One fleet interval: depart, admit, simulate active hosts, account."""
+        """One fleet interval: depart, admit, simulate active hosts, account.
+
+        Observations fold into the accountant in fleet order after every
+        host has stepped, so ``SloViolated`` follows all interval events.
+        """
         now = self._time_s
         self._process_departures(now)
         self._process_arrivals(now)
-        entitlements = self._snapshot_entitlements()
-        for machine in self._active_machines():
-            machine.catch_up(self._tick)
-            machine.sim.step()
-        self._account(now, entitlements)
+        finished = set()
+        for observations, done in self._step_hosts():
+            for tid, ipc, entitled, active in observations:
+                self.accountant.observe(
+                    tid, now, ipc=ipc, entitled_ipc=entitled, active=active
+                )
+            finished.update(done)
+        self._finished = finished
         self._tick += 1
+
+    def _step_hosts(self) -> List[Tuple[List, List[str]]]:
+        """Every active host's :meth:`FleetMachine.step_interval` report,
+        in fleet order (the parallel executor steps its workers instead)."""
+        return [m.step_interval(self._tick) for m in self._active_machines()]
 
     def _fleet_quiescent(self) -> bool:
         """No host needs stepping; only a due arrival can wake the fleet."""
@@ -490,28 +555,11 @@ class CloudFleet:
         ``None`` for non-resident tenants and for non-dcat managers.
         """
         machine = self._hosts.get(tenant_id)
-        if machine is None:
-            return None
-        controller = getattr(machine.sim.manager, "controller", None)
-        if controller is None:
-            return None
-        record = controller.records.get(tenant_id)
-        return record.cos_id if record is not None else None
+        return None if machine is None else machine.cos_of(tenant_id)
 
     def state_populations(self) -> Dict[str, Optional[Dict[str, int]]]:
         """Controller-state counts per machine (``None`` for non-dcat hosts)."""
-        populations: Dict[str, Optional[Dict[str, int]]] = {}
-        for machine in self.machines:
-            controller = getattr(machine.sim.manager, "controller", None)
-            if controller is None:
-                populations[machine.name] = None
-                continue
-            counts: Dict[str, int] = {}
-            for rec in controller.records.values():
-                key = rec.state.value
-                counts[key] = counts.get(key, 0) + 1
-            populations[machine.name] = dict(sorted(counts.items()))
-        return populations
+        return {m.name: m.state_counts() for m in self.machines}
 
     def checker_stats(self) -> Tuple[int, int]:
         """``(violations, intervals checked)`` summed over the machines'
@@ -599,8 +647,8 @@ class CloudFleet:
     ) -> ResidentTenant:
         """Detach one resident tenant at ``now`` and settle its ledger.
 
-        ``reason`` defaults to ``"finished"``/``"lease-end"`` from the
-        workload's state; the service passes ``"detached"`` for
+        ``reason`` defaults to ``"finished"`` if the workload finished in
+        the last interval, else ``"lease-end"``; the service passes ``"detached"`` for
         API-requested departures.
 
         Raises:
@@ -616,9 +664,7 @@ class CloudFleet:
         resident = self._depart_from(machine, tenant_id)
         self._active_stale = True
         if reason is None:
-            reason = (
-                "finished" if resident.vm.workload.finished else "lease-end"
-            )
+            reason = "finished" if tenant_id in self._finished else "lease-end"
         self.accountant.departed(tenant_id, now)
         if self.bus.active:
             self.bus.emit(
@@ -647,23 +693,11 @@ class CloudFleet:
 
     def _process_departures(self, now: float) -> None:
         for machine in list(self._active_machines()):
-            for tid, reason in self._due_departures(machine, now):
-                self.depart_tenant(tid, now, reason=reason)
-
-    def _due_departures(self, machine: FleetMachine, now: float):
-        """``(tenant_id, reason)`` pairs due to leave ``machine`` at ``now``.
-
-        A seam for the parallel executor, whose mirror workloads never
-        advance: it substitutes worker-reported completions for the
-        ``workload.finished`` check.
-        """
-        due = []
-        for tid, res in machine.residents.items():
-            if res.vm.workload.finished:
-                due.append((tid, "finished"))
-            elif res.lease_end_s <= now:
-                due.append((tid, "lease-end"))
-        return due
+            for tid, res in list(machine.residents.items()):
+                if tid in self._finished:
+                    self.depart_tenant(tid, now, reason="finished")
+                elif res.lease_end_s <= now:
+                    self.depart_tenant(tid, now, reason="lease-end")
 
     def _process_arrivals(self, now: float) -> None:
         while (
@@ -673,35 +707,3 @@ class CloudFleet:
             spec = self._pending[self._next_arrival]
             self._next_arrival += 1
             self.admit_tenant(spec, now)
-
-    def _snapshot_entitlements(self) -> Dict[str, Optional[float]]:
-        """Entitled IPC per resident, from the phase about to execute."""
-        entitlements: Dict[str, Optional[float]] = {}
-        for machine in self._active_machines():
-            dram_latency = machine.sim.dram_latency_cycles
-            for tid, resident in machine.residents.items():
-                entitlements[tid] = entitled_ipc(
-                    machine.machine, resident.vm, dram_latency_cycles=dram_latency
-                )
-        return entitlements
-
-    def _account(
-        self, now: float, entitlements: Dict[str, Optional[float]]
-    ) -> None:
-        for machine in self._active_machines():
-            for tid in machine.residents:
-                timeline = machine.sim.result.records[tid]
-                if not timeline:
-                    continue
-                record = timeline[-1]
-                active = (
-                    record.phase_name is not None
-                    and "idle" not in record.phase_name
-                )
-                self.accountant.observe(
-                    tid,
-                    now,
-                    ipc=record.ipc,
-                    entitled_ipc=entitlements.get(tid),
-                    active=active,
-                )

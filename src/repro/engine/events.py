@@ -61,7 +61,6 @@ __all__ = [
     "JsonlTraceWriter",
     "MetricsSink",
     "event_payload",
-    "event_from_payload",
     "get_default_bus",
     "set_default_bus",
     "use_bus",
@@ -428,54 +427,6 @@ def event_payload(event: Event) -> Dict[str, Any]:
     for f in fields(event):
         payload[f.name] = _jsonable(getattr(event, f.name))
     return payload
-
-
-def _event_registry() -> Dict[str, Type[Event]]:
-    return {
-        cls.__name__: cls
-        for cls in (
-            IntervalStarted,
-            SampleCollected,
-            PhaseChanged,
-            StateTransition,
-            WorkloadRegistered,
-            WorkloadDeregistered,
-            TenantAdmitted,
-            TenantPlaced,
-            TenantRejected,
-            TenantDeparted,
-            AllocationPlanned,
-            MasksProgrammed,
-            FaultInjected,
-            FaultRecovered,
-            FidelityDivergence,
-            InvariantViolated,
-            SloViolated,
-            IntervalFinished,
-        )
-    }
-
-
-def event_from_payload(payload: Mapping[str, Any]) -> Event:
-    """Rebuild an event from its :func:`event_payload` dict.
-
-    The inverse transport for merging per-shard JSONL streams: JSON turns
-    tuples into lists, so tuple-annotated fields are converted back before
-    reconstruction.  Enum-valued fields stay as their serialized strings
-    (exactly what :func:`event_payload` would re-produce), so a rebuilt
-    event round-trips to the identical trace line.
-
-    Raises:
-        KeyError: For an unknown ``"event"`` type name.
-    """
-    cls = _event_registry()[payload["event"]]
-    data: Dict[str, Any] = {}
-    for f in fields(cls):
-        value = payload[f.name]
-        if isinstance(value, list) and "Tuple" in str(f.type):
-            value = tuple(value)
-        data[f.name] = value
-    return cls.fast(**data)
 
 
 class JsonlTraceWriter:

@@ -7,7 +7,7 @@ service — can raise and catch the same types without import cycles.
 
 from __future__ import annotations
 
-__all__ = ["UnknownTenantError"]
+__all__ = ["UnknownTenantError", "FleetWorkerDied"]
 
 
 class UnknownTenantError(ValueError, KeyError):
@@ -30,3 +30,20 @@ class UnknownTenantError(ValueError, KeyError):
         # KeyError.__str__ reprs its single argument ("'msg'"); keep the
         # plain ValueError-style message instead.
         return str(self.args[0]) if self.args else ""
+
+
+class FleetWorkerDied(RuntimeError):
+    """A fleet executor worker process died while the parent talked to it.
+
+    Raised by :class:`~repro.cloud.executor.ParallelCloudFleet` instead of
+    the raw pipe error, naming the machines the dead worker simulated and
+    its exit code (negative: killed by that signal; ``None``: not reaped).
+    """
+
+    def __init__(self, shard, exitcode) -> None:
+        self.shard = tuple(shard)
+        self.exitcode = exitcode
+        super().__init__(
+            f"fleet worker for machines {', '.join(self.shard)} died "
+            f"(exit code {exitcode})"
+        )

@@ -180,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_fidelity_flag(serve)
     _add_policy_flag(serve)
-    _add_fleet_jobs_flag(serve)
+    _add_fleet_jobs_flag(serve, default=None)
     loadtest = sub.add_parser(
         "loadtest",
         help="boot a daemon, drive open-loop Poisson tenant churn over HTTP, "
@@ -262,24 +262,29 @@ def _add_policy_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fleet_jobs_flag(parser: argparse.ArgumentParser) -> None:
+def _add_fleet_jobs_flag(
+    parser: argparse.ArgumentParser, default: Optional[int] = 1
+) -> None:
+    # serve passes None: the config's service.fleet_jobs then applies.
+    shown = "1 = serial in-process" if default else "service.fleet_jobs, else 1"
     parser.add_argument(
         "--fleet-jobs",
         metavar="N",
         type=int,
-        default=1,
-        help="shard the fleet across N worker processes (default 1 = "
-        "serial in-process; results are byte-identical either way)",
+        default=default,
+        help=f"shard the fleet across N worker processes (default: {shown}; "
+        "results are byte-identical either way)",
     )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    fleet_jobs = getattr(args, "fleet_jobs", None)
     try:
         ctx = RunContext.parse(
             fidelity=getattr(args, "fidelity", None),
             policy=getattr(args, "policy", None),
-            fleet_jobs=getattr(args, "fleet_jobs", 1),
+            fleet_jobs=1 if fleet_jobs is None else fleet_jobs,
         )
     except ValueError as exc:
         print(exc, file=sys.stderr)
@@ -416,7 +421,7 @@ def _run_serve(args, ctx: RunContext) -> int:
             args.path,
             fidelity=ctx.fidelity,
             policy=ctx.policy,
-            fleet_jobs=ctx.fleet_jobs,
+            fleet_jobs=args.fleet_jobs,
         )
         daemon = ControllerDaemon(
             config,

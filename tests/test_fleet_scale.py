@@ -13,7 +13,9 @@ These pin the two bug classes this layer existed to eliminate:
 """
 
 import json
+import os
 import pickle
+import signal
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,13 @@ from repro.cloud import (
 from repro.cloud.executor import ParallelCloudFleet
 from repro.cloud.lifecycle import TenantSpec
 from repro.cpu.socket import SocketSpec
+from repro.engine.events import (
+    EventBus,
+    RingBufferRecorder,
+    TenantDeparted,
+    use_bus,
+)
+from repro.errors import FleetWorkerDied
 from repro.harness import cli
 from repro.platform.machine import Machine
 from repro.platform.managers import DCatManager, SharedCacheManager
@@ -81,6 +90,9 @@ def scenario(machines=3, seed=7, duration=12, interval=1.0, faults=False):
             ],
         }
     return data
+
+
+PLACEMENTS = ("first_fit", "least_loaded", "sensitivity")
 
 
 # -- integer-tick clock ------------------------------------------------------
@@ -202,8 +214,9 @@ class TestParallelByteIdentity:
             )
         return results
 
-    def test_churn_results_identical(self):
-        a, b = self.run_pair(scenario())
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_churn_results_identical(self, placement):
+        a, b = self.run_pair(dict(scenario(), placement=placement))
         assert a.canonical_bytes() == b.canonical_bytes()
         assert a.placements == b.placements
         assert a.summary == b.summary
@@ -214,8 +227,9 @@ class TestParallelByteIdentity:
         assert a.faults == b.faults
         assert any(a.faults.values())  # the injectors actually fired
 
-    def test_traces_identical(self, tmp_path):
-        self.run_pair(scenario(), tmp_path=tmp_path)
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_traces_identical(self, tmp_path, placement):
+        self.run_pair(dict(scenario(), placement=placement), tmp_path=tmp_path)
         serial = (tmp_path / "serial.jsonl").read_bytes()
         parallel = (tmp_path / "parallel.jsonl").read_bytes()
         assert serial == parallel
@@ -249,6 +263,55 @@ class TestParallelByteIdentity:
         del data["slo"]
         a, b = self.run_pair(data)
         assert a.canonical_bytes() == b.canonical_bytes()
+
+
+class TestFinishedDeparture:
+    """A tenant whose workload finished departs ``"finished"`` under one
+    rule, however the fleet is sharded."""
+
+    DATA = {
+        "fleet": {"machines": 2, "socket": "xeon_d", "seed": 3},
+        "manager": {"type": "dcat"},
+        "placement": "first_fit",
+        "duration_s": 10,
+        "tenants": [
+            {"name": "short", "arrival_s": 0, "baseline_ways": 2,
+             "workload": {"type": "spec", "benchmark": "namd",
+                          "instructions": 30000000}},
+        ],
+    }
+
+    def departures(self, jobs, drive):
+        bus = EventBus()
+        recorder = RingBufferRecorder()
+        bus.subscribe(recorder)
+        with use_bus(bus):
+            fleet, _ = load_churn_scenario(
+                json.loads(json.dumps(self.DATA)), fleet_jobs=jobs
+            )
+            try:
+                drive(fleet)
+            finally:
+                fleet.close()
+        return [
+            (e.tenant_id, e.reason, e.time_s)
+            for e in recorder.of_type(TenantDeparted)
+        ]
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_scripted_run_departs_finished(self, jobs):
+        departed = self.departures(jobs, lambda fleet: fleet.run(10.0))
+        assert departed == [("short", "finished", 7.0)]
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_default_reason_reads_the_last_interval(self, jobs):
+        # The parallel parent's mirror workload never advances; the
+        # default reason must come from the hosts' completion reports.
+        def drive(fleet):
+            fleet.run(7.0)
+            fleet.depart_tenant("short")
+
+        assert self.departures(jobs, drive) == [("short", "finished", 7.0)]
 
 
 class TestSpawnParity:
@@ -292,6 +355,24 @@ class TestExecutor:
         path.write_text(json.dumps(scenario()))
         assert cli.main(["churn", str(path), "--fleet-jobs", "0"]) == 2
         assert "--fleet-jobs" in capsys.readouterr().err
+
+    def test_dead_worker_raises_typed_error(self):
+        path = Path(__file__).parent.parent / "examples" / "churn.json"
+        fleet, _ = load_churn_scenario(str(path), fleet_jobs=2)
+        try:
+            fleet.step()
+            proc, _, shard = fleet._workers[0]
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.join(timeout=10)
+            with pytest.raises(FleetWorkerDied) as info:
+                fleet.step()
+            assert info.value.shard == shard
+            assert info.value.exitcode == -signal.SIGKILL
+            message = str(info.value)
+            assert all(name in message for name in shard)
+            assert "-9" in message
+        finally:
+            fleet.close()  # still returns with one worker gone
 
     def test_unknown_tenant_raises_in_parent(self):
         from repro.errors import UnknownTenantError
@@ -364,6 +445,39 @@ class TestServiceFleetJobs:
         data["service"]["fleet_jobs"] = 0
         with pytest.raises(ServiceConfigError, match="service.fleet_jobs"):
             load_service_config(data)
+
+    def serve_config(self, tmp_path, monkeypatch, *flags):
+        import repro.service.daemon as daemon
+
+        class Captured(Exception):
+            pass
+
+        def capture(config, **kwargs):
+            raise Captured(config)
+
+        monkeypatch.setattr(daemon, "ControllerDaemon", capture)
+        data = json.loads(json.dumps(self.CONFIG))
+        data["service"]["fleet_jobs"] = 2
+        path = tmp_path / "svc.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(Captured) as info:
+            cli.main(["serve", str(path), *flags])
+        return info.value.args[0]
+
+    def test_serve_config_fleet_jobs_applies_without_flag(
+        self, tmp_path, monkeypatch
+    ):
+        config = self.serve_config(tmp_path, monkeypatch)
+        assert config.ctx.fleet_jobs == 2
+        setup = config.build()
+        try:
+            assert isinstance(setup.fleet, ParallelCloudFleet)
+        finally:
+            setup.fleet.close()
+
+    def test_serve_flag_overrides_config(self, tmp_path, monkeypatch):
+        config = self.serve_config(tmp_path, monkeypatch, "--fleet-jobs", "1")
+        assert config.ctx.fleet_jobs == 1
 
     def test_parallel_fleet_is_parallel_class(self):
         setup = self.build(2)
