@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence, Type
 
+from repro.engine.context import _get_int, _get_number, _get_str, _require_mapping
 from repro.workloads.base import Workload
 
 __all__ = ["TenantSpec", "MixEntry", "poisson_tenants", "scripted_tenants"]
@@ -59,6 +60,29 @@ class TenantSpec:
             raise ValueError(f"tenant {self.name!r}: lifetime_s must be positive")
         if "type" not in self.workload:
             raise ValueError(f"tenant {self.name!r}: workload needs a 'type'")
+
+    @classmethod
+    def from_mapping(
+        cls, entry: Any, path: str, error: Type[ValueError],
+        default_name: Optional[str] = None,
+    ) -> "TenantSpec":
+        """A tenant from its document form — a churn scenario's
+        ``tenants[i]`` or an HTTP admit body — raising ``error`` at the
+        offending field.  ``name`` is required unless ``default_name`` is
+        given; the workload is built once, so a bad knob fails here."""
+        from repro.harness.scenario_file import checked_workload
+
+        entry = _require_mapping(entry, path, error)
+        name = _get_str(
+            entry, path, "name", error, default=default_name, required=default_name is None
+        )
+        return cls(
+            name=name,
+            arrival_s=_get_number(entry, path, "arrival_s", error, default=0.0, minimum=0),
+            lifetime_s=_get_number(entry, path, "lifetime_s", error, positive=True),
+            baseline_ways=_get_int(entry, path, "baseline_ways", error, default=3, minimum=1),
+            workload=checked_workload(entry, path, name, error),
+        )
 
     def build_workload(self) -> Workload:
         """Instantiate the tenant's workload (fresh on every call)."""

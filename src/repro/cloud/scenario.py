@@ -47,23 +47,31 @@ errors.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.cloud.fleet import CloudFleet, FleetMachine, FleetResult
 from repro.cloud.lifecycle import MixEntry, TenantSpec, poisson_tenants
 from repro.cloud.placement import build_policy, policy_names
 from repro.core.policies import canonical_name, policy_name
-from repro.engine.context import RunContext, read_document
+from repro.engine.context import (
+    RunContext,
+    _get_int,
+    _get_number,
+    _get_str,
+    _require_mapping,
+    read_document,
+)
 from repro.engine.events import EventBus
 from repro.engine.runner import derive_seed
 from repro.harness.scenario_file import (
     ScenarioError,
     build_manager,
-    build_workload,
+    checked_workload,
     parse_fidelity,
+    read_socket,
     substrate_from_spec,
-    workload_kinds,
 )
 from repro.platform.machine import Machine
 
@@ -76,133 +84,48 @@ __all__ = [
     "run_churn_scenario",
 ]
 
-_SOCKETS = {"xeon_e5", "xeon_d"}
-
-
 class ChurnScenarioError(ScenarioError):
     """A churn-scenario file is malformed; the message carries the field
     path (e.g. ``tenants[2].workload.type``) so the entry is findable."""
 
 
-def _require_mapping(value: Any, ctx: str) -> Dict[str, Any]:
-    if not isinstance(value, dict):
-        raise ChurnScenarioError(f"{ctx}: expected an object, got {type(value).__name__}")
-    return value
-
-
-def _get_number(
-    obj: Dict[str, Any],
-    ctx: str,
-    key: str,
-    default: Optional[float] = None,
-    positive: bool = False,
-    required: bool = False,
-) -> Optional[float]:
-    if key not in obj:
-        if required:
-            raise ChurnScenarioError(f"{ctx}.{key}: missing required field")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ChurnScenarioError(f"{ctx}.{key}: expected a number, got {value!r}")
-    if positive and value <= 0:
-        raise ChurnScenarioError(f"{ctx}.{key}: must be positive, got {value!r}")
-    return float(value)
-
-
-def _get_int(
-    obj: Dict[str, Any],
-    ctx: str,
-    key: str,
-    default: Optional[int] = None,
-    minimum: Optional[int] = None,
-    required: bool = False,
-) -> Optional[int]:
-    if key not in obj:
-        if required:
-            raise ChurnScenarioError(f"{ctx}.{key}: missing required field")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ChurnScenarioError(f"{ctx}.{key}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ChurnScenarioError(f"{ctx}.{key}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _checked_workload(obj: Dict[str, Any], ctx: str, name: str) -> Dict[str, Any]:
-    """Validate a workload spec eagerly (by building it once)."""
-    spec = _require_mapping(obj.get("workload"), f"{ctx}.workload")
-    kind = spec.get("type")
-    if kind not in workload_kinds():
-        raise ChurnScenarioError(
-            f"{ctx}.workload.type: unknown workload type {kind!r}; "
-            f"use one of {workload_kinds()}"
-        )
-    try:
-        build_workload(kind, name, dict(spec))
-    except ScenarioError as exc:
-        raise ChurnScenarioError(f"{ctx}.workload: {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ChurnScenarioError(f"{ctx}.workload: {exc}") from None
-    return dict(spec)
-
-
 def _parse_tenants(entries: Any) -> List[TenantSpec]:
     if not isinstance(entries, list):
         raise ChurnScenarioError("tenants: expected a list")
-    tenants: List[TenantSpec] = []
-    for i, raw in enumerate(entries):
-        ctx = f"tenants[{i}]"
-        entry = _require_mapping(raw, ctx)
-        name = entry.get("name", f"tenant-{i}")
-        if not isinstance(name, str) or not name:
-            raise ChurnScenarioError(f"{ctx}.name: expected a non-empty string")
-        arrival = _get_number(entry, ctx, "arrival_s", default=0.0)
-        if arrival < 0:
-            raise ChurnScenarioError(f"{ctx}.arrival_s: must be >= 0, got {arrival}")
-        lifetime = _get_number(entry, ctx, "lifetime_s", default=None, positive=True)
-        baseline = _get_int(entry, ctx, "baseline_ways", default=3, minimum=1)
-        workload = _checked_workload(entry, ctx, name)
-        tenants.append(
-            TenantSpec(
-                name=name,
-                arrival_s=arrival,
-                baseline_ways=baseline,
-                workload=workload,
-                lifetime_s=lifetime,
-            )
+    return [
+        TenantSpec.from_mapping(
+            raw, f"tenants[{i}]", ChurnScenarioError, default_name=f"tenant-{i}"
         )
-    return tenants
+        for i, raw in enumerate(entries)
+    ]
 
 
 def _parse_poisson(spec: Any, duration_s: float) -> List[TenantSpec]:
-    ctx = "poisson"
-    obj = _require_mapping(spec, ctx)
-    rate = _get_number(obj, ctx, "rate_per_s", positive=True, required=True)
-    seed = _get_int(obj, ctx, "seed", default=1234)
-    prefix = obj.get("name_prefix", "tenant")
-    if not isinstance(prefix, str) or not prefix:
-        raise ChurnScenarioError(f"{ctx}.name_prefix: expected a non-empty string")
+    ctx, error = "poisson", ChurnScenarioError
+    obj = _require_mapping(spec, ctx, error)
+    rate = _get_number(obj, ctx, "rate_per_s", error, positive=True, required=True)
+    seed = _get_int(obj, ctx, "seed", error, default=1234)
+    prefix = _get_str(obj, ctx, "name_prefix", error, default="tenant")
     raw_mix = obj.get("mix")
     if not isinstance(raw_mix, list) or not raw_mix:
-        raise ChurnScenarioError(f"{ctx}.mix: expected a non-empty list")
+        raise error(f"{ctx}.mix: expected a non-empty list")
     mix: List[MixEntry] = []
     for i, raw in enumerate(raw_mix):
         entry_ctx = f"{ctx}.mix[{i}]"
-        entry = _require_mapping(raw, entry_ctx)
-        weight = _get_number(entry, entry_ctx, "weight", default=1.0, positive=True)
-        baseline = _get_int(entry, entry_ctx, "baseline_ways", default=3, minimum=1)
-        lifetime = _get_number(
-            entry, entry_ctx, "mean_lifetime_s", default=12.0, positive=True
-        )
-        workload = _checked_workload(entry, entry_ctx, f"{prefix}-mix{i}")
+        entry = _require_mapping(raw, entry_ctx, error)
         mix.append(
             MixEntry(
-                workload=workload,
-                baseline_ways=baseline,
-                weight=weight,
-                mean_lifetime_s=lifetime,
+                weight=_get_number(
+                    entry, entry_ctx, "weight", error, default=1.0, positive=True
+                ),
+                baseline_ways=_get_int(
+                    entry, entry_ctx, "baseline_ways", error, default=3, minimum=1
+                ),
+                mean_lifetime_s=_get_number(
+                    entry, entry_ctx, "mean_lifetime_s", error,
+                    default=12.0, positive=True,
+                ),
+                workload=checked_workload(entry, entry_ctx, f"{prefix}-mix{i}", error),
             )
         )
     return poisson_tenants(
@@ -214,7 +137,11 @@ def _parse_poisson(spec: Any, duration_s: float) -> List[TenantSpec]:
     )
 
 
-def allocation_policy(data: Dict[str, Any], ctx: RunContext) -> Optional[str]:
+def allocation_policy(
+    data: Dict[str, Any],
+    ctx: RunContext,
+    error: Type[ValueError] = ChurnScenarioError,
+) -> Optional[str]:
     """The allocation strategy every dcat machine of ``data`` runs.
 
     Precedence, highest first: ``ctx.policy`` (``--policy``), the
@@ -223,26 +150,15 @@ def allocation_policy(data: Dict[str, Any], ctx: RunContext) -> Optional[str]:
     ``None`` for shared/static managers, which have no objective.
 
     Raises:
-        ChurnScenarioError: For a malformed ``policy`` or ``manager``.
+        error: For a malformed ``policy`` or ``manager``.
     """
     policy = ctx.policy
     if policy is None and "policy" in data:
-        file_policy = data["policy"]
-        if not isinstance(file_policy, str):
-            raise ChurnScenarioError(
-                f"policy: expected a string, got {type(file_policy).__name__}"
-            )
-        try:
-            policy = canonical_name(file_policy)
-        except ValueError as exc:
-            raise ChurnScenarioError(f"policy: {exc}") from None
+        policy = canonical_name(data["policy"], "policy", error)
     manager_spec = _require_mapping(
-        data.get("manager", {"type": "dcat"}), "manager"
+        data.get("manager", {"type": "dcat"}), "manager", error
     )
-    try:
-        manager = build_manager(dict(manager_spec), policy=policy)
-    except ScenarioError as exc:
-        raise ChurnScenarioError(f"manager: {exc}") from None
+    manager = build_manager(manager_spec, policy=policy, error=error)
     config = getattr(manager, "config", None)
     return None if config is None else policy_name(config.policy)
 
@@ -253,6 +169,7 @@ def build_fleet_machines(
     machine_bus: Optional[Callable[[str], Any]] = None,
     only: Optional[Sequence[str]] = None,
     checkers: bool = False,
+    error: Type[ValueError] = ChurnScenarioError,
 ) -> Tuple[List[FleetMachine], str, float]:
     """Build the machines a scenario's shared fleet vocabulary describes.
 
@@ -278,60 +195,52 @@ def build_fleet_machines(
             dcat machine's bus as ``FleetMachine.checker`` (the service's
             watchdogs).  Controller events carry no machine identity, so
             ``machine_bus`` must give each machine a bus of its own.
+        error: The exception type to raise (the document's own).
 
     Returns:
         ``(machines, placement_name, slo_tolerance)``.
     """
-    fleet_spec = _require_mapping(data.get("fleet", {}), "fleet")
-    n_machines = _get_int(fleet_spec, "fleet", "machines", default=2, minimum=1)
-    socket = fleet_spec.get("socket", "xeon_d")
-    if socket not in _SOCKETS:
-        raise ChurnScenarioError(
-            f"fleet.socket: unknown socket {socket!r}; use one of {sorted(_SOCKETS)}"
-        )
-    seed = _get_int(fleet_spec, "fleet", "seed", default=1234)
-    interval_s = _get_number(fleet_spec, "fleet", "interval_s", default=1.0, positive=True)
-    vcpus_per_vm = _get_int(fleet_spec, "fleet", "vcpus_per_vm", default=2, minimum=1)
+    fleet_spec = _require_mapping(data.get("fleet", {}), "fleet", error)
+    n_machines = _get_int(fleet_spec, "fleet", "machines", error, default=2, minimum=1)
+    socket = read_socket(fleet_spec, "fleet", "xeon_d", error)
+    seed = _get_int(fleet_spec, "fleet", "seed", error, default=1234)
+    interval_s = _get_number(
+        fleet_spec, "fleet", "interval_s", error, default=1.0, positive=True
+    )
+    vcpus_per_vm = _get_int(
+        fleet_spec, "fleet", "vcpus_per_vm", error, default=2, minimum=1
+    )
 
     placement = data.get("placement", "first_fit")
     if isinstance(placement, dict):
         placement = placement.get("policy", "first_fit")
     if not isinstance(placement, str) or placement not in policy_names():
-        raise ChurnScenarioError(
+        raise error(
             f"placement: unknown policy {placement!r}; use one of {policy_names()}"
         )
 
-    slo_spec = _require_mapping(data.get("slo", {}), "slo")
-    tolerance = _get_number(slo_spec, "slo", "tolerance", default=0.05)
+    slo_spec = _require_mapping(data.get("slo", {}), "slo", error)
+    tolerance = _get_number(slo_spec, "slo", "tolerance", error, default=0.05)
     if not 0.0 <= tolerance < 1.0:
-        raise ChurnScenarioError(
-            f"slo.tolerance: must be within [0, 1), got {tolerance}"
-        )
+        raise error(f"slo.tolerance: must be within [0, 1), got {tolerance}")
 
-    fleet_plan = None
-    if "faults" in data:
-        # Imported lazily: fault injection is opt-in per scenario.
-        from repro.faults.plan import FaultPlan, FaultPlanError
-
-        try:
-            fleet_plan = FaultPlan.from_spec(
-                _require_mapping(data["faults"], "faults")
-            )
-        except FaultPlanError as exc:
-            raise ChurnScenarioError(f"faults: {exc}") from None
-
-    try:
-        fidelity_spec = parse_fidelity(data, override=ctx.fidelity)
-    except ChurnScenarioError:
-        raise
-    except ScenarioError as exc:
-        raise ChurnScenarioError(str(exc)) from None
+    fidelity_spec = parse_fidelity(data, override=ctx.fidelity, error=error)
 
     # Validated up front (not per machine) so a sharded build with an
     # empty `only` still rejects a malformed document.
-    alloc_policy = allocation_policy(data, ctx)
+    alloc_policy = allocation_policy(data, ctx, error)
+    fleet_plan = None
+    if "faults" in data:
+        # Imported lazily: fault injection is opt-in per scenario.
+        from repro.faults.plan import FaultPlan
+
+        fleet_plan = FaultPlan.from_spec(data["faults"], error, section="faults")
+        if alloc_policy is None:
+            raise error(
+                "faults: fault injection requires a dcat manager (other "
+                "regimes have no control loop to fault)"
+            )
     manager_spec = dict(data.get("manager", {"type": "dcat"}))
-    from repro.harness.scenario_file import _SOCKETS as SOCKET_FACTORIES
 
     only_set = None if only is None else set(only)
     machines: List[FleetMachine] = []
@@ -340,37 +249,29 @@ def build_fleet_machines(
         if only_set is not None and name not in only_set:
             continue
         machine = Machine(
-            spec=SOCKET_FACTORIES[socket](),
+            spec=socket(),
             seed=derive_seed(seed, name),
             interval_s=interval_s,
         )
         manager = build_manager(dict(manager_spec), policy=alloc_policy)
         machine_plan = None
         if fleet_plan is not None:
-            from repro.faults.plan import FaultPlan
-
-            machine_plan = FaultPlan(
-                seed=derive_seed(fleet_plan.seed, name),
-                rules=fleet_plan.rules,
-            )
+            machine_plan = replace(fleet_plan, seed=derive_seed(fleet_plan.seed, name))
         machine_fidelity = dict(fidelity_spec)
         if machine_fidelity["mode"] != "analytical":
             # Per-host substrate seed: streams differ per machine, runs
             # stay deterministic.
             base = int(machine_fidelity.get("seed", 2024))
             machine_fidelity["seed"] = derive_seed(base, name)
-        try:
-            fleet_machine = FleetMachine(
-                name=name,
-                machine=machine,
-                manager=manager,
-                bus=machine_bus(name) if machine_bus is not None else None,
-                vcpus_per_vm=vcpus_per_vm,
-                fault_plan=machine_plan,
-                substrate=substrate_from_spec(machine_fidelity),
-            )
-        except ValueError as exc:
-            raise ChurnScenarioError(f"faults: {exc}") from None
+        fleet_machine = FleetMachine(
+            name=name,
+            machine=machine,
+            manager=manager,
+            bus=machine_bus(name) if machine_bus is not None else None,
+            vcpus_per_vm=vcpus_per_vm,
+            fault_plan=machine_plan,
+            substrate=substrate_from_spec(machine_fidelity),
+        )
         controller = getattr(manager, "controller", None)
         if checkers and controller is not None:
             from repro.faults.invariants import InvariantChecker
@@ -469,20 +370,20 @@ def load_churn_scenario(
         ChurnScenarioError: On any malformed field or argument, naming
             field and entry.
     """
-    try:
-        ctx = RunContext.parse(fidelity, policy, fleet_jobs)
-    except ValueError as exc:
-        raise ChurnScenarioError(str(exc)) from None
-    data = read_document(source, "churn scenario", ChurnScenarioError)
+    error = ChurnScenarioError
+    ctx = RunContext.parse(fidelity, policy, fleet_jobs, error)
+    data = read_document(source, "churn scenario", error)
 
-    duration_s = _get_number(data, "scenario", "duration_s", default=30.0, positive=True)
-    fleet_spec = _require_mapping(data.get("fleet", {}), "fleet")
+    duration_s = _get_number(
+        data, "scenario", "duration_s", error, default=30.0, positive=True
+    )
+    fleet_spec = _require_mapping(data.get("fleet", {}), "fleet", error)
     interval_s = _get_number(
-        fleet_spec, "fleet", "interval_s", default=1.0, positive=True
+        fleet_spec, "fleet", "interval_s", error, default=1.0, positive=True
     )
     steps_exact = duration_s / interval_s
     if abs(steps_exact - round(steps_exact)) > 1e-9 * max(1.0, abs(steps_exact)):
-        raise ChurnScenarioError(
+        raise error(
             f"scenario.duration_s: {duration_s} is not a whole number of "
             f"fleet.interval_s={interval_s} intervals (the fleet only "
             f"moves in whole intervals; it no longer rounds silently)"
@@ -492,13 +393,13 @@ def load_churn_scenario(
     if "poisson" in data:
         tenants = tenants + _parse_poisson(data["poisson"], duration_s)
     if not tenants:
-        raise ChurnScenarioError(
+        raise error(
             "scenario: needs a non-empty 'tenants' list and/or a 'poisson' stream"
         )
     names = [t.name for t in tenants]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
-        raise ChurnScenarioError(f"tenants: duplicate tenant names {dupes}")
+        raise error(f"tenants: duplicate tenant names {dupes}")
 
     return build_fleet(data, tenants, ctx), duration_s
 

@@ -10,17 +10,26 @@ then a scan wanting 6").  A declared schedule can never be blindly trusted
 schedule compares it against the measured counters and falls back to the
 detector-driven plan when they diverge (trust-but-verify).
 
-The types here are deliberately dependency-free (stdlib only) so the
-controller, the allocation strategies and the workload builders can all
-share them without layering cycles.
+The types here depend only on the stdlib and the engine's field readers,
+so the controller, the allocation strategies and the workload builders
+can all share them without layering cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Tuple, Type
+
+from repro.engine.context import (
+    _get_int,
+    _get_number,
+    _reject_unknown,
+    _require_mapping,
+)
 
 __all__ = ["DeclaredPhase", "DeclaredSchedule", "PhaseHint"]
+
+_PHASE_KEYS = ("start_s", "preferred_ways", "refs_per_instr")
 
 
 @dataclass(frozen=True)
@@ -58,7 +67,12 @@ class DeclaredSchedule:
         return current
 
     @classmethod
-    def from_spec(cls, data: Any, ctx: str = "declared_phases") -> "DeclaredSchedule":
+    def from_spec(
+        cls,
+        data: Any,
+        ctx: str = "declared_phases",
+        error: Type[ValueError] = ValueError,
+    ) -> "DeclaredSchedule":
         """Parse the workload-spec ``declared_phases`` list.
 
         Expected shape::
@@ -67,55 +81,35 @@ class DeclaredSchedule:
              {"start_s": 10, "preferred_ways": 6}]
 
         Raises:
-            ValueError: Naming the offending field (``ctx[i].key``).
+            error: Naming the offending field (``ctx[i].key``).
         """
         if not isinstance(data, list) or not data:
-            raise ValueError(f"{ctx}: expected a non-empty list of phase objects")
+            raise error(f"{ctx}: expected a non-empty list of phase objects")
         phases = []
         prev_start = None
         for i, raw in enumerate(data):
             entry_ctx = f"{ctx}[{i}]"
-            if not isinstance(raw, dict):
-                raise ValueError(
-                    f"{entry_ctx}: expected an object, got {type(raw).__name__}"
-                )
-            start = raw.get("start_s", None)
-            if isinstance(start, bool) or not isinstance(start, (int, float)):
-                raise ValueError(f"{entry_ctx}.start_s: expected a number")
-            if start < 0:
-                raise ValueError(f"{entry_ctx}.start_s: must be >= 0, got {start}")
+            entry = _require_mapping(raw, entry_ctx, error)
+            _reject_unknown(entry, entry_ctx, _PHASE_KEYS, error)
+            start = _get_number(
+                entry, entry_ctx, "start_s", error, minimum=0, required=True
+            )
             if prev_start is not None and start <= prev_start:
-                raise ValueError(
+                raise error(
                     f"{entry_ctx}.start_s: must increase "
-                    f"(got {start} after {prev_start})"
+                    f"(got {start:g} after {prev_start:g})"
                 )
             prev_start = start
-            ways = raw.get("preferred_ways", None)
-            if isinstance(ways, bool) or not isinstance(ways, int):
-                raise ValueError(f"{entry_ctx}.preferred_ways: expected an integer")
-            if ways < 1:
-                raise ValueError(
-                    f"{entry_ctx}.preferred_ways: must be >= 1, got {ways}"
-                )
-            refs = raw.get("refs_per_instr", None)
-            if refs is not None:
-                if isinstance(refs, bool) or not isinstance(refs, (int, float)):
-                    raise ValueError(
-                        f"{entry_ctx}.refs_per_instr: expected a number"
-                    )
-                if refs <= 0:
-                    raise ValueError(
-                        f"{entry_ctx}.refs_per_instr: must be positive, got {refs}"
-                    )
-                refs = float(refs)
-            unknown = sorted(
-                set(raw) - {"start_s", "preferred_ways", "refs_per_instr"}
-            )
-            if unknown:
-                raise ValueError(f"{entry_ctx}: unknown field(s) {unknown}")
             phases.append(
                 DeclaredPhase(
-                    start_s=float(start), preferred_ways=ways, refs_per_instr=refs
+                    start_s=start,
+                    preferred_ways=_get_int(
+                        entry, entry_ctx, "preferred_ways", error,
+                        minimum=1, required=True,
+                    ),
+                    refs_per_instr=_get_number(
+                        entry, entry_ctx, "refs_per_instr", error, positive=True
+                    ),
                 )
             )
         return cls(phases=tuple(phases))

@@ -37,7 +37,7 @@ run --policy`` takes into registry experiments.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Type, Union
 
 from repro.core.allocation import (
     AllocationInput,
@@ -413,27 +413,31 @@ def strategy_names() -> List[str]:
     return sorted(_STRATEGIES)
 
 
-def canonical_name(value: PolicyLike) -> str:
+def canonical_name(
+    value: PolicyLike, field: str = "", error: Type[ValueError] = ValueError
+) -> str:
     """Resolve any accepted policy spelling to its registered name.
 
     Accepts enum members, registered names, aliases, and case/separator
     variants (``Max-Performance`` → ``max_performance``).
 
     Raises:
-        ValueError: For an unknown policy, listing the registered names.
+        error: For an unknown policy, listing the registered names, after
+            the ``field`` it came from (``--policy``, ``policy``).
     """
     if isinstance(value, AllocationPolicy):
         return value.value
+    prefix = f"{field}: " if field else ""
     if not isinstance(value, str):
-        raise ValueError(
-            f"allocation policy must be a string or AllocationPolicy, "
+        raise error(
+            f"{prefix}allocation policy must be a string or AllocationPolicy, "
             f"got {type(value).__name__}"
         )
     name = value.strip().lower().replace("-", "_").replace(" ", "_")
     name = _ALIASES.get(name, name)
     if name not in _STRATEGIES:
-        raise ValueError(
-            f"unknown allocation policy {value!r}; "
+        raise error(
+            f"{prefix}unknown allocation policy {value!r}; "
             f"registered strategies: {strategy_names()}"
         )
     return name

@@ -15,7 +15,15 @@ read in exactly two places — a
 and a :class:`~repro.core.config.DCatConfig` built without a policy.
 
 :func:`read_document` is the one reader for the JSON documents those
-entry points accept (scenario, churn, chaos, service, fault plan).
+entry points accept (scenario, churn, chaos, service, fault plan), and
+the field readers below (:func:`_require_mapping`, :func:`_get_number`,
+:func:`_get_int`, :func:`_get_str`, :func:`_reject_unknown`) are the one
+way every parser reads a field.  Each takes the caller's error type and
+the field's path (``tenants[2].workload.wss_mb``; ``""`` is the
+document root), and raises once, at the field, naming that path.  They
+never coerce: a numeric string, a bool, or a float where an integer is
+due is an error.  A ``null`` means "unset" only where the field's
+default is unset.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Type, Union
+from typing import Any, Collection, Dict, Iterator, Optional, Type, Union
 
 __all__ = ["RunContext", "current_context", "read_document", "use_context"]
 
@@ -58,11 +66,12 @@ class RunContext:
         fidelity: Optional[str] = None,
         policy: Optional[str] = None,
         fleet_jobs: int = 1,
+        error: Type[ValueError] = ValueError,
     ) -> "RunContext":
         """Validate and normalize the three choices.
 
         Raises:
-            ValueError: Naming ``--fidelity``, ``--policy`` or
+            error: Naming ``--fidelity``, ``--policy`` or
                 ``--fleet-jobs`` and the legal values.
         """
         # Imported here: both modules import the engine package.
@@ -70,21 +79,18 @@ class RunContext:
         from repro.platform.substrate import FIDELITIES
 
         if fidelity is not None and fidelity not in FIDELITIES:
-            raise ValueError(
+            raise error(
                 f"--fidelity: unknown fidelity {fidelity!r}; "
                 f"use one of {list(FIDELITIES)}"
             )
         if policy is not None:
-            try:
-                policy = canonical_name(policy)
-            except ValueError as exc:
-                raise ValueError(f"--policy: {exc}") from None
+            policy = canonical_name(policy, "--policy", error)
         if (
             isinstance(fleet_jobs, bool)
             or not isinstance(fleet_jobs, int)
             or fleet_jobs < 1
         ):
-            raise ValueError(
+            raise error(
                 f"--fleet-jobs: must be an integer >= 1, "
                 f"got fleet_jobs={fleet_jobs!r}"
             )
@@ -151,3 +157,86 @@ def read_document(
     if not isinstance(data, dict):
         raise error(f"{where}: expected an object, got {type(data).__name__}")
     return data
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _at(path: str, message: str) -> str:
+    return f"{path}: {message}" if path else message
+
+
+def _require_mapping(value: Any, path: str, error: Type[ValueError]) -> Dict[str, Any]:
+    if not isinstance(value, dict):
+        raise error(_at(path, f"expected an object, got {type(value).__name__}"))
+    return value
+
+
+def _get(obj, path, key, error, default, required, types, expected) -> Any:
+    """``obj[key]``, checked to be one of ``types`` (never a bool); ``default``
+    when the key is absent, or null while ``default`` is null too."""
+    if key not in obj or (obj[key] is None and default is None and not required):
+        if required:
+            raise error(f"{_join(path, key)}: missing required field")
+        return default
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise error(f"{_join(path, key)}: expected {expected}, got {value!r}")
+    return value
+
+
+def _check_min(value, path, key, error, minimum) -> None:
+    if minimum is not None and value is not None and value < minimum:
+        raise error(f"{_join(path, key)}: must be >= {minimum}, got {value}")
+
+
+def _get_number(
+    obj: Dict[str, Any], path: str, key: str, error: Type[ValueError],
+    default: Optional[float] = None, positive: bool = False,
+    minimum: Optional[float] = None, maximum: Optional[float] = None,
+    required: bool = False,
+) -> Optional[float]:
+    """Field ``key`` of ``obj`` as a float (a JSON int or float)."""
+    value = _get(obj, path, key, error, default, required, (int, float), "a number")
+    if value is None:
+        return None
+    if positive and value <= 0:
+        raise error(f"{_join(path, key)}: must be positive, got {value!r}")
+    _check_min(value, path, key, error, minimum)
+    if maximum is not None and value > maximum:
+        raise error(f"{_join(path, key)}: must be <= {maximum}, got {value}")
+    return float(value)
+
+
+def _get_int(
+    obj: Dict[str, Any], path: str, key: str, error: Type[ValueError],
+    default: Optional[int] = None, minimum: Optional[int] = None,
+    required: bool = False,
+) -> Optional[int]:
+    """Field ``key`` of ``obj`` as an int (a JSON integer, never a float)."""
+    value = _get(obj, path, key, error, default, required, int, "an integer")
+    _check_min(value, path, key, error, minimum)
+    return value
+
+
+def _get_str(
+    obj: Dict[str, Any], path: str, key: str, error: Type[ValueError],
+    default: Optional[str] = None, required: bool = False,
+) -> Optional[str]:
+    """Field ``key`` of ``obj`` as a non-empty string."""
+    value = _get(obj, path, key, error, default, required, str, "a non-empty string")
+    if value == "":
+        raise error(f"{_join(path, key)}: expected a non-empty string, got ''")
+    return value
+
+
+def _reject_unknown(
+    obj: Dict[str, Any], path: str, allowed: Collection[str],
+    error: Type[ValueError], noun: str = "keys",
+) -> None:
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise error(
+            _at(path, f"unknown {noun} {unknown}; valid keys are {sorted(allowed)}")
+        )

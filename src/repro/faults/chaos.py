@@ -33,9 +33,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Type, Union
 
-from repro.engine.context import RunContext, read_document
+from repro.engine.context import (
+    RunContext,
+    _get_int,
+    _reject_unknown,
+    _require_mapping,
+    read_document,
+)
 from repro.engine.events import EventBus, FaultRecovered, JsonlTraceWriter
 from repro.faults.injectors import FaultInjector
 from repro.faults.invariants import InvariantChecker
@@ -150,44 +156,36 @@ class _Restart:
     attach_interval: int
 
 
-def _parse_restarts(spec: Any, vm_names: List[str]) -> List[_Restart]:
-    # Local import: harness pulls in the whole experiment registry; keep
-    # repro.faults importable without it until a chaos run actually starts.
-    from repro.harness.scenario_file import ScenarioError
-
+def _parse_restarts(
+    spec: Any, vm_names: List[str], error: Type[ValueError]
+) -> List[_Restart]:
     if spec is None:
         return []
     if not isinstance(spec, list):
-        raise ScenarioError("restarts: expected a list of restart objects")
+        raise error("restarts: expected a list of restart objects")
     restarts: List[_Restart] = []
-    for i, entry in enumerate(spec):
+    for i, raw in enumerate(spec):
         where = f"restarts[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{where}: expected an object")
-        unknown = set(entry) - {"vm", "detach_interval", "attach_interval"}
-        if unknown:
-            raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+        entry = _require_mapping(raw, where, error)
+        _reject_unknown(entry, where, _RESTART_KEYS, error)
         vm = entry.get("vm")
         if vm not in vm_names:
-            raise ScenarioError(
+            raise error(
                 f"{where}.vm: {vm!r} is not one of the scenario's VMs "
                 f"{sorted(vm_names)}"
             )
-        try:
-            detach = int(entry["detach_interval"])
-            attach = int(entry["attach_interval"])
-        except (KeyError, TypeError, ValueError):
-            raise ScenarioError(
-                f"{where}: needs integer detach_interval and attach_interval"
-            ) from None
-        if detach < 1 or attach <= detach:
-            raise ScenarioError(
-                f"{where}: need 1 <= detach_interval < attach_interval"
+        detach = _get_int(entry, where, "detach_interval", error, minimum=1, required=True)
+        attach = _get_int(entry, where, "attach_interval", error, required=True)
+        if attach <= detach:
+            raise error(
+                f"{where}.attach_interval: must be > detach_interval "
+                f"({detach}), got {attach}"
             )
         restarts.append(_Restart(vm, detach, attach))
     return restarts
 
 
+_RESTART_KEYS = ("vm", "detach_interval", "attach_interval")
 _CHAOS_KEYS = {"faults", "restarts", "patience"}
 
 
@@ -217,8 +215,8 @@ def run_chaos(
             over the scenario's manager config.
 
     Raises:
-        ScenarioError: On malformed scenario fields.
-        FaultPlanError: On a malformed ``faults`` section.
+        ScenarioError: On any malformed field, the ``faults`` section's
+            included, naming it.
     """
     from contextlib import ExitStack
 
@@ -233,23 +231,23 @@ def run_chaos(
     from repro.platform.sim import CloudSimulation
     from repro.platform.vm import VirtualMachine
 
-    try:
-        ctx = RunContext.parse(fidelity=fidelity, policy=policy)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
-    data = read_document(source, "chaos scenario", ScenarioError)
-    plan = FaultPlan.from_spec(data.get("faults", {"seed": 0}))
-    patience = int(data.get("patience", 5))
+    error = ScenarioError
+    ctx = RunContext.parse(fidelity=fidelity, policy=policy, error=error)
+    data = read_document(source, "chaos scenario", error)
+    plan = FaultPlan.from_spec(
+        data.get("faults", {"seed": 0}), error, section="faults"
+    )
+    patience = _get_int(data, "", "patience", error, default=5, minimum=1)
     scenario = {k: v for k, v in data.items() if k not in _CHAOS_KEYS}
     machine, vms, manager, duration_s, fidelity_spec = load_scenario(
         scenario, ctx
     )
     if not isinstance(manager, DCatManager):
-        raise ScenarioError(
+        raise error(
             "chaos runs need a dcat manager (faults target its control loop)"
         )
     restarts = _parse_restarts(
-        data.get("restarts"), [vm.name for vm in vms]
+        data.get("restarts"), [vm.name for vm in vms], error
     )
 
     bus = EventBus()

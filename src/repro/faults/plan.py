@@ -28,9 +28,16 @@ import enum
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Type, Union
 
-from repro.engine.context import read_document
+from repro.engine.context import (
+    _get_int,
+    _get_number,
+    _get_str,
+    _reject_unknown,
+    _require_mapping,
+    read_document,
+)
 from repro.engine.runner import derive_seed
 
 __all__ = ["FaultKind", "FaultPlanError", "FaultRule", "FaultPlan"]
@@ -166,33 +173,40 @@ class FaultPlan:
         return fired
 
     @staticmethod
-    def from_spec(spec: Dict[str, Any]) -> "FaultPlan":
+    def from_spec(
+        spec: Any,
+        error: Type[ValueError] = FaultPlanError,
+        section: str = "",
+    ) -> "FaultPlan":
         """Build a plan from its JSON object form (see module docstring).
 
+        Args:
+            error: The exception type to raise (the embedding document's,
+                when the plan is one of its sections).
+            section: The embedding document's key for the plan
+                (``"faults"``); every message then starts with it, as in
+                ``faults: rules[0].kind: ...``.
+
         Raises:
-            FaultPlanError: On any malformed field, naming it.
+            error: On any malformed field, naming it.
         """
-        if not isinstance(spec, dict):
-            raise FaultPlanError("a fault plan must be a JSON object")
-        unknown = set(spec) - {"seed", "rules"}
-        if unknown:
-            raise FaultPlanError(
-                f"unknown fault-plan keys {sorted(unknown)}; "
-                f"use 'seed' and 'rules'"
-            )
-        try:
-            seed = int(spec.get("seed", 0))
-        except (TypeError, ValueError):
-            raise FaultPlanError(
-                f"seed: expected an integer, got {spec.get('seed')!r}"
-            ) from None
+        if section:
+            document_error = error
+
+            def error(message: str) -> ValueError:
+                return document_error(f"{section}: {message}")
+
+        spec = _require_mapping(spec, "", error)
+        _reject_unknown(spec, "", ("seed", "rules"), error, noun="fault-plan keys")
+        seed = _get_int(spec, "", "seed", error, default=0)
         rule_specs = spec.get("rules", [])
         if not isinstance(rule_specs, list):
-            raise FaultPlanError("rules: expected a list of rule objects")
-        rules: List[FaultRule] = []
-        for i, rule_spec in enumerate(rule_specs):
-            rules.append(_parse_rule(i, rule_spec))
-        return FaultPlan(seed=seed, rules=tuple(rules))
+            raise error("rules: expected a list of rule objects")
+        rules = tuple(
+            _parse_rule(f"rules[{i}]", rule_spec, error)
+            for i, rule_spec in enumerate(rule_specs)
+        )
+        return FaultPlan(seed=seed, rules=rules)
 
     @staticmethod
     def load(source: Union[str, Path, Dict[str, Any]]) -> "FaultPlan":
@@ -202,7 +216,7 @@ class FaultPlan:
         )
 
 
-_RULE_KEYS = {
+_RULE_KEYS = (
     "kind",
     "target",
     "probability",
@@ -210,41 +224,30 @@ _RULE_KEYS = {
     "end_interval",
     "magnitude",
     "budget",
-}
+)
 
 
-def _parse_rule(i: int, spec: Any) -> FaultRule:
-    where = f"rules[{i}]"
-    if not isinstance(spec, dict):
-        raise FaultPlanError(f"{where}: expected a rule object")
-    unknown = set(spec) - _RULE_KEYS
-    if unknown:
-        raise FaultPlanError(
-            f"{where}: unknown keys {sorted(unknown)}; "
-            f"valid keys are {sorted(_RULE_KEYS)}"
-        )
+def _parse_rule(where: str, spec: Any, error: Type[ValueError]) -> FaultRule:
+    spec = _require_mapping(spec, where, error)
+    _reject_unknown(spec, where, _RULE_KEYS, error)
     try:
         kind = FaultKind(spec.get("kind"))
     except ValueError:
-        raise FaultPlanError(
+        raise error(
             f"{where}.kind: unknown fault kind {spec.get('kind')!r}; "
             f"use one of {sorted(k.value for k in FaultKind)}"
         ) from None
-    target = spec.get("target")
-    if target is not None and not isinstance(target, str):
-        raise FaultPlanError(f"{where}.target: expected a workload name")
-    end = spec.get("end_interval")
-    try:
-        return FaultRule(
-            kind=kind,
-            target=target,
-            probability=float(spec.get("probability", 1.0)),
-            start_interval=int(spec.get("start_interval", 0)),
-            end_interval=None if end is None else int(end),
-            magnitude=float(spec.get("magnitude", 2.0)),
-            budget=int(spec.get("budget", 1)),
-        )
-    except FaultPlanError as exc:
-        raise FaultPlanError(f"{where}: {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise FaultPlanError(f"{where}: {exc}") from None
+    start = _get_int(spec, where, "start_interval", error, default=0, minimum=0)
+    return FaultRule(
+        kind=kind,
+        target=_get_str(spec, where, "target", error),
+        probability=_get_number(
+            spec, where, "probability", error, default=1.0, positive=True, maximum=1
+        ),
+        start_interval=start,
+        end_interval=_get_int(spec, where, "end_interval", error, minimum=start),
+        magnitude=_get_number(
+            spec, where, "magnitude", error, default=2.0, positive=True
+        ),
+        budget=_get_int(spec, where, "budget", error, default=1, minimum=1),
+    )

@@ -368,7 +368,6 @@ def _run_scenario(args, ctx: RunContext) -> int:
 
 def _run_chaos(args, ctx: RunContext) -> int:
     from repro.faults.chaos import run_chaos
-    from repro.faults.plan import FaultPlanError
     from repro.harness.scenario_file import ScenarioError
 
     try:
@@ -379,7 +378,7 @@ def _run_chaos(args, ctx: RunContext) -> int:
             fidelity=ctx.fidelity,
             policy=ctx.policy,
         )
-    except (ScenarioError, FaultPlanError) as exc:
+    except ScenarioError as exc:
         print(f"chaos scenario error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

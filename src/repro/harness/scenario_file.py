@@ -44,13 +44,20 @@ overrides it.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Type, Union
 
 from repro.core.config import DCatConfig
 from repro.core.hints import DeclaredSchedule
-from repro.core.policies import normalize_policy
+from repro.core.policies import canonical_name, normalize_policy
 from repro.cpu.socket import SocketSpec
-from repro.engine.context import RunContext, read_document
+from repro.engine.context import (
+    RunContext,
+    _get_int,
+    _get_number,
+    _get_str,
+    _require_mapping,
+    read_document,
+)
 from repro.mem.address import MB
 from repro.platform.machine import Machine
 from repro.platform.managers import (
@@ -69,17 +76,18 @@ from repro.workloads.lookbusy import LookbusyWorkload
 from repro.workloads.mload import MloadWorkload
 from repro.workloads.mlr import MlrWorkload
 from repro.workloads.search import ElasticsearchWorkload
-from repro.workloads.spec import spec_workload
+from repro.workloads.spec import SPEC_PROFILES, spec_workload
 
 __all__ = [
     "ScenarioError",
     "build_manager",
     "build_workload",
+    "checked_workload",
     "load_scenario",
     "parse_fidelity",
+    "read_socket",
     "run_scenario_file",
     "substrate_from_spec",
-    "workload_kinds",
 ]
 
 
@@ -87,115 +95,138 @@ class ScenarioError(ValueError):
     """A scenario file is malformed; the message names the offending key."""
 
 
-def _workload_mlr(name: str, spec: Dict[str, Any]) -> Workload:
-    return MlrWorkload(
-        int(spec.get("wss_mb", 8) * MB),
-        start_delay_s=float(spec.get("start_delay_s", 0.0)),
-        duration_s=spec.get("duration_s"),
-        name=name,
-    )
+def _start_delay(spec: Dict[str, Any], path: str, error: Type[ValueError]) -> float:
+    return _get_number(spec, path, "start_delay_s", error, default=0.0, minimum=0)
 
 
-def _workload_mload(name: str, spec: Dict[str, Any]) -> Workload:
-    return MloadWorkload(
-        int(spec.get("wss_mb", 60) * MB),
-        start_delay_s=float(spec.get("start_delay_s", 0.0)),
-        duration_s=spec.get("duration_s"),
-        name=name,
-    )
+def _streaming(cls: Callable[..., Workload], default_mb: int) -> Callable[..., Workload]:
+    """A builder for a working-set sweep (mlr, mload) of ``wss_mb`` MB."""
+
+    def build(name, spec, path, error) -> Workload:
+        wss_mb = _get_number(spec, path, "wss_mb", error, default=default_mb, minimum=0)
+        return cls(
+            int(wss_mb * MB),
+            start_delay_s=_start_delay(spec, path, error),
+            duration_s=_get_number(spec, path, "duration_s", error, positive=True),
+            name=name,
+        )
+
+    return build
 
 
-def _workload_lookbusy(name: str, spec: Dict[str, Any]) -> Workload:
+def _sized(cls: Callable[..., Workload], knob: str, default: int) -> Callable[..., Workload]:
+    """A builder for a service (redis, postgres, ...) sized by one count."""
+
+    def build(name, spec, path, error) -> Workload:
+        size = _get_int(spec, path, knob, error, default=default, minimum=1)
+        return cls(size, start_delay_s=_start_delay(spec, path, error), name=name)
+
+    return build
+
+
+def _workload_lookbusy(name, spec, path, error) -> Workload:
     return LookbusyWorkload(
-        utilization=float(spec.get("utilization", 1.0)), name=name
+        utilization=_get_number(
+            spec, path, "utilization", error, default=1.0, positive=True, maximum=1
+        ),
+        name=name,
     )
 
 
-def _workload_spec(name: str, spec: Dict[str, Any]) -> Workload:
-    try:
-        benchmark = spec["benchmark"]
-    except KeyError:
-        raise ScenarioError("spec workloads need a 'benchmark' key") from None
+def _workload_spec(name, spec, path, error) -> Workload:
+    benchmark = _get_str(spec, path, "benchmark", error, required=True)
+    if benchmark not in SPEC_PROFILES:
+        raise error(
+            f"{path}.benchmark: unknown SPEC benchmark {benchmark!r}; "
+            f"use one of {sorted(SPEC_PROFILES)}"
+        )
     return spec_workload(
         benchmark,
-        instructions=spec.get("instructions"),
-        start_delay_s=float(spec.get("start_delay_s", 0.0)),
+        instructions=_get_int(spec, path, "instructions", error, minimum=1),
+        start_delay_s=_start_delay(spec, path, error),
     )
 
 
-def _workload_redis(name: str, spec: Dict[str, Any]) -> Workload:
-    return RedisWorkload(
-        records=int(spec.get("records", 1_000_000)),
-        start_delay_s=float(spec.get("start_delay_s", 0.0)),
-        name=name,
-    )
-
-
-def _workload_postgres(name: str, spec: Dict[str, Any]) -> Workload:
-    return PostgresWorkload(
-        tuples=int(spec.get("tuples", 10_000_000)),
-        start_delay_s=float(spec.get("start_delay_s", 0.0)),
-        name=name,
-    )
-
-
-def _workload_elasticsearch(name: str, spec: Dict[str, Any]) -> Workload:
-    return ElasticsearchWorkload(
-        documents=int(spec.get("documents", 100_000)),
-        start_delay_s=float(spec.get("start_delay_s", 0.0)),
-        name=name,
-    )
-
-
-_WORKLOADS: Dict[str, Callable[[str, Dict[str, Any]], Workload]] = {
-    "mlr": _workload_mlr,
-    "mload": _workload_mload,
+#: Each builder takes ``(name, spec, path, error)`` and reads its knobs
+#: from ``spec`` with the field readers.
+_WORKLOADS: Dict[str, Callable[..., Workload]] = {
+    "mlr": _streaming(MlrWorkload, 8),
+    "mload": _streaming(MloadWorkload, 60),
     "lookbusy": _workload_lookbusy,
     "spec": _workload_spec,
-    "redis": _workload_redis,
-    "postgres": _workload_postgres,
-    "elasticsearch": _workload_elasticsearch,
+    "redis": _sized(RedisWorkload, "records", 1_000_000),
+    "postgres": _sized(PostgresWorkload, "tuples", 10_000_000),
+    "elasticsearch": _sized(ElasticsearchWorkload, "documents", 100_000),
 }
 
-_SOCKETS = {
+#: The one socket table; each document picks its own default.
+_SOCKETS: Dict[str, Callable[[], SocketSpec]] = {
     "xeon_e5": SocketSpec.xeon_e5_2697v4,
     "xeon_d": SocketSpec.xeon_d,
 }
 
 
-def workload_kinds() -> List[str]:
-    """The workload ``type`` values scenario and churn files accept."""
-    return sorted(_WORKLOADS)
+def read_socket(
+    obj: Dict[str, Any], path: str, default: str, error: Type[ValueError]
+) -> Callable[[], SocketSpec]:
+    """The factory of the socket ``obj["socket"]`` names (``default`` when
+    absent); call it once per machine."""
+    name = _get_str(obj, path, "socket", error, default=default)
+    if name not in _SOCKETS:
+        raise error(
+            f"{path}.socket: unknown socket {name!r}; use one of {sorted(_SOCKETS)}"
+        )
+    return _SOCKETS[name]
 
 
-def build_workload(kind: str, name: str, spec: Dict[str, Any]) -> Workload:
+def build_workload(
+    kind: Any,
+    name: str,
+    spec: Dict[str, Any],
+    path: str = "workload",
+    error: Type[ValueError] = ScenarioError,
+) -> Workload:
     """Build one workload from its scenario-file ``workload`` spec.
 
-    Shared by plain scenarios and the cloud layer's churn scenarios, so
-    both file formats accept exactly the same workload descriptions —
+    Shared by plain scenarios, churn scenarios and the service's admits,
+    so every input accepts exactly the same workload descriptions —
     including the optional ``declared_phases`` schedule consumed by the
     ``phase_hint`` allocation strategy.
 
+    Args:
+        path: The spec's field path (``vms[0].workload``), for messages.
+        error: The exception type to raise (the document's own).
+
     Raises:
-        ScenarioError: For an unknown ``kind`` or malformed ``spec``.
+        error: For an unknown ``kind`` or a malformed knob, naming it.
     """
-    if kind not in _WORKLOADS:
-        raise ScenarioError(
-            f"unknown workload type {kind!r}; use one of {sorted(_WORKLOADS)}"
+    if not isinstance(kind, str) or kind not in _WORKLOADS:
+        raise error(
+            f"{path}.type: unknown workload type {kind!r}; "
+            f"set 'type' to one of {sorted(_WORKLOADS)}"
         )
-    workload = _WORKLOADS[kind](name, spec)
+    workload = _WORKLOADS[kind](name, spec, path, error)
     if "declared_phases" in spec:
-        try:
-            workload.declared_schedule = DeclaredSchedule.from_spec(
-                spec["declared_phases"], ctx="workload.declared_phases"
-            )
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
+        workload.declared_schedule = DeclaredSchedule.from_spec(
+            spec["declared_phases"], f"{path}.declared_phases", error
+        )
     return workload
 
 
+def checked_workload(
+    entry: Dict[str, Any], path: str, name: str, error: Type[ValueError]
+) -> Dict[str, Any]:
+    """A copy of ``entry["workload"]``, checked by building it once."""
+    where = f"{path}.workload" if path else "workload"
+    spec = dict(_require_mapping(entry.get("workload"), where, error))
+    build_workload(spec.get("type"), name, spec, where, error)
+    return spec
+
+
 def build_manager(
-    spec: Dict[str, Any], policy: Optional[str] = None
+    spec: Dict[str, Any],
+    policy: Optional[str] = None,
+    error: Type[ValueError] = ScenarioError,
 ) -> CacheManager:
     """Build the cache manager from a scenario's ``manager`` spec.
 
@@ -204,9 +235,10 @@ def build_manager(
             scenario's top-level ``policy``); wins over the manager
             config's own ``policy`` field.  Ignored by the shared/static
             managers, which have no allocation objective.
+        error: The exception type to raise (the document's own).
 
     Raises:
-        ScenarioError: For an unknown manager type, policy, or config.
+        error: For an unknown manager type, policy, or config.
     """
     kind = spec.get("type", "dcat")
     if kind == "shared":
@@ -214,26 +246,29 @@ def build_manager(
     if kind == "static":
         return StaticCatManager()
     if kind != "dcat":
-        raise ScenarioError(
-            f"unknown manager type {kind!r}; use shared/static/dcat"
+        raise error(
+            f"manager.type: unknown manager type {kind!r}; use shared/static/dcat"
         )
-    config_spec = dict(spec.get("config", {}))
+    config_spec = dict(
+        _require_mapping(spec.get("config", {}), "manager.config", error)
+    )
     if policy is not None:
         config_spec["policy"] = policy
     if "policy" in config_spec:
-        try:
-            config_spec["policy"] = normalize_policy(config_spec["policy"])
-        except ValueError as exc:
-            raise ScenarioError(f"policy: {exc}") from None
+        config_spec["policy"] = normalize_policy(
+            canonical_name(config_spec["policy"], "manager.config.policy", error)
+        )
     try:
         config = DCatConfig(**config_spec)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad dcat config: {exc}") from None
+        raise error(f"manager.config: bad dcat config: {exc}") from None
     return DCatManager(config=config)
 
 
 def parse_fidelity(
-    data: Dict[str, Any], override: Optional[str] = None
+    data: Dict[str, Any],
+    override: Optional[str] = None,
+    error: Type[ValueError] = ScenarioError,
 ) -> Dict[str, Any]:
     """Normalize a scenario's fidelity into ``{"mode": ..., **options}``.
 
@@ -246,10 +281,10 @@ def parse_fidelity(
     field, which is still validated.
 
     Raises:
-        ScenarioError: Naming the offending field.
+        error: Naming the offending field.
     """
     if "exact" in data:
-        raise ScenarioError(
+        raise error(
             'exact: the legacy flag is retired; use "fidelity": "exact" instead'
         )
     if "fidelity" not in data:
@@ -260,23 +295,23 @@ def parse_fidelity(
     elif isinstance(raw, dict):
         spec = dict(raw)
         if "mode" not in spec:
-            raise ScenarioError(
+            raise error(
                 f"fidelity.mode: missing required field; use one of {list(FIDELITIES)}"
             )
     else:
-        raise ScenarioError(
+        raise error(
             f"fidelity: expected a string or an object, got {type(raw).__name__}"
         )
     mode = spec["mode"]
     if mode not in FIDELITIES:
-        raise ScenarioError(
+        raise error(
             f"fidelity.mode: unknown fidelity {mode!r}; use one of {list(FIDELITIES)}"
         )
     try:
         # Validate option names and values eagerly, with field context.
         build_substrate(mode, **{k: v for k, v in spec.items() if k != "mode"})
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"fidelity: {exc}") from None
+        raise error(f"fidelity: {exc}") from None
     return {"mode": override} if override is not None else spec
 
 
@@ -305,55 +340,51 @@ def load_scenario(
     Raises:
         ScenarioError: On any malformed field, naming it.
     """
-    data = read_document(source, "scenario", ScenarioError)
+    error = ScenarioError
+    data = read_document(source, "scenario", error)
 
-    machine_spec = data.get("machine", {})
-    socket_name = machine_spec.get("socket", "xeon_e5")
-    if socket_name not in _SOCKETS:
-        raise ScenarioError(
-            f"unknown socket {socket_name!r}; use one of {sorted(_SOCKETS)}"
-        )
+    machine_spec = _require_mapping(data.get("machine", {}), "machine", error)
     machine = Machine(
-        spec=_SOCKETS[socket_name](),
-        seed=int(machine_spec.get("seed", 1234)),
-        interval_s=float(machine_spec.get("interval_s", 1.0)),
+        spec=read_socket(machine_spec, "machine", "xeon_e5", error)(),
+        seed=_get_int(machine_spec, "machine", "seed", error, default=1234, minimum=0),
+        interval_s=_get_number(
+            machine_spec, "machine", "interval_s", error, default=1.0, positive=True
+        ),
     )
 
     vm_specs = data.get("vms")
-    if not vm_specs:
-        raise ScenarioError("a scenario needs a non-empty 'vms' list")
+    if not isinstance(vm_specs, list) or not vm_specs:
+        raise error("vms: a scenario needs a non-empty 'vms' list")
     vms: List[VirtualMachine] = []
-    for i, vm_spec in enumerate(vm_specs):
-        workload_spec = vm_spec.get("workload")
-        if not workload_spec or "type" not in workload_spec:
-            raise ScenarioError(f"vms[{i}] needs a workload with a 'type'")
-        kind = workload_spec["type"]
-        if kind not in _WORKLOADS:
-            raise ScenarioError(
-                f"vms[{i}]: unknown workload type {kind!r}; "
-                f"use one of {sorted(_WORKLOADS)}"
-            )
-        name = vm_spec.get("name", f"{kind}-{i}")
-        try:
-            workload = build_workload(kind, name, dict(workload_spec))
-        except ScenarioError as exc:
-            raise ScenarioError(f"vms[{i}].{exc}") from None
+    for i, raw in enumerate(vm_specs):
+        where = f"vms[{i}]"
+        vm_spec = _require_mapping(raw, where, error)
+        workload_spec = _require_mapping(
+            vm_spec.get("workload"), f"{where}.workload", error
+        )
+        kind = workload_spec.get("type")
+        name = _get_str(vm_spec, where, "name", error, default=f"{kind}-{i}")
         vms.append(
             VirtualMachine(
                 name=name,
-                workload=workload,
-                baseline_ways=int(vm_spec.get("baseline_ways", 3)),
+                workload=build_workload(
+                    kind, name, dict(workload_spec), f"{where}.workload", error
+                ),
+                baseline_ways=_get_int(
+                    vm_spec, where, "baseline_ways", error, default=3, minimum=1
+                ),
             )
         )
     names = [vm.name for vm in vms]
     if len(set(names)) != len(names):
-        raise ScenarioError(f"duplicate VM names: {names}")
+        raise error(f"vms: duplicate VM names: {names}")
     pin_vms(vms, machine.spec)
 
-    manager = build_manager(data.get("manager", {}), policy=ctx.policy)
-    duration = float(data.get("duration_s", 30.0))
-    if duration <= 0:
-        raise ScenarioError("duration_s must be positive")
+    manager_spec = _require_mapping(data.get("manager", {}), "manager", error)
+    manager = build_manager(manager_spec, policy=ctx.policy)
+    duration = _get_number(
+        data, "", "duration_s", error, default=30.0, positive=True
+    )
     fidelity = parse_fidelity(data, override=ctx.fidelity)
     return machine, vms, manager, duration, fidelity
 
@@ -372,10 +403,7 @@ def run_scenario_file(
         policy: Optional allocation-policy override (``--policy``); wins
             over the scenario's manager config.
     """
-    try:
-        ctx = RunContext.parse(fidelity=fidelity, policy=policy)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    ctx = RunContext.parse(fidelity=fidelity, policy=policy, error=ScenarioError)
     machine, vms, manager, duration, spec = load_scenario(source, ctx)
     sim = CloudSimulation(
         machine, vms, manager, substrate=substrate_from_spec(spec)

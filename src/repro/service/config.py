@@ -29,19 +29,19 @@ service bus so traces and metrics see the whole fleet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.cloud.fleet import CloudFleet
-from repro.cloud.scenario import (
-    ChurnScenarioError,
+from repro.cloud.scenario import build_fleet, build_fleet_machines
+from repro.engine.context import (
+    RunContext,
     _get_int,
     _get_number,
     _require_mapping,
-    build_fleet,
+    read_document,
 )
-from repro.engine.context import RunContext, read_document
 from repro.engine.events import EventBus
 from repro.faults.invariants import InvariantChecker
 from repro.harness.scenario_file import ScenarioError
@@ -102,11 +102,9 @@ class ServiceConfig:
             bus: Optional shared service bus; tenant lifecycle events go
                 there directly and every machine bus forwards into it.
         """
-        try:
-            fleet = build_fleet(self.data, [], self.ctx, bus=bus, checkers=True)
-        except ChurnScenarioError as exc:
-            raise ServiceConfigError(str(exc)) from None
-        return ServiceSetup(fleet=fleet)
+        return ServiceSetup(
+            fleet=build_fleet(self.data, [], self.ctx, bus=bus, checkers=True)
+        )
 
 
 def load_service_config(
@@ -129,34 +127,24 @@ def load_service_config(
         ServiceConfigError: On any malformed field or argument, naming
             the field.
     """
-    data = read_document(source, "service config", ServiceConfigError)
+    error = ServiceConfigError
+    data = read_document(source, "service config", error)
     for key in _BATCH_ONLY_KEYS:
         if key in data:
-            raise ServiceConfigError(
+            raise error(
                 f"{key}: not allowed in a service config — the daemon owns "
                 f"the tenant lifecycle (use 'dcat-experiment churn' for "
                 f"scripted streams)"
             )
-    try:
-        service_spec = _require_mapping(data.get("service", {}), "service")
-        tick = _get_number(
-            service_spec, "service", "tick_interval_s", default=0.05, positive=True
-        )
-        jobs = _get_int(
-            service_spec, "service", "fleet_jobs", default=1, minimum=1
-        )
-    except ChurnScenarioError as exc:
-        raise ServiceConfigError(str(exc)) from None
-    try:
-        ctx = RunContext.parse(
-            fidelity, policy, jobs if fleet_jobs is None else fleet_jobs
-        )
-    except ValueError as exc:
-        raise ServiceConfigError(str(exc)) from None
-    config = ServiceConfig(data=dict(data), tick_interval_s=float(tick), ctx=ctx)
-    # Validate the fleet vocabulary eagerly by building it once: config
-    # errors surface at load time (CLI exit 2), not mid-serve.  The
-    # validation build is always serial so loading never spawns (and
-    # leaks) worker processes just to check the vocabulary.
-    replace(config, ctx=replace(ctx, fleet_jobs=1)).build()
-    return config
+    service_spec = _require_mapping(data.get("service", {}), "service", error)
+    tick = _get_number(
+        service_spec, "service", "tick_interval_s", error, default=0.05, positive=True
+    )
+    jobs = _get_int(service_spec, "service", "fleet_jobs", error, default=1, minimum=1)
+    ctx = RunContext.parse(
+        fidelity, policy, jobs if fleet_jobs is None else fleet_jobs, error
+    )
+    # Validate the fleet vocabulary eagerly, building no machine: config
+    # errors surface at load time (CLI exit 2), not mid-serve.
+    build_fleet_machines(data, ctx, only=(), error=error)
+    return ServiceConfig(data=dict(data), tick_interval_s=tick, ctx=ctx)

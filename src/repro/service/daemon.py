@@ -27,7 +27,8 @@ Endpoints
 ``GET /healthz``            Clock, tick count, invariant violation count
 ==========================  =====================================================
 
-Shutdown is graceful on SIGTERM/SIGINT: the listener closes, queued
+Shutdown (:meth:`ControllerDaemon.stop`, which ``dcat-experiment serve``
+calls on SIGTERM/SIGINT) is graceful: the listener closes, queued
 commands drain, invariant checkers finalize, the JSONL trace sink is
 flushed and closed, and the metrics snapshot is written.
 """
@@ -35,11 +36,11 @@ flushed and closed, and the metrics snapshot is written.
 from __future__ import annotations
 
 import asyncio
-import signal
 from time import perf_counter
 from typing import Any, Optional, Tuple
 
 from repro.cloud.handle import FleetHandle
+from repro.cloud.lifecycle import TenantSpec
 from repro.engine.events import EventBus, JsonlTraceWriter
 from repro.errors import UnknownTenantError
 from repro.obs.collectors import BusMetricsCollector
@@ -159,25 +160,6 @@ class ControllerDaemon:
             from repro.obs.export import write_metrics
 
             write_metrics(self.registry, self._metrics_path)
-
-    async def run(self) -> None:
-        """Serve until SIGTERM/SIGINT, then shut down gracefully."""
-        await self.start()
-        loop = asyncio.get_running_loop()
-        stop_event = asyncio.Event()
-        installed = []
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop_event.set)
-                installed.append(sig)
-            except NotImplementedError:  # pragma: no cover - non-posix loops
-                pass
-        try:
-            await stop_event.wait()
-        finally:
-            for sig in installed:
-                loop.remove_signal_handler(sig)
-            await self.stop()
 
     # -- the serialized command queue --------------------------------------
 
@@ -314,35 +296,16 @@ class ControllerDaemon:
 
     async def _admit(self, request: HttpRequest) -> Tuple[str, int, bytes]:
         route = "/v1/tenants"
-        body = request.json()
-        if not isinstance(body, dict):
-            raise HttpError(400, "expected a JSON object")
-        name = body.get("name")
-        if not isinstance(name, str) or not name:
-            raise HttpError(400, "name: expected a non-empty string")
-        ways = body.get("baseline_ways", 3)
-        if isinstance(ways, bool) or not isinstance(ways, int) or ways < 1:
-            raise HttpError(400, f"baseline_ways: expected an int >= 1, got {ways!r}")
-        workload = body.get("workload")
-        if not isinstance(workload, dict):
-            raise HttpError(400, "workload: expected an object with a 'type'")
-        lifetime = body.get("lifetime_s")
-        if lifetime is not None and (
-            isinstance(lifetime, bool)
-            or not isinstance(lifetime, (int, float))
-            or lifetime <= 0
-        ):
-            raise HttpError(400, f"lifetime_s: expected a positive number, got {lifetime!r}")
         try:
+            spec = TenantSpec.from_mapping(request.json(), "", ValueError)
             outcome = await self._submit(
                 "admit",
-                name=name,
-                baseline_ways=ways,
-                workload=workload,
-                lifetime_s=lifetime,
+                name=spec.name,
+                baseline_ways=spec.baseline_ways,
+                workload=spec.workload,
+                lifetime_s=spec.lifetime_s,
             )
         except ValueError as exc:
-            # Spec-level rejections (unknown workload type, bad knobs).
             raise HttpError(400, str(exc)) from None
         self._admissions.labels(outcome=outcome.reason).inc()
         status = 201 if outcome.admitted else 409

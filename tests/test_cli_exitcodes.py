@@ -247,6 +247,94 @@ class TestMalformedDocuments:
         assert "Traceback" not in err
 
 
+SCENARIO = {
+    "machine": {"socket": "xeon_e5", "seed": 7},
+    "manager": {"type": "dcat"},
+    "duration_s": 2,
+    "vms": [{"name": "a", "baseline_ways": 3,
+             "workload": {"type": "mlr", "wss_mb": 2}}],
+}
+CHURN = {
+    "fleet": {"machines": 2},
+    "duration_s": 2,
+    "tenants": [{"name": "t", "workload": {"type": "mlr", "wss_mb": 2}}],
+}
+SHARED_WITH_FAULTS = dict(
+    CHURN,
+    manager={"type": "shared"},
+    faults={"seed": 1, "rules": [{"kind": "sample_zeroed"}]},
+)
+
+
+def _edited(document, dotted, value):
+    """A deep copy of ``document`` with the field at ``dotted`` replaced."""
+    doc = json.loads(json.dumps(document))
+    *parents, last = [int(k) if k.isdigit() else k for k in dotted.split(".")]
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+CHAOS = json.loads((FIXTURES / "golden_chaos_scenario.json").read_text())
+
+
+class TestMalformedFields:
+    """One bad field per document: exit 2, its path on stderr, no traceback."""
+
+    @pytest.mark.parametrize(
+        "command, document, field, extra",
+        [
+            ("scenario", _edited(SCENARIO, "machine.seed", "x"), "machine.seed", []),
+            ("scenario", _edited(SCENARIO, "vms.0.baseline_ways", "three"),
+             "vms[0].baseline_ways", []),
+            ("scenario", _edited(SCENARIO, "duration_s", "long"), "duration_s", []),
+            ("scenario", _edited(SCENARIO, "vms", "nope"), "vms", []),
+            ("scenario", _edited(SCENARIO, "machine", []), "machine", []),
+            ("scenario", _edited(SCENARIO, "vms.0.workload.wss_mb", "8"),
+             "vms[0].workload.wss_mb", []),
+            ("scenario", _edited(SCENARIO, "manager.config", []),
+             "manager.config", []),
+            ("chaos", _edited(CHAOS, "patience", "soon"), "patience", []),
+            ("churn", _edited(CHURN, "tenants.0.workload.wss_mb", [1]),
+             "tenants[0].workload.wss_mb", []),
+            ("churn", SHARED_WITH_FAULTS, "faults", ["--fleet-jobs", "2"]),
+        ],
+        ids=[
+            "scenario-machine-seed",
+            "scenario-baseline-ways",
+            "scenario-duration",
+            "scenario-vms",
+            "scenario-machine-list",
+            "scenario-wss-string",
+            "scenario-manager-config-list",
+            "chaos-patience",
+            "churn-wss-list",
+            "churn-faults-shared-parallel",
+        ],
+    )
+    def test_exits_2_naming_the_field(
+        self, tmp_path, capfd, command, document, field, extra
+    ):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        assert main([command, str(path), *extra]) == 2
+        err = capfd.readouterr().err
+        assert f"{field}: " in err
+        assert "Traceback" not in err
+
+    def test_faults_need_dcat_same_text_serial_and_parallel(self, tmp_path, capfd):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(SHARED_WITH_FAULTS))
+        errs = []
+        for jobs in ("1", "2"):
+            assert main(["churn", str(path), "--fleet-jobs", jobs]) == 2
+            errs.append(capfd.readouterr().err)
+        assert errs[0] == errs[1]
+        assert "faults: fault injection requires a dcat manager" in errs[0]
+
+
 class TestBenchExitCodes:
     def test_quick_bench_writes_valid_payload(self, tmp_path, capsys):
         from repro.obs.bench import validate_bench_payload

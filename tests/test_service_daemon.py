@@ -131,6 +131,24 @@ class TestHttpLifecycle:
 
         run_with_daemon(body)
 
+    def test_malformed_workload_knobs_answer_400_naming_the_field(self):
+        async def body(daemon):
+            cases = [
+                ({"type": "mlr", "wss_mb": [1]}, "workload.wss_mb"),
+                ({"type": "redis", "records": None}, "workload.records"),
+                ({"type": "lookbusy", "utilization": "hi"}, "workload.utilization"),
+            ]
+            for workload, field in cases:
+                status, reply = await call(
+                    daemon, "POST", "/v1/tenants",
+                    {"name": "x", "workload": workload},
+                )
+                assert status == 400, (workload, status, reply)
+                assert reply["error"].startswith(f"{field}: "), reply
+            assert all(r.op == "tick" for r in daemon.handle.journal)
+
+        run_with_daemon(body)
+
     def test_background_clock_advances_fleet(self):
         async def body(daemon):
             await asyncio.sleep(0.15)
