@@ -61,7 +61,7 @@ _CASES = [
 
 @pytest.mark.parametrize("name,build,iterations", _CASES, ids=[c[0] for c in _CASES])
 def test_hotpath(benchmark, name, build, iterations):
-    fn = build(True)  # quick-mode fixtures: small warmups, same code path
+    fn = build()
     fn()  # warm before timing, matching repro.obs.bench._time
     # Own timing for the assertion so it also holds under
     # --benchmark-disable (where pytest-benchmark collects no stats).
@@ -79,8 +79,8 @@ def test_batch_beats_scalar(benchmark):
     Same workload, same cache geometry, interleaved timing batches so a
     load spike on the CI box penalizes both legs roughly equally.
     """
-    batch = _bench_setassoc(True)
-    scalar = _bench_setassoc_scalar(True)
+    batch = _bench_setassoc()
+    scalar = _bench_setassoc_scalar()
     batch()
     scalar()
     batch_s = scalar_s = 0.0

@@ -8,7 +8,8 @@ through a tenant lifecycle stream.  One fleet interval is:
 1. **depart** — tenants whose lease expired or whose workload finished are
    detached from their machine (COS, RMID and vCPUs return to the pools);
 2. **admit** — arrivals due this interval are placed by the configured
-   :class:`~repro.cloud.placement.PlacementPolicy`; admission control
+   :class:`~repro.cloud.placement.PlacementPolicy`, walking the fleet's
+   :class:`~repro.cloud.placement.CapacityIndex`; admission control
    rejects tenants no machine can host (reserved ways, vCPU slots, or COS
    classes exhausted);
 3. **step** — every active host runs :meth:`FleetMachine.step_interval`;
@@ -391,6 +392,9 @@ class CloudFleet:
             raise ValueError("all fleet machines must share one interval_s")
         self.machines = list(machines)
         self.policy = policy
+        # Kept current by admit_tenant/depart_tenant, the only paths that
+        # change a fleet machine's reservations.
+        self.capacity = policy.index(self.machines)
         self.bus = bus if bus is not None else get_default_bus()
         self.interval_s = machines[0].machine.interval_s
         self._pending = scripted_tenants(tenants)
@@ -586,12 +590,20 @@ class CloudFleet:
         tenant arrived.  Returns the :class:`PlacementRecord`; a rejected
         tenant gets ``machine=None`` and a structured
         :class:`~repro.cloud.admission.RejectReason` value as ``reason``.
+
+        Raises:
+            ValueError: If ``spec.name`` already has an SLO ledger (it is
+                resident, or was once admitted); nothing is touched.
         """
+        if spec.name in self.accountant.tenants:
+            # Ids are single-use (the ledger outlives residency): refuse
+            # before placement touches a machine, the index or the bus.
+            raise ValueError(f"tenant {spec.name!r} already has a ledger")
         if now is None:
             now = self._time_s
         bus = self.bus
         workload = spec.build_workload()
-        chosen = self.policy.place(spec, workload, self.machines)
+        chosen = self.policy.place(spec, workload, self.capacity)
         if chosen is None:
             reason = classify_rejection(self.machines, spec.baseline_ways).value
             record = PlacementRecord(
@@ -618,6 +630,7 @@ class CloudFleet:
                 )
             )
         self._admit_on(chosen, spec, workload, now)
+        self.capacity.update(chosen)
         self._hosts[spec.name] = chosen
         self._active_stale = True
         self.accountant.admitted(spec.name, chosen.name, now)
@@ -662,6 +675,7 @@ class CloudFleet:
                 f"tenant {tenant_id!r} is not resident in the fleet"
             )
         resident = self._depart_from(machine, tenant_id)
+        self.capacity.update(machine)
         self._active_stale = True
         if reason is None:
             reason = "finished" if tenant_id in self._finished else "lease-end"

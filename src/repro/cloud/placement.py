@@ -16,13 +16,19 @@ provided:
   most spare ways while packing insensitive ones tightly, keeping headroom
   for the tenants that can use it.
 
-Every policy is deterministic: ties break on fleet order.
+Every policy walks a :class:`CapacityIndex` — the machines bucketed by
+the policy's key, fleet order inside each bucket — and takes the first
+machine that fits, so a placement costs O(1) in the typical case instead
+of a scan over every host.  The walk picks exactly the machine a
+``min``/``max`` over the fitting machines in fleet order would: ties break
+on fleet order.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Optional, Sequence
+from bisect import bisect_left, insort
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, List, Optional, Sequence
 
 from repro.cache.analytical import AccessPattern
 from repro.cloud.lifecycle import TenantSpec
@@ -33,6 +39,7 @@ if TYPE_CHECKING:  # placement sees machines; fleet imports placement
     from repro.cloud.fleet import FleetMachine
 
 __all__ = [
+    "CapacityIndex",
     "PlacementPolicy",
     "FirstFitPolicy",
     "LeastLoadedPolicy",
@@ -75,10 +82,114 @@ def cache_sensitivity(
     )
 
 
+class CapacityIndex:
+    """The fleet's machines bucketed by one placement key.
+
+    Buckets hold fleet positions in ascending order, and the bucket keys
+    are kept sorted, so :meth:`first_fitting` visits machines in (key,
+    fleet position) order and stops at the first one that fits.  Only the
+    key needs to be current: thread and COS budgets are checked by
+    :meth:`FleetMachine.fits <repro.cloud.fleet.FleetMachine.fits>` on the
+    live machine during the walk.  The owner calls :meth:`update` after
+    every admit or depart on a machine (:class:`~repro.cloud.fleet.CloudFleet`
+    does it in ``admit_tenant`` and ``depart_tenant``).
+
+    Args:
+        machines: The machines, in fleet order.
+        key: The policy's bucket key of one machine (hashable, ordered).
+    """
+
+    def __init__(
+        self,
+        machines: Iterable["FleetMachine"],
+        key: Callable[["FleetMachine"], Hashable],
+    ) -> None:
+        self.machines: List["FleetMachine"] = list(machines)
+        self.key = key
+        self._position = {m: pos for pos, m in enumerate(self.machines)}
+        self._key_of = [key(m) for m in self.machines]
+        self._buckets: Dict[Hashable, List[int]] = {}
+        for pos, k in enumerate(self._key_of):
+            self._buckets.setdefault(k, []).append(pos)
+        self._keys = sorted(self._buckets)
+
+    def __iter__(self):
+        return iter(self.machines)
+
+    def buckets(self) -> Dict[Hashable, List[str]]:
+        """Machine names per key, keys ascending (for inspection and tests)."""
+        return {
+            k: [self.machines[pos].name for pos in self._buckets[k]]
+            for k in self._keys
+        }
+
+    def update(self, machine: "FleetMachine") -> None:
+        """Re-bucket ``machine`` after its reservations changed."""
+        pos = self._position[machine]
+        old, new = self._key_of[pos], self.key(machine)
+        if new == old:
+            return
+        bucket = self._buckets[old]
+        del bucket[bisect_left(bucket, pos)]
+        if not bucket:
+            del self._buckets[old]
+            del self._keys[bisect_left(self._keys, old)]
+        bucket = self._buckets.get(new)
+        if bucket is None:
+            self._buckets[new] = [pos]
+            insort(self._keys, new)
+        else:
+            insort(bucket, pos)
+        self._key_of[pos] = new
+
+    def first_fitting(
+        self,
+        baseline_ways: int,
+        descending: bool = False,
+        min_key: Optional[Hashable] = None,
+    ) -> Optional["FleetMachine"]:
+        """The first machine that fits ``baseline_ways`` in walk order.
+
+        Keys ascend (or descend); fleet positions always ascend inside a
+        bucket.  Buckets keyed below ``min_key`` are skipped — a caller
+        whose key bounds the fit (free ways) passes it to prune them.
+        """
+        keys = self._keys
+        if min_key is not None:
+            keys = keys[bisect_left(keys, min_key):]
+        machines = self.machines
+        for k in reversed(keys) if descending else keys:
+            for pos in self._buckets[k]:
+                machine = machines[pos]
+                if machine.fits(baseline_ways):
+                    return machine
+        return None
+
+
 class PlacementPolicy(abc.ABC):
-    """Chooses a machine for an arriving tenant (or ``None`` to reject)."""
+    """Chooses a machine for an arriving tenant (or ``None`` to reject).
+
+    ``place`` accepts the fleet's :class:`CapacityIndex` or any plain
+    sequence of machines in fleet order; a sequence (or an index on
+    another policy's key) is wrapped into a fresh index, so every caller
+    goes through the same walk.
+    """
 
     name: str = "policy"
+
+    @staticmethod
+    def bucket_key(machine: "FleetMachine") -> Hashable:
+        """The index key of one machine: one bucket, fleet order."""
+        return 0
+
+    def index(self, machines: Iterable["FleetMachine"]) -> CapacityIndex:
+        """A :class:`CapacityIndex` of ``machines`` on this policy's key."""
+        return CapacityIndex(machines, self.bucket_key)
+
+    def _indexed(self, machines) -> CapacityIndex:
+        if isinstance(machines, CapacityIndex) and machines.key == self.bucket_key:
+            return machines
+        return self.index(machines)
 
     @abc.abstractmethod
     def place(
@@ -89,12 +200,6 @@ class PlacementPolicy(abc.ABC):
     ) -> Optional["FleetMachine"]:
         """The machine that should host ``tenant``, or ``None``."""
 
-    @staticmethod
-    def _fitting(
-        tenant: TenantSpec, machines: Sequence["FleetMachine"]
-    ) -> Sequence["FleetMachine"]:
-        return [m for m in machines if m.fits(tenant.baseline_ways)]
-
 
 class FirstFitPolicy(PlacementPolicy):
     """First machine (in fleet order) with room for the reservation."""
@@ -102,8 +207,7 @@ class FirstFitPolicy(PlacementPolicy):
     name = "first_fit"
 
     def place(self, tenant, workload, machines):
-        fitting = self._fitting(tenant, machines)
-        return fitting[0] if fitting else None
+        return self._indexed(machines).first_fitting(tenant.baseline_ways)
 
 
 class LeastLoadedPolicy(PlacementPolicy):
@@ -111,13 +215,13 @@ class LeastLoadedPolicy(PlacementPolicy):
 
     name = "least_loaded"
 
+    @staticmethod
+    def bucket_key(machine):
+        # The exact float ratio, so heterogeneous hosts compare as such.
+        return machine.reserved_ways / machine.machine.num_ways
+
     def place(self, tenant, workload, machines):
-        fitting = self._fitting(tenant, machines)
-        if not fitting:
-            return None
-        return min(
-            fitting, key=lambda m: (m.reserved_ways / m.machine.num_ways,)
-        )
+        return self._indexed(machines).first_fitting(tenant.baseline_ways)
 
 
 class SensitivityAwarePolicy(PlacementPolicy):
@@ -135,20 +239,26 @@ class SensitivityAwarePolicy(PlacementPolicy):
             raise ValueError("threshold cannot be negative")
         self.threshold = threshold
 
+    @staticmethod
+    def bucket_key(machine):
+        return machine.free_ways
+
     def place(self, tenant, workload, machines):
-        fitting = self._fitting(tenant, machines)
-        if not fitting:
-            return None
+        index = self._indexed(machines)
+        ways = tenant.baseline_ways
         # Sensitivity depends on the host geometry (total ways, way size),
         # so judge it against the would-be placement — the machine with the
         # most spare reserved ways — not against whichever machine happens
-        # to be first in fleet order.
-        headroom = max(fitting, key=lambda m: (m.free_ways, -machines.index(m)))
-        if cache_sensitivity(workload, headroom, tenant.baseline_ways) >= self.threshold:
+        # to be first in fleet order.  Both walks start at ``min_key=ways``:
+        # a machine with fewer free ways cannot fit the reservation.
+        headroom = index.first_fitting(ways, descending=True, min_key=ways)
+        if headroom is None:
+            return None
+        if cache_sensitivity(workload, headroom, ways) >= self.threshold:
             # Most spare reserved ways first: room to grow beyond baseline.
             return headroom
         # Insensitive: fill the fullest machine that still fits.
-        return min(fitting, key=lambda m: (m.free_ways, machines.index(m)))
+        return index.first_fitting(ways, min_key=ways)
 
 
 _POLICIES = {

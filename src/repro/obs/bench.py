@@ -4,14 +4,17 @@ Seeds the repo's perf trajectory: each run times the paths every interval
 exercises — the exact cache model's access loop, counter aggregation, a full
 warm controller step, a simulation step under the null vs a recording bus,
 raw event emission, mask packing/validation, and one fleet interval with
-10 of 1000 hosts busy and with all 48 hosts busy — and writes the results to
+10 of 1000 hosts busy and with all 48 hosts busy, and one tenant admit and
+depart on a 1000-host fleet — and writes the results to
 ``BENCH_controller.json`` at the repo root (schema ``dcat-bench/v1``).
 
 Timing discipline: every benchmark runs ``repeats`` batches of
 ``iterations`` calls, reporting best/median/mean per-call seconds; *best*
 is the headline number (least noise on shared machines).  GC is disabled
-inside timed batches.  ``--quick`` shrinks batch sizes for CI smoke runs;
-the schema and benchmark set are identical in both modes.
+inside timed batches.  ``--quick`` shrinks only the batch counts for CI
+smoke runs: the schema, the benchmark set and every fixture are identical
+in both modes, so a quick row's per-call time is comparable with the
+committed full-mode row.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ def _time(fn: Callable[[], None], iterations: int, repeats: int) -> Dict[str, An
 # -- the benchmarks ----------------------------------------------------------
 
 
-def _setassoc_fixture(quick: bool):
+def _setassoc_fixture():
     import numpy as np
 
     from repro.cache.setassoc import SetAssociativeCache
@@ -71,15 +74,14 @@ def _setassoc_fixture(quick: bool):
     geometry = CacheGeometry(line_size=64, num_sets=256, num_ways=16)
     cache = SetAssociativeCache(geometry)
     rng = np.random.default_rng(1234)
-    n = 512 if quick else 2048
     # Touch 2x the cache's sets so the batch mixes hits, fills and evictions.
-    paddrs = rng.integers(0, 2 * geometry.capacity_bytes, size=n, dtype=np.int64)
+    paddrs = rng.integers(0, 2 * geometry.capacity_bytes, size=2048, dtype=np.int64)
     mask = (1 << 8) - 1  # an 8-way COS, the common partitioned case
     return cache, paddrs, mask
 
 
-def _bench_setassoc(quick: bool) -> Callable[[], None]:
-    cache, paddrs, mask = _setassoc_fixture(quick)
+def _bench_setassoc() -> Callable[[], None]:
+    cache, paddrs, mask = _setassoc_fixture()
 
     def run() -> None:
         cache.access_many(paddrs, mask=mask, cos=1)
@@ -87,9 +89,9 @@ def _bench_setassoc(quick: bool) -> Callable[[], None]:
     return run
 
 
-def _bench_setassoc_scalar(quick: bool) -> Callable[[], None]:
+def _bench_setassoc_scalar() -> Callable[[], None]:
     """Scalar reference leg of the scalar-vs-batch pair (same workload)."""
-    cache, paddrs, mask = _setassoc_fixture(quick)
+    cache, paddrs, mask = _setassoc_fixture()
 
     def run() -> None:
         cache.access_many_ref(paddrs, mask=mask, cos=1)
@@ -97,7 +99,7 @@ def _bench_setassoc_scalar(quick: bool) -> Callable[[], None]:
     return run
 
 
-def _bench_aggregate(quick: bool) -> Callable[[], None]:
+def _bench_aggregate() -> Callable[[], None]:
     from repro.hwcounters.perfmon import CounterSample
 
     # One sample per vCPU of the paper's largest per-workload core set.
@@ -138,8 +140,8 @@ def _warm_stage(seed: int, warmup_s: float):
     return sim, manager
 
 
-def _bench_controller_step(quick: bool) -> Callable[[], None]:
-    sim, manager = _warm_stage(seed=1, warmup_s=2.0 if quick else 5.0)
+def _bench_controller_step() -> Callable[[], None]:
+    sim, manager = _warm_stage(seed=1, warmup_s=5.0)
     controller = manager.controller
 
     def run() -> None:
@@ -149,12 +151,12 @@ def _bench_controller_step(quick: bool) -> Callable[[], None]:
     return run
 
 
-def _bench_sim_step_null_bus(quick: bool) -> Callable[[], None]:
-    sim, _ = _warm_stage(seed=5, warmup_s=2.0 if quick else 5.0)
+def _bench_sim_step_null_bus() -> Callable[[], None]:
+    sim, _ = _warm_stage(seed=5, warmup_s=5.0)
     return sim.step
 
 
-def _bench_sim_step_ring_bus(quick: bool) -> Callable[[], None]:
+def _bench_sim_step_ring_bus() -> Callable[[], None]:
     from repro.engine.events import EventBus, RingBufferRecorder
     from repro.harness.scenarios import build_stage, paper_machine
     from repro.mem.address import MB
@@ -172,7 +174,7 @@ def _bench_sim_step_ring_bus(quick: bool) -> Callable[[], None]:
         n_lookbusy=5,
     )
     sim = CloudSimulation(machine, vms, DCatManager(), bus=bus)
-    sim.run(2.0 if quick else 5.0)
+    sim.run(5.0)
     return sim.step
 
 
@@ -181,7 +183,10 @@ def _warm_fidelity_stage(fidelity: str, seed: int, warmup_s: float):
 
     The exact/mixed legs use a modest trace budget (20k accesses/interval)
     so the full-mode bench stays tractable while still timing the real
-    generate → interleave → measure pipeline.
+    generate → interleave → measure pipeline.  Their tag arrays take about
+    30 intervals to fill (an interval costs ~6x more at 5 s than at
+    steady state), so they warm for 40 s: quick and full mode then time
+    the same steady interval.
     """
     from repro.harness.scenarios import build_stage, paper_machine
     from repro.mem.address import MB
@@ -209,19 +214,19 @@ def _warm_fidelity_stage(fidelity: str, seed: int, warmup_s: float):
     return sim
 
 
-def _bench_sim_step_analytical(quick: bool) -> Callable[[], None]:
-    return _warm_fidelity_stage("analytical", seed=7, warmup_s=2.0 if quick else 5.0).step
+def _bench_sim_step_analytical() -> Callable[[], None]:
+    return _warm_fidelity_stage("analytical", seed=7, warmup_s=5.0).step
 
 
-def _bench_sim_step_exact(quick: bool) -> Callable[[], None]:
-    return _warm_fidelity_stage("exact", seed=7, warmup_s=2.0 if quick else 5.0).step
+def _bench_sim_step_exact() -> Callable[[], None]:
+    return _warm_fidelity_stage("exact", seed=7, warmup_s=40.0).step
 
 
-def _bench_sim_step_mixed(quick: bool) -> Callable[[], None]:
-    return _warm_fidelity_stage("mixed", seed=7, warmup_s=2.0 if quick else 5.0).step
+def _bench_sim_step_mixed() -> Callable[[], None]:
+    return _warm_fidelity_stage("mixed", seed=7, warmup_s=40.0).step
 
 
-def _bench_event_emit(quick: bool) -> Callable[[], None]:
+def _bench_event_emit() -> Callable[[], None]:
     from repro.engine.events import EventBus, SampleCollected
 
     bus = EventBus()
@@ -247,7 +252,7 @@ def _bench_event_emit(quick: bool) -> Callable[[], None]:
     return run
 
 
-def _bench_fleet_step_1k(quick: bool) -> Callable[[], None]:
+def _bench_fleet_step_1k() -> Callable[[], None]:
     """One fleet interval at IaaS scale: 1000 hosts, 10 of them busy.
 
     Times the discrete-event fleet clock's per-tick cost — active-host
@@ -285,7 +290,7 @@ def _bench_fleet_step_1k(quick: bool) -> Callable[[], None]:
     return fleet.step
 
 
-def _bench_fleet_step_dense(quick: bool) -> Callable[[], None]:
+def _bench_fleet_step_dense() -> Callable[[], None]:
     """One fleet interval with every host busy: 48 full xeon_d hosts.
 
     The busy counterpart of ``fleet_step_1k``: ``first_fit`` packs five
@@ -328,7 +333,55 @@ def _bench_fleet_step_dense(quick: bool) -> Callable[[], None]:
     return fleet.step
 
 
-def _bench_mask_pack(quick: bool) -> Callable[[], None]:
+def _bench_fleet_admit_1k() -> Callable[[], None]:
+    """One tenant admit and depart on a 1000-host fleet with 100 residents.
+
+    Times the lifecycle path an arrival takes — placement (``least_loaded``
+    over the fleet's capacity index), attach with dCat registration, SLO
+    ledger, then detach — which must not grow with the fleet size.  Tenant
+    ids are single-use, so every call admits a fresh name.
+    """
+    from itertools import count
+
+    from repro.cloud.lifecycle import TenantSpec
+    from repro.cloud.scenario import load_churn_scenario
+
+    fleet, _ = load_churn_scenario(
+        {
+            "fleet": {
+                "machines": 1000,
+                "socket": "xeon_d",
+                "seed": 42,
+                "interval_s": 1.0,
+            },
+            "manager": {"type": "dcat"},
+            "placement": "least_loaded",
+            "duration_s": 10,
+            "tenants": [
+                {
+                    "name": f"resident-{i:03d}",
+                    "arrival_s": 0,
+                    "baseline_ways": 3,
+                    "workload": {"type": "lookbusy"},
+                }
+                for i in range(100)
+            ],
+        }
+    )
+    fleet.step()  # admit the residents
+    serial = count()
+
+    def run() -> None:
+        name = f"arrival-{next(serial)}"
+        fleet.admit_tenant(
+            TenantSpec(name, fleet.now, 3, {"type": "mlr", "wss_mb": 8})
+        )
+        fleet.depart_tenant(name)
+
+    return run
+
+
+def _bench_mask_pack() -> Callable[[], None]:
     from repro.cat.cos import contiguous_mask, validate_cbm
 
     # The commit stage packs one contiguous mask per live workload; 6 VMs on
@@ -384,6 +437,10 @@ _BENCHMARKS: List[Dict[str, Any]] = [
      "iterations": (2, 10), "repeats": (3, 5),
      "note": "one fleet interval over 48 fully loaded xeon_d hosts "
              "(first_fit, 5 tenants each)"},
+    {"name": "fleet_admit_1k", "build": _bench_fleet_admit_1k,
+     "iterations": (20, 200), "repeats": (3, 5),
+     "note": "one tenant admit + depart on 1000 xeon_d hosts with 100 "
+             "residents (least_loaded)"},
 ]
 
 
@@ -392,7 +449,7 @@ def run_bench(quick: bool = False) -> Dict[str, Any]:
     idx = 0 if quick else 1
     results: List[Dict[str, Any]] = []
     for spec in _BENCHMARKS:
-        fn = spec["build"](quick)
+        fn = spec["build"]()
         timing = _time(fn, spec["iterations"][idx], spec["repeats"][idx])
         results.append({"name": spec["name"], "note": spec["note"], **timing})
     return {"format": BENCH_FORMAT, "quick": quick, "benchmarks": results}

@@ -12,6 +12,7 @@ These pin the two bug classes this layer existed to eliminate:
   trace, byte for byte, whatever ``fleet_jobs`` is.
 """
 
+import hashlib
 import json
 import os
 import pickle
@@ -216,10 +217,13 @@ class TestParallelByteIdentity:
 
     @pytest.mark.parametrize("placement", PLACEMENTS)
     def test_churn_results_identical(self, placement):
-        a, b = self.run_pair(dict(scenario(), placement=placement))
-        assert a.canonical_bytes() == b.canonical_bytes()
-        assert a.placements == b.placements
-        assert a.summary == b.summary
+        data = dict(scenario(), placement=placement)
+        serial = run_churn_scenario(dict(data), fleet_jobs=1)
+        for jobs in (2, 3):
+            parallel = run_churn_scenario(dict(data), fleet_jobs=jobs)
+            assert serial.canonical_bytes() == parallel.canonical_bytes()
+            assert serial.placements == parallel.placements
+            assert serial.summary == parallel.summary
 
     def test_churn_results_identical_with_faults(self):
         a, b = self.run_pair(scenario(faults=True), jobs=3)
@@ -263,6 +267,65 @@ class TestParallelByteIdentity:
         del data["slo"]
         a, b = self.run_pair(data)
         assert a.canonical_bytes() == b.canonical_bytes()
+
+
+def perfbench_churn(placement):
+    """The benchmark's smoke-size ``fleet_churn`` scenario at seed 1."""
+    mix = [
+        (2, 3, {"type": "mlr", "wss_mb": 8}),
+        (1, 2, {"type": "mload", "wss_mb": 60}),
+        (1, 2, {"type": "lookbusy"}),
+        (1, 3, {"type": "redis"}),
+    ]
+    return {
+        "fleet": {"machines": 40, "socket": "xeon_d", "seed": 1},
+        "manager": {"type": "dcat"},
+        "placement": placement,
+        "slo": {"tolerance": 0.05},
+        "duration_s": 8.0,
+        "poisson": {
+            "rate_per_s": 10.0,
+            "seed": 1,
+            "mix": [
+                {"weight": w, "baseline_ways": ways, "workload": workload,
+                 "mean_lifetime_s": 2.0}
+                for w, ways, workload in mix
+            ],
+        },
+    }
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+
+class TestPinnedOutputs:
+    """``canonical_bytes()`` sha256 prefixes recorded from the serial fleet
+    before placement walked a capacity index.  Serial == parallel cannot
+    catch a tie-break change both sides share; these can."""
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("churn", "83084aac4ae0"),
+            ("churn_mixed", "0c3014e0ab70"),
+            ("policy_churn", "e9e7169bb477"),
+        ],
+    )
+    def test_example_churn_files(self, name, digest):
+        result = run_churn_scenario(str(EXAMPLES / f"{name}.json"), fleet_jobs=1)
+        assert hashlib.sha256(result.canonical_bytes()).hexdigest()[:12] == digest
+
+    @pytest.mark.parametrize(
+        "placement, digest",
+        [
+            ("first_fit", "87e6f2b4fb97"),
+            ("least_loaded", "631b14986df0"),
+            ("sensitivity", "fffa8120781e"),
+        ],
+    )
+    def test_benchmark_churn_scenario(self, placement, digest):
+        result = run_churn_scenario(perfbench_churn(placement), fleet_jobs=1)
+        assert hashlib.sha256(result.canonical_bytes()).hexdigest()[:12] == digest
 
 
 class TestFinishedDeparture:
