@@ -12,7 +12,7 @@ the way an IA32_L3_MASK_n write takes effect on real silicon.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.cat.cos import MAX_COS, validate_cbm
 
@@ -62,13 +62,28 @@ class CacheAllocationTechnology:
 
     def set_cos_mask(self, cos_id: int, mask: int) -> None:
         """Program a COS capacity bitmask (validated against hardware rules)."""
-        self._check_cos(cos_id)
-        validate_cbm(mask, self.num_ways, self.min_cbm_bits)
-        if self._cos_masks[cos_id] == mask:
-            return
-        self._cos_masks[cos_id] = mask
-        for listener in self._mask_listeners:
-            listener(cos_id, mask)
+        self.set_cos_masks(((cos_id, mask),))
+
+    def set_cos_masks(self, entries: Iterable[Tuple[int, int]]) -> None:
+        """Program several ``(cos_id, mask)`` pairs as one batch.
+
+        Every entry is validated before any is written, so a bad entry
+        never leaves the table partially programmed.
+
+        Raises:
+            ValueError: If any COS id or bitmask is invalid; nothing has
+                been written when this raises.
+        """
+        batch = list(entries)
+        for cos_id, mask in batch:
+            self._check_cos(cos_id)
+            validate_cbm(mask, self.num_ways, self.min_cbm_bits)
+        for cos_id, mask in batch:
+            if self._cos_masks[cos_id] == mask:
+                continue
+            self._cos_masks[cos_id] = mask
+            for listener in self._mask_listeners:
+                listener(cos_id, mask)
 
     def associate_core(self, core: int, cos_id: int) -> None:
         """Point a core's IA32_PQR_ASSOC at a COS."""
@@ -89,6 +104,10 @@ class CacheAllocationTechnology:
     def cos_mask(self, cos_id: int) -> int:
         self._check_cos(cos_id)
         return self._cos_masks[cos_id]
+
+    def cos_masks(self) -> Tuple[int, ...]:
+        """Every COS's capacity bitmask, indexed by COS id."""
+        return tuple(self._cos_masks)
 
     def core_cos(self, core: int) -> int:
         self._check_core(core)

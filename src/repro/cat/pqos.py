@@ -9,10 +9,10 @@ reads like the C program it reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 from repro.cat.cat import CacheAllocationTechnology
-from repro.cat.cos import mask_way_count, validate_cbm
+from repro.cat.cos import mask_way_count
 
 __all__ = ["PqosError", "PqosCapability", "PqosL3Ca", "PqosLibrary"]
 
@@ -81,24 +81,15 @@ class PqosLibrary:
         The whole batch is validated before anything is written, so a bad
         entry can never leave the COS table partially programmed — either
         every entry lands or none does (the real library likewise validates
-        the full request before touching IA32_L3_MASK_n).
+        the full request before touching IA32_L3_MASK_n); the device's
+        :meth:`~repro.cat.cat.CacheAllocationTechnology.set_cos_masks`
+        does both.
 
         Raises:
             ValueError: If any entry's COS id or bitmask is invalid; no
                 mask has been written when this raises.
         """
-        batch = list(entries)
-        num_cos = self._cat.num_cos
-        for entry in batch:
-            if not 0 <= entry.cos_id < num_cos:
-                raise ValueError(
-                    f"cos_id {entry.cos_id} out of range [0, {num_cos})"
-                )
-            validate_cbm(
-                entry.ways_mask, self._cat.num_ways, self._cat.min_cbm_bits
-            )
-        for entry in batch:
-            self._cat.set_cos_mask(entry.cos_id, entry.ways_mask)
+        self._cat.set_cos_masks([(e.cos_id, e.ways_mask) for e in entries])
 
     def l3ca_get(self) -> List[PqosL3Ca]:
         """Read back the full COS table (mirrors pqos_l3ca_get)."""
@@ -106,6 +97,11 @@ class PqosLibrary:
             PqosL3Ca(cos_id=i, ways_mask=self._cat.cos_mask(i))
             for i in range(self._cat.num_cos)
         ]
+
+    def l3ca_masks(self) -> Tuple[int, ...]:
+        """The COS table as plain ints, indexed by COS id: ``l3ca_get``
+        without an entry object per COS (the verify-after-write read)."""
+        return self._cat.cos_masks()
 
     # -- association ---------------------------------------------------------------
 

@@ -24,12 +24,14 @@ A worker that dies mid-conversation surfaces as
 Determinism contract (the serial fleet is the spec):
 
 * one host interval: the worker's ``step`` runs the same
-  :meth:`~repro.cloud.fleet.FleetMachine.step_interval` the serial fleet
-  runs, and the parent's ``step`` *is* :meth:`CloudFleet.step
-  <repro.cloud.fleet.CloudFleet.step>` — only the ``_step_hosts`` hook
-  differs, returning the workers' reports instead of stepping locally;
-* one ``step`` barrier per fleet interval; per-machine interval events
-  are re-emitted in fleet order, then the base class folds the
+  :func:`~repro.cloud.fleet.step_machines` batch over its busy hosts that
+  the serial fleet runs over all of them, and the parent's ``step`` *is*
+  :meth:`CloudFleet.step <repro.cloud.fleet.CloudFleet.step>` — only the
+  ``_step_hosts`` hook differs, returning the workers' reports instead
+  of stepping locally;
+* one ``step`` barrier per fleet interval; a batch emits its hosts'
+  interval events host by host, so each shard's events arrive in fleet
+  order and are re-emitted shard by shard, then the base class folds the
   observations into the :class:`~repro.cloud.slo.SloAccountant` in fleet
   order, so ``SloViolated`` lands after all interval events, as in serial;
 * one "finished" rule: the tenants whose workload finished in the last
@@ -58,7 +60,13 @@ import traceback
 from dataclasses import replace
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.cloud.fleet import CloudFleet, FleetMachine, ResidentTenant, checker_totals
+from repro.cloud.fleet import (
+    CloudFleet,
+    FleetMachine,
+    ResidentTenant,
+    checker_totals,
+    step_machines,
+)
 from repro.cloud.lifecycle import TenantSpec
 from repro.cloud.placement import build_policy
 from repro.engine.context import RunContext
@@ -183,12 +191,10 @@ def _worker_main(
                 conn.send(take_events())
             elif cmd == "step":
                 _, tick = msg
-                out = []
-                for machine in machines:
-                    if machine.should_step:
-                        report = machine.step_interval(tick)
-                        out.append((take_events(), report))
-                conn.send(out)
+                reports = step_machines(
+                    [m for m in machines if m.should_step], tick
+                )
+                conn.send((take_events(), reports))
             elif cmd == "result":
                 _, tick = msg
                 payload = {}
@@ -374,14 +380,13 @@ class ParallelCloudFleet(CloudFleet):
     step = CloudFleet.step
 
     def _step_hosts(self) -> List[Tuple[List, List[str]]]:
-        """The workers' ``step_interval`` reports, their interval events
-        re-emitted in fleet order (replies arrive shard by shard, and the
-        shards are contiguous in fleet order)."""
+        """The workers' :func:`~repro.cloud.fleet.step_machines` reports,
+        their interval events re-emitted in fleet order (replies arrive
+        shard by shard, and the shards are contiguous in fleet order)."""
         reports = []
-        for reply in self._broadcast(("step", self._tick)):
-            for events, report in reply:
-                self._emit_events(events)
-                reports.append(report)
+        for events, shard_reports in self._broadcast(("step", self._tick)):
+            self._emit_events(events)
+            reports.extend(shard_reports)
         return reports
 
     def _fleet_quiescent(self) -> bool:

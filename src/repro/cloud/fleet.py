@@ -12,7 +12,8 @@ through a tenant lifecycle stream.  One fleet interval is:
    :class:`~repro.cloud.placement.CapacityIndex`; admission control
    rejects tenants no machine can host (reserved ways, vCPU slots, or COS
    classes exhausted);
-3. **step** — every active host runs :meth:`FleetMachine.step_interval`;
+3. **step** — :func:`step_machines` steps every active host, stage-major
+   (one core kernel over every busy core of the fleet);
 4. **account** — each resident tenant's measured IPC is compared against
    its entitlement (deterministic IPC at its reserved ways) by the
    :class:`~repro.cloud.slo.SloAccountant`.
@@ -32,6 +33,7 @@ from repro.cloud.admission import classify_rejection
 from repro.cloud.lifecycle import TenantSpec, scripted_tenants
 from repro.cloud.placement import PlacementPolicy
 from repro.cloud.slo import SloAccountant, TenantSloStats
+from repro.cpu.coremodel import core_cpis
 from repro.engine.events import (
     EventBus,
     TenantAdmitted,
@@ -43,7 +45,7 @@ from repro.engine.events import (
 from repro.errors import UnknownTenantError
 from repro.platform.machine import Machine
 from repro.platform.managers import CacheManager
-from repro.platform.sim import CloudSimulation, SimulationResult
+from repro.platform.sim import CloudSimulation, SimulationResult, step_batch
 from repro.platform.vm import VirtualMachine
 
 __all__ = [
@@ -54,6 +56,8 @@ __all__ = [
     "CloudFleet",
     "checker_totals",
     "entitled_ipc",
+    "entitled_ipcs",
+    "step_machines",
 ]
 
 
@@ -70,21 +74,85 @@ def entitled_ipc(
     tenant slowed only by fleet-wide memory-bandwidth load is not having
     its cache contract violated.  ``None`` once the workload has finished.
     """
-    phase = vm.workload.current_phase()
-    if phase is None:
-        return None
-    hit = 0.0
-    if (
-        phase.pattern is not AccessPattern.NONE
-        and phase.wss_bytes > 0
-        and phase.behavior.l1_miss_ratio > 0
-    ):
-        ways = min(vm.baseline_ways, machine.num_ways)
-        hit = machine.analytic.hit_rate_fp(phase.footprint, ways)
-    cpi = machine.core_models[vm.vcpus[0]].cpi(
-        phase.behavior, hit, dram_latency=dram_latency_cycles
+    return entitled_ipcs([(machine, vm, dram_latency_cycles)])[0]
+
+
+def entitled_ipcs(
+    tenants: Sequence[Tuple[Machine, VirtualMachine, Optional[float]]],
+) -> List[Optional[float]]:
+    """:func:`entitled_ipc` of many ``(machine, vm, dram latency)`` triples,
+    through one :func:`~repro.cpu.coremodel.core_cpis` pass."""
+    out: List[Optional[float]] = [None] * len(tenants)
+    index: List[int] = []
+    models, behaviors, hits, drams = [], [], [], []
+    for i, (machine, vm, dram_latency) in enumerate(tenants):
+        phase = vm.workload.current_phase()
+        if phase is None:
+            continue
+        hit = 0.0
+        if (
+            phase.pattern is not AccessPattern.NONE
+            and phase.wss_bytes > 0
+            and phase.behavior.l1_miss_ratio > 0
+        ):
+            ways = min(vm.baseline_ways, machine.num_ways)
+            hit = machine.analytic.hit_rate_fp(phase.footprint, ways)
+        model = machine.core_models[vm.vcpus[0]]
+        index.append(i)
+        models.append(model)
+        behaviors.append(phase.behavior)
+        hits.append(hit)
+        drams.append(
+            model.dram.idle_latency_cycles if dram_latency is None else dram_latency
+        )
+    if index:
+        ipcs = (1.0 / core_cpis(models, behaviors, hits, drams)).tolist()
+        for i, ipc in zip(index, ipcs):
+            out[i] = ipc
+    return out
+
+
+def step_machines(
+    machines: Sequence["FleetMachine"], fleet_tick: int
+) -> List[Tuple[List[tuple], List[str]]]:
+    """One interval of the given hosts: ``(observations, finished)`` each.
+
+    The one host step of the serial fleet and of every executor worker,
+    so serial == parallel by construction.  The hosts catch up to
+    ``fleet_tick``; entitlements come from the phase about to execute,
+    under each host's pre-step DRAM latency, in one pass over every
+    resident; then :func:`~repro.platform.sim.step_batch` steps all the
+    hosts stage-major.  Observations are one ``(tenant, ipc,
+    entitled_ipc, active)`` per resident with a timeline record, and
+    ``finished`` lists the residents whose workload finished.
+    """
+    for machine in machines:
+        machine.catch_up(fleet_tick)
+    residents = [list(m.residents.items()) for m in machines]
+    entitled = iter(
+        entitled_ipcs(
+            [
+                (m.machine, res.vm, m.sim.dram_latency_cycles)
+                for m, hosted in zip(machines, residents)
+                for _, res in hosted
+            ]
+        )
     )
-    return 1.0 / cpi
+    step_batch([m.sim for m in machines])
+    reports = []
+    for machine, hosted in zip(machines, residents):
+        records = machine.sim.result.records
+        observations = []
+        for tid, _ in hosted:
+            entitlement = next(entitled)
+            timeline = records[tid]
+            if timeline:
+                rec = timeline[-1]
+                active = rec.phase_name is not None and "idle" not in rec.phase_name
+                observations.append((tid, rec.ipc, entitlement, active))
+        finished = [tid for tid, res in hosted if res.vm.workload.finished]
+        reports.append((observations, finished))
+    return reports
 
 
 def checker_totals(machines: Sequence["FleetMachine"]) -> Tuple[int, int]:
@@ -246,34 +314,6 @@ class FleetMachine:
         behind = fleet_tick - self.sim.tick
         if behind > 0:
             self.sim.skip_idle(behind)
-
-    def step_interval(self, fleet_tick: int) -> Tuple[List[tuple], List[str]]:
-        """One host interval, shared by the serial fleet and the executor
-        workers: ``(observations, finished)``.
-
-        Entitlements come from the phase about to execute, under the
-        pre-step DRAM latency; observations are one ``(tenant, ipc,
-        entitled_ipc, active)`` per resident with a timeline record, and
-        ``finished`` lists the residents whose workload finished.
-        """
-        self.catch_up(fleet_tick)
-        dram = self.sim.dram_latency_cycles
-        residents = list(self.residents.items())
-        entitled = [
-            entitled_ipc(self.machine, res.vm, dram_latency_cycles=dram)
-            for _, res in residents
-        ]
-        self.sim.step()
-        records = self.sim.result.records
-        observations = []
-        for (tid, _), entitlement in zip(residents, entitled):
-            timeline = records[tid]
-            if timeline:
-                rec = timeline[-1]
-                active = rec.phase_name is not None and "idle" not in rec.phase_name
-                observations.append((tid, rec.ipc, entitlement, active))
-        finished = [tid for tid, res in residents if res.vm.workload.finished]
-        return observations, finished
 
     # -- controller queries ------------------------------------------------
 
@@ -497,9 +537,9 @@ class CloudFleet:
         self._tick += 1
 
     def _step_hosts(self) -> List[Tuple[List, List[str]]]:
-        """Every active host's :meth:`FleetMachine.step_interval` report,
-        in fleet order (the parallel executor steps its workers instead)."""
-        return [m.step_interval(self._tick) for m in self._active_machines()]
+        """Every active host's :func:`step_machines` report, in fleet
+        order (the parallel executor steps its workers instead)."""
+        return step_machines(self._active_machines(), self._tick)
 
     def _fleet_quiescent(self) -> bool:
         """No host needs stepping; only a due arrival can wake the fleet."""

@@ -698,9 +698,9 @@ class DCatController:
         """Program COS masks with bounded retries and verify-after-write.
 
         After the (atomic) batch write succeeds, the COS table is read back
-        via ``l3ca_get`` and any entry that did not land is reprogrammed —
-        the paper's daemon must never run an interval on masks it merely
-        believes it wrote.
+        once per round (``l3ca_masks``, plain ints) and every wanted entry
+        that did not land is reprogrammed — the paper's daemon must never
+        run an interval on masks it merely believes it wrote.
 
         Raises:
             PqosError: If the write keeps failing beyond ``l3ca_max_retries``
@@ -723,13 +723,13 @@ class DCatController:
             )
         if not cfg.verify_mask_writes:
             return
-        wanted = {e.cos_id: e.ways_mask for e in entries}
+        wanted = sorted({e.cos_id: e.ways_mask for e in entries}.items())
         for round_ in range(cfg.l3ca_max_retries + 1):
-            table = {e.cos_id: e.ways_mask for e in self.pqos.l3ca_get()}
+            table = self.pqos.l3ca_masks()
             stray = [
                 PqosL3Ca(cos_id=cos, ways_mask=mask)
-                for cos, mask in sorted(wanted.items())
-                if table.get(cos) != mask
+                for cos, mask in wanted
+                if table[cos] != mask
             ]
             if not stray:
                 return
@@ -746,8 +746,8 @@ class DCatController:
                         attempts=round_ + 1,
                     )
                 )
-        table = {e.cos_id: e.ways_mask for e in self.pqos.l3ca_get()}
-        if any(table.get(cos) != mask for cos, mask in wanted.items()):
+        table = self.pqos.l3ca_masks()
+        if any(table[cos] != mask for cos, mask in wanted):
             raise PqosError("COS mask readback never matched the plan")
 
     def _assoc_set(

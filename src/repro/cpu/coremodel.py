@@ -17,12 +17,20 @@ where the average stall per LLC access blends the LLC hit latency and the
 (load-dependent) DRAM latency, divided by the workload's memory-level
 parallelism.  A dependent pointer chase (MLR) has MLP ~1 and is fully
 latency-bound; a hardware-prefetched stream (MLOAD) overlaps many misses.
+
+:func:`execute_cores` is the one implementation of an interval's counter
+arithmetic: a numpy kernel over any number of cores (every busy core of
+every host a fleet interval steps).
+:meth:`CoreTimingModel.execute_interval` is its one-core call.  The
+kernel keeps the scalar evaluation order of every float operation, and
+each core's noise comes from its own pre-drawn block, so a core's counters
+do not depend on which batch it ran in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +43,31 @@ from repro.hwcounters.events import (
 )
 from repro.mem.dram import DramModel
 
-__all__ = ["MemoryBehavior", "CoreActivity", "CoreTimingModel"]
+__all__ = [
+    "MemoryBehavior",
+    "CoreActivity",
+    "CoreCounters",
+    "CoreTimingModel",
+    "core_cpis",
+    "execute_cores",
+    "NOISE_BLOCK",
+]
+
+#: Noise factors a core pre-draws at a time.  ``normal(0, s, size=n)``
+#: yields the same values as ``n`` scalar draws, and ``np.exp`` of the
+#: block equals the scalar ``np.exp`` of each, so the block size never
+#: changes a counter (``tests/test_coremodel.py`` pins both).
+NOISE_BLOCK = 32
+
+
+def _blended_latency(llc_hit_rate, llc_latency, dram_latency):
+    """Average latency of one LLC access (floats or numpy arrays alike)."""
+    return llc_hit_rate * llc_latency + (1.0 - llc_hit_rate) * dram_latency
+
+
+def _cpi(base_cpi, refs_per_instr, l1_miss_ratio, mlp, blended_latency):
+    """``base + refs * l1_miss * stall`` (floats or numpy arrays alike)."""
+    return base_cpi + refs_per_instr * l1_miss_ratio * (blended_latency / mlp)
 
 
 @dataclass(frozen=True)
@@ -87,6 +119,120 @@ class CoreActivity:
         return self.instructions / self.cycles if self.cycles else 0.0
 
 
+class CoreCounters(NamedTuple):
+    """Counter increments from one :func:`execute_cores` call, in core order.
+
+    Plain Python lists (the kernel's ``.tolist()``): the PMU feed and the
+    per-VM sums read them without touching numpy scalars.  L1 misses equal
+    LLC references, so they are not stored twice.
+    """
+
+    instructions: List[int]
+    cycles: List[int]
+    l1_hits: List[int]
+    llc_refs: List[int]
+    llc_misses: List[int]
+    avg_latency: List[float]
+
+
+def _cpi_terms(
+    models: Sequence["CoreTimingModel"],
+    behaviors: Sequence[MemoryBehavior],
+    hit_rates: Sequence[float],
+    dram_latencies: Sequence[float],
+) -> Tuple[np.ndarray, ...]:
+    """``(hit, refs, l1_miss, blended, cpi)`` arrays, one entry per core.
+
+    Raises:
+        ValueError: If any hit rate is outside ``[0, 1]`` (NaN included).
+    """
+    hit = np.array(hit_rates, dtype=float)
+    if not ((hit >= 0.0) & (hit <= 1.0)).all():
+        raise ValueError("llc_hit_rate must be within [0, 1]")
+    refs = np.array([b.refs_per_instr for b in behaviors], dtype=float)
+    l1_miss = np.array([b.l1_miss_ratio for b in behaviors], dtype=float)
+    blended = _blended_latency(
+        hit,
+        np.array([m.llc_latency for m in models], dtype=float),
+        np.array(dram_latencies, dtype=float),
+    )
+    cpi = _cpi(
+        np.array([b.base_cpi for b in behaviors], dtype=float),
+        refs,
+        l1_miss,
+        np.array([b.mlp for b in behaviors], dtype=float),
+        blended,
+    )
+    return hit, refs, l1_miss, blended, cpi
+
+
+def core_cpis(
+    models: Sequence["CoreTimingModel"],
+    behaviors: Sequence[MemoryBehavior],
+    hit_rates: Sequence[float],
+    dram_latencies: Sequence[float],
+) -> np.ndarray:
+    """Noise-free CPI of each core ``i`` running ``behaviors[i]`` at
+    ``hit_rates[i]`` under ``dram_latencies[i]`` (:meth:`CoreTimingModel.cpi`
+    for many cores at once, bit for bit).
+
+    Raises:
+        ValueError: If any hit rate is outside ``[0, 1]``.
+    """
+    return _cpi_terms(models, behaviors, hit_rates, dram_latencies)[-1]
+
+
+def execute_cores(
+    models: Sequence["CoreTimingModel"],
+    behaviors: Sequence[MemoryBehavior],
+    hit_rates: Sequence[float],
+    dram_latencies: Sequence[float],
+) -> CoreCounters:
+    """Run one interval on every listed core; returns their counters.
+
+    Entry ``i`` of each argument describes core ``i``: its timing model,
+    the behaviour it executes, the LLC hit rate that behaviour gets, and
+    the DRAM latency it runs under.  Each model contributes its next
+    noise factor, so calling this once over many cores or once per core
+    yields the same counters.
+
+    The counter identities that the rest of the system (and the tests)
+    rely on: ``l1_ref = instructions * refs_per_instr``, ``llc_ref =
+    l1_ref * l1_miss_ratio``, ``llc_miss = llc_ref * (1 - hit_rate)``,
+    and ``instructions = cycles / CPI`` — all up to integer rounding
+    (``np.rint`` rounds half to even, like ``round``).
+
+    Raises:
+        ValueError: If any hit rate is outside ``[0, 1]``; no core's
+            noise stream has advanced.
+    """
+    if not models:
+        return CoreCounters([], [], [], [], [], [])
+    hit, refs, l1_miss, blended, cpi = _cpi_terms(
+        models, behaviors, hit_rates, dram_latencies
+    )
+    cpi = cpi * np.array([m.next_noise() for m in models], dtype=float)
+    cycles = np.rint(
+        np.array([m.cycles_per_interval for m in models], dtype=float)
+        * np.array([b.duty_cycle for b in behaviors], dtype=float)
+    )
+    instructions = np.trunc(cycles / cpi)
+    l1_ref = np.rint(instructions * refs)
+    llc_ref = np.rint(l1_ref * l1_miss)
+    llc_miss = np.rint(llc_ref * (1.0 - hit))
+    avg_latency = (
+        np.array([m.l1_latency for m in models], dtype=float) + l1_miss * blended
+    )
+    return CoreCounters(
+        instructions=instructions.astype(np.int64).tolist(),
+        cycles=cycles.astype(np.int64).tolist(),
+        l1_hits=np.maximum(l1_ref - llc_ref, 0.0).astype(np.int64).tolist(),
+        llc_refs=llc_ref.astype(np.int64).tolist(),
+        llc_misses=np.maximum(llc_miss, 0.0).astype(np.int64).tolist(),
+        avg_latency=avg_latency.tolist(),
+    )
+
+
 class CoreTimingModel:
     """Produces per-interval activity for one core.
 
@@ -101,8 +247,9 @@ class CoreTimingModel:
         dram: DRAM model supplying load-dependent miss latency.
         noise_sigma: Relative sigma of multiplicative lognormal noise on the
             interval's CPI, so measured IPC jitters like real hardware and
-            the controller's thresholds are exercised honestly.
-        rng: Seeded generator for the noise.
+            the controller's thresholds are exercised honestly.  Fixed at
+            construction: the noise is pre-drawn in blocks.
+        rng: Seeded generator for the noise (this core's alone).
     """
 
     def __init__(
@@ -122,16 +269,38 @@ class CoreTimingModel:
         self.dram = dram if dram is not None else DramModel()
         self.noise_sigma = noise_sigma
         self._rng = rng if rng is not None else np.random.default_rng(42)
+        # Drawn on first use, so building a host's idle cores costs nothing.
+        self._noise: List[float] = []
+        self._noise_at = 0
+
+    def next_noise(self) -> float:
+        """This core's next CPI noise factor (1.0 when noise is off)."""
+        if self.noise_sigma <= 0:
+            return 1.0
+        at = self._noise_at
+        if at == len(self._noise):
+            self._noise = np.exp(
+                self._rng.normal(0.0, self.noise_sigma, size=NOISE_BLOCK)
+            ).tolist()
+            at = 0
+        self._noise_at = at + 1
+        return self._noise[at]
 
     # -- model -------------------------------------------------------------
 
-    def stall_per_llc_access(
-        self, llc_hit_rate: float, mlp: float, dram_latency: Optional[float] = None
+    def _dram_latency(self, dram_latency: Optional[float]) -> float:
+        return self.dram.idle_latency_cycles if dram_latency is None else dram_latency
+
+    def avg_mem_latency(
+        self,
+        l1_miss_ratio: float,
+        llc_hit_rate: float,
+        dram_latency: Optional[float] = None,
     ) -> float:
-        """Average pipeline stall cycles per LLC access."""
-        lat_dram = self.dram.idle_latency_cycles if dram_latency is None else dram_latency
-        blended = llc_hit_rate * self.llc_latency + (1.0 - llc_hit_rate) * lat_dram
-        return blended / mlp
+        """Average latency per L1 data reference, in cycles."""
+        return self.l1_latency + l1_miss_ratio * _blended_latency(
+            llc_hit_rate, self.llc_latency, self._dram_latency(dram_latency)
+        )
 
     def cpi(
         self,
@@ -142,8 +311,15 @@ class CoreTimingModel:
         """Deterministic CPI for a behaviour at a given LLC hit rate."""
         if not 0.0 <= llc_hit_rate <= 1.0:
             raise ValueError("llc_hit_rate must be within [0, 1]")
-        stall = self.stall_per_llc_access(llc_hit_rate, behavior.mlp, dram_latency)
-        return behavior.base_cpi + behavior.refs_per_instr * behavior.l1_miss_ratio * stall
+        return _cpi(
+            behavior.base_cpi,
+            behavior.refs_per_instr,
+            behavior.l1_miss_ratio,
+            behavior.mlp,
+            _blended_latency(
+                llc_hit_rate, self.llc_latency, self._dram_latency(dram_latency)
+            ),
+        )
 
     def execute_interval(
         self,
@@ -151,39 +327,21 @@ class CoreTimingModel:
         llc_hit_rate: float,
         dram_latency: Optional[float] = None,
     ) -> CoreActivity:
-        """Run one interval; returns consistent counter increments.
-
-        The counter identities that the rest of the system (and the tests)
-        rely on: ``l1_ref = instructions * refs_per_instr``, ``llc_ref =
-        l1_ref * l1_miss_ratio``, ``llc_miss = llc_ref * (1 - hit_rate)``,
-        and ``instructions = cycles / CPI`` — all up to integer rounding.
-        """
-        cpi = self.cpi(behavior, llc_hit_rate, dram_latency)
-        if self.noise_sigma > 0:
-            cpi *= float(np.exp(self._rng.normal(0.0, self.noise_sigma)))
-        cycles = int(round(self.cycles_per_interval * behavior.duty_cycle))
-        instructions = int(cycles / cpi) if cycles else 0
-        l1_ref = int(round(instructions * behavior.refs_per_instr))
-        llc_ref = int(round(l1_ref * behavior.l1_miss_ratio))
-        llc_miss = int(round(llc_ref * (1.0 - llc_hit_rate)))
-        llc_hit = llc_ref - llc_miss
-        l1_hit = l1_ref - llc_ref
-
-        lat_dram = self.dram.idle_latency_cycles if dram_latency is None else dram_latency
-        avg_latency = self.l1_latency + behavior.l1_miss_ratio * (
-            llc_hit_rate * self.llc_latency + (1.0 - llc_hit_rate) * lat_dram
+        """Run one interval on this core: :func:`execute_cores` for one."""
+        out = execute_cores(
+            [self], [behavior], [llc_hit_rate], [self._dram_latency(dram_latency)]
         )
-
+        llc_ref = out.llc_refs[0]
         return CoreActivity(
-            instructions=instructions,
-            cycles=cycles,
+            instructions=out.instructions[0],
+            cycles=out.cycles[0],
             event_counts={
-                L1_CACHE_HITS: max(l1_hit, 0),
+                L1_CACHE_HITS: out.l1_hits[0],
                 L1_CACHE_MISSES: llc_ref,
                 LLC_REFERENCES: llc_ref,
-                LLC_MISSES: max(llc_miss, 0),
+                LLC_MISSES: out.llc_misses[0],
             },
-            avg_mem_latency_cycles=avg_latency,
+            avg_mem_latency_cycles=out.avg_latency[0],
             llc_hit_rate=llc_hit_rate,
         )
 

@@ -147,7 +147,8 @@ class StagedLoop:
     def __len__(self) -> int:
         return len(self._stages)
 
-    def _index(self, name: str) -> int:
+    def index(self, name: str) -> int:
+        """Position of the stage called ``name`` (``KeyError`` if absent)."""
         for i, s in enumerate(self._stages):
             if s.name == name:
                 return i
@@ -155,7 +156,7 @@ class StagedLoop:
                        f"(stages: {', '.join(self.stage_names)})")
 
     def get(self, name: str) -> Stage:
-        return self._stages[self._index(name)]
+        return self._stages[self.index(name)]
 
     def append(self, stage: Stage) -> None:
         if stage.name in self.stage_names:
@@ -164,14 +165,14 @@ class StagedLoop:
 
     def insert_before(self, name: str, stage: Stage) -> None:
         """Insert a new stage just before an existing one."""
-        idx = self._index(name)
+        idx = self.index(name)
         if stage.name in self.stage_names:
             raise ValueError(f"{self.name}: duplicate stage name {stage.name!r}")
         self._stages.insert(idx, stage)
 
     def insert_after(self, name: str, stage: Stage) -> None:
         """Insert a new stage just after an existing one."""
-        idx = self._index(name)
+        idx = self.index(name)
         if stage.name in self.stage_names:
             raise ValueError(f"{self.name}: duplicate stage name {stage.name!r}")
         self._stages.insert(idx + 1, stage)
@@ -181,7 +182,7 @@ class StagedLoop:
 
         Returns the stage that was replaced.
         """
-        idx = self._index(name)
+        idx = self.index(name)
         if stage.name != name and stage.name in self.stage_names:
             raise ValueError(f"{self.name}: duplicate stage name {stage.name!r}")
         old = self._stages[idx]
@@ -190,26 +191,31 @@ class StagedLoop:
 
     def remove(self, name: str) -> Stage:
         """Drop a stage from the loop (returns it)."""
-        return self._stages.pop(self._index(name))
+        return self._stages.pop(self.index(name))
 
     # -- execution ------------------------------------------------------------
 
-    def run(self, ctx: Any) -> None:
-        """Run every stage, in order, over one shared context.
+    def run(self, ctx: Any, start: int = 0, stop: Optional[int] = None) -> None:
+        """Run the stages, in order, over one shared context.
 
-        With a profiler attached, each stage is timed individually and the
-        sample reported as ``(loop name, stage name, elapsed seconds)``.
+        ``start``/``stop`` select a slice of the stage list (default: every
+        stage), so a caller can run one part of an interval over one
+        context and the rest over another (see
+        :func:`repro.platform.sim.step_batch`).  With a profiler attached,
+        each stage is timed individually and the sample reported as
+        ``(loop name, stage name, elapsed seconds)``.
         """
+        stages = self._stages if start == 0 and stop is None else self._stages[start:stop]
         profiler = self.profiler
         if profiler is None:
-            for stage in self._stages:
+            for stage in stages:
                 stage.run(ctx)
             return
         loop_name = self.name
-        for stage in self._stages:
-            start = perf_counter()
+        for stage in stages:
+            began = perf_counter()
             stage.run(ctx)
-            profiler.observe(loop_name, stage.name, perf_counter() - start)
+            profiler.observe(loop_name, stage.name, perf_counter() - began)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StagedLoop({self.name!r}: {' -> '.join(self.stage_names)})"

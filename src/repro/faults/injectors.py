@@ -155,6 +155,9 @@ class FaultyPqosLibrary:
     def l3ca_get(self) -> List[PqosL3Ca]:
         return self._inner.l3ca_get()
 
+    def l3ca_masks(self) -> Tuple[int, ...]:
+        return self._inner.l3ca_masks()
+
     def alloc_assoc_set(self, core: int, cos_id: int) -> None:
         if self._assoc_drops > 0:
             self._assoc_drops -= 1

@@ -100,10 +100,7 @@ def _latency_from_hit(hit_rate: float, wss_bytes: int) -> float:
     """Average access latency implied by an LLC hit rate, MLR behaviour."""
     timing = CoreTimingModel(noise_sigma=0.0)
     l1_miss = l1_miss_ratio_for(AccessPattern.RANDOM, wss_bytes)
-    return timing.l1_latency + l1_miss * (
-        hit_rate * timing.llc_latency
-        + (1.0 - hit_rate) * timing.dram.idle_latency_cycles
-    )
+    return timing.avg_mem_latency(l1_miss, hit_rate)
 
 
 def run_fig2(seed: int = 1) -> ExperimentResult:

@@ -45,6 +45,11 @@ class PerfEvent:
             raise ValueError(f"umask out of range: {self.umask:#x}")
 
     @property
+    def code(self) -> int:
+        """The selector bits that pick this event: ``umask << 8 | event``."""
+        return self.event_select | (self.umask << 8)
+
+    @property
     def evtsel_value(self) -> int:
         """The IA32_PERFEVTSELx encoding: USR+OS+EN set, event+umask."""
         usr = 1 << 16

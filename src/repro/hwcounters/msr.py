@@ -98,8 +98,8 @@ class MsrFile:
 class CorePmu:
     """Per-core PMU: routes simulated activity into programmed counters.
 
-    The simulation calls :meth:`advance` once per interval with the core's
-    activity totals; the PMU increments whichever PMCs the controller has
+    The simulation calls :meth:`advance_codes` once per interval with the
+    core's activity totals; the PMU increments whichever PMCs the controller has
     programmed (via IA32_PERFEVTSELx writes) plus the always-on fixed
     counters, with 48-bit wraparound.
     """
@@ -123,12 +123,30 @@ class CorePmu:
             ValueError: Any total or event count is negative (it would wrap
                 a counter into a ~2**48 phantom delta); no register moves.
         """
-        if instructions < 0 or cycles < 0:
-            raise ValueError("activity totals cannot be negative")
+        by_code: Dict[int, int] = {}
         for event, count in event_counts.items():
             if count < 0:
                 raise ValueError(
                     f"event count for {event.name} cannot be negative, got {count}"
+                )
+            by_code.setdefault(event.code, count)  # the first event wins
+        self.advance_codes(instructions, cycles, by_code)
+
+    def advance_codes(
+        self, instructions: int, cycles: int, counts: Mapping[int, int]
+    ) -> None:
+        """:meth:`advance` with counts keyed by :attr:`PerfEvent.code
+        <repro.hwcounters.events.PerfEvent.code>` (the simulation's feed).
+
+        Raises:
+            ValueError: Any total or count is negative; no register moves.
+        """
+        if instructions < 0 or cycles < 0:
+            raise ValueError("activity totals cannot be negative")
+        for code, count in counts.items():
+            if count < 0:
+                raise ValueError(
+                    f"event count for code {code:#06x} cannot be negative, got {count}"
                 )
         # The register file is the PMU's only state: counters update in place
         # and every IA32_PERFEVTSELx is re-read, so a reprogrammed or
@@ -138,10 +156,7 @@ class CorePmu:
         regs[_CYCLE_CTR] = (regs[_CYCLE_CTR] + cycles) & _COUNTER_MASK
         for evtsel, pmc in _PMC_SLOTS:
             sel = regs[evtsel]
-            if not sel & _EVTSEL_EN:
-                continue
-            key = (sel & 0xFF, (sel >> 8) & 0xFF)
-            for event, count in event_counts.items():
-                if (event.event_select, event.umask) == key:
+            if sel & _EVTSEL_EN:
+                count = counts.get(sel & 0xFFFF)
+                if count is not None:
                     regs[pmc] = (regs[pmc] + count) & _COUNTER_MASK
-                    break

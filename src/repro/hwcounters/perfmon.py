@@ -160,23 +160,34 @@ class PerfMonitor:
         return sorted(self._pmus)
 
     def sample_core(self, core: int) -> CounterSample:
-        """Read one core's counters and return the delta since last sample.
-
-        Each delta is taken modulo 2**48, so a counter that wrapped since
-        the last sample still yields the true increment.
-        """
-        raw = self._read_raw(self._pmus[core])
-        b_miss, b_ref, b_l1_miss, b_l1_hit, b_ins, b_cyc = self._last_raw[core]
-        self._last_raw[core] = raw
-        miss, ref, l1_miss, l1_hit, ins, cyc = raw
-        return CounterSample(
-            l1_ref=(l1_hit - b_l1_hit) % _WRAP + (l1_miss - b_l1_miss) % _WRAP,
-            llc_ref=(ref - b_ref) % _WRAP,
-            llc_miss=(miss - b_miss) % _WRAP,
-            ret_ins=(ins - b_ins) % _WRAP,
-            cycles=(cyc - b_cyc) % _WRAP,
-        )
+        """Read one core's counters and return the delta since last sample."""
+        return self.sample_cores((core,))
 
     def sample_cores(self, cores: Iterable[int]) -> CounterSample:
-        """Sample several cores and aggregate (one workload's vCPUs)."""
-        return CounterSample.aggregate(self.sample_core(c) for c in cores)
+        """Sample several cores and aggregate (one workload's vCPUs).
+
+        Each delta is taken modulo 2**48, so a counter that wrapped since
+        the last sample still yields the true increment.  The deltas are
+        summed in plain locals and one sample is built at the end (see
+        :meth:`CounterSample.aggregate`).
+        """
+        l1_ref = llc_ref = llc_miss = ret_ins = cycles = 0
+        pmus = self._pmus
+        last_raw = self._last_raw
+        for core in cores:
+            raw = self._read_raw(pmus[core])
+            b_miss, b_ref, b_l1_miss, b_l1_hit, b_ins, b_cyc = last_raw[core]
+            last_raw[core] = raw
+            miss, ref, l1_miss, l1_hit, ins, cyc = raw
+            l1_ref += (l1_hit - b_l1_hit) % _WRAP + (l1_miss - b_l1_miss) % _WRAP
+            llc_ref += (ref - b_ref) % _WRAP
+            llc_miss += (miss - b_miss) % _WRAP
+            ret_ins += (ins - b_ins) % _WRAP
+            cycles += (cyc - b_cyc) % _WRAP
+        return CounterSample(
+            l1_ref=l1_ref,
+            llc_ref=llc_ref,
+            llc_miss=llc_miss,
+            ret_ins=ret_ins,
+            cycles=cycles,
+        )

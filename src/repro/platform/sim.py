@@ -13,6 +13,13 @@ time:
 5. the cache manager runs its control step (for dCat: the five-step loop);
 6. total miss traffic updates the DRAM loaded latency used next interval.
 
+Stages 1-2 and the PMU feed run stage-major over a *batch* of hosts
+(:func:`step_batch`): a fleet interval resolves every busy host's hit
+rates, then runs one core kernel over every busy core of every host, then
+feeds every PMU; the remaining stages run host by host, in order.  A
+single simulation's ``step()`` is a batch of one, so both paths are the
+same code.
+
 Everything observable lands in :class:`VmIntervalRecord` timelines, which
 the experiment harness turns into the paper's figures and tables.
 """
@@ -20,10 +27,12 @@ the experiment harness turns into the paper's figures and tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.states import WorkloadState
+from repro.cpu.coremodel import CoreCounters, execute_cores
 from repro.engine.events import (
+    Event,
     EventBus,
     IntervalFinished,
     IntervalStarted,
@@ -46,9 +55,19 @@ __all__ = [
     "VmIntervalRecord",
     "SimulationResult",
     "SimStepContext",
+    "SimBatch",
     "VmIntervalAccumulator",
     "CloudSimulation",
+    "step_batch",
 ]
+
+_L1_HITS, _L1_MISSES, _LLC_REFS, _LLC_MISSES = (
+    e.code for e in (L1_CACHE_HITS, L1_CACHE_MISSES, LLC_REFERENCES, LLC_MISSES)
+)
+
+#: The first stage that runs host by host; the stages before it run
+#: stage-major over the whole batch.
+FIRST_HOST_STAGE = "record"
 
 
 @dataclass(frozen=True)
@@ -146,7 +165,8 @@ class VmIntervalAccumulator:
 
     phase: Optional[Phase] = None
     busy: Tuple[int, ...] = ()
-    activities: List[Tuple[int, object]] = field(default_factory=list)
+    #: Index of the first busy core in the batch's :class:`CoreCounters`.
+    first: int = 0
     instructions: int = 0
     cycles: int = 0
     l1_refs: int = 0
@@ -175,15 +195,174 @@ class SimStepContext:
     total_misses: int = 0
 
 
+class SimBatch:
+    """The hosts one stage-major interval steps, each with its context.
+
+    Iterating yields ``(simulation, context)`` pairs in host order;
+    :attr:`cores` holds the core kernel's output for every busy core of
+    every host, in that order.
+    """
+
+    __slots__ = ("sims", "ctxs", "cores")
+
+    def __init__(
+        self, sims: Sequence["CloudSimulation"], ctxs: Sequence[SimStepContext]
+    ) -> None:
+        self.sims = sims
+        self.ctxs = ctxs
+        self.cores: Optional[CoreCounters] = None
+
+    def __iter__(self) -> Iterator[Tuple["CloudSimulation", SimStepContext]]:
+        return zip(self.sims, self.ctxs)
+
+
+def step_batch(sims: Sequence["CloudSimulation"]) -> None:
+    """One interval of every simulation in ``sims``, stage-major.
+
+    The stages before ``record`` (hit-rate resolution, the core kernel,
+    the PMU feed) run once over the whole batch; then each host, in
+    order, runs ``record -> advance -> control -> update_dram``.  Hosts
+    share no state, so a host's interval is the same whatever batch it
+    ran in.  Events raised during the batch stages wait in their host's
+    outbox (:meth:`CloudSimulation.defer`) until that host's turn, which
+    opens with its ``IntervalStarted``: every host's events stay
+    contiguous and in stage order, exactly as if each host had stepped
+    alone, in order.
+
+    The batch runs its first host's loop, so the batch stages report to
+    that loop's profiler once per batch and the host stages once per host.
+    """
+    if not sims:
+        return
+    batch = SimBatch(sims, [SimStepContext(time_s=sim.now) for sim in sims])
+    loop = sims[0].loop
+    split = loop.index(FIRST_HOST_STAGE)
+    loop.run(batch, stop=split)
+    for sim, ctx in batch:
+        bus = sim.bus
+        if bus.active:
+            bus.emit(IntervalStarted.fast(time_s=ctx.time_s, source="sim"))
+            for event in sim._outbox:
+                bus.emit(event)
+        sim._outbox.clear()
+        loop.run(SimBatch((sim,), (ctx,)), start=split)
+        if bus.active:
+            bus.emit(IntervalFinished.fast(time_s=ctx.time_s, source="sim"))
+
+
+# -- stages: each takes the SimBatch, so one loop serves any batch size -------
+
+
+def _stage_resolve_hit_rates(batch: SimBatch) -> None:
+    """Snapshot phases and resolve each VM's hit rate / effective ways."""
+    for sim, ctx in batch:
+        ctx.phases = {vm.name: vm.workload.current_phase() for vm in sim.vms}
+        ctx.hit_rates, ctx.effective_ways = sim.substrate.resolve(ctx.phases)
+
+
+def _stage_execute_cores(batch: SimBatch) -> None:
+    """One core kernel over every busy vCPU of the batch; sums per VM."""
+    models: list = []
+    behaviors: list = []
+    hits: List[float] = []
+    drams: List[float] = []
+    for sim, ctx in batch:
+        core_models = sim.machine.core_models
+        dram = sim._dram_latency
+        for vm in sim.vms:
+            phase = ctx.phases[vm.name]
+            acc = ctx.per_vm[vm.name] = VmIntervalAccumulator(
+                phase=phase, first=len(models)
+            )
+            if phase is None:
+                continue
+            acc.busy = busy = tuple(vm.busy_vcpus)
+            behavior = phase.behavior
+            hit = ctx.hit_rates[vm.name]
+            for thread in busy:
+                models.append(core_models[thread])
+                behaviors.append(behavior)
+                hits.append(hit)
+                drams.append(dram)
+    cores = batch.cores = execute_cores(models, behaviors, hits, drams)
+    instructions, cycles, l1_hits, llc_refs, llc_misses, latency = cores
+    for _, ctx in batch:
+        total_misses = 0
+        for acc in ctx.per_vm.values():
+            first, last = acc.first, acc.first + len(acc.busy)
+            # Integer sums are exact in any order; the latency sum keeps
+            # the per-core order (builtin float ``sum`` may compensate).
+            acc.instructions = sum(instructions[first:last])
+            acc.cycles = sum(cycles[first:last])
+            acc.l1_refs = sum(l1_hits[first:last]) + sum(llc_refs[first:last])
+            acc.llc_refs = sum(llc_refs[first:last])
+            acc.llc_misses = sum(llc_misses[first:last])
+            for i in range(first, last):
+                acc.latency_acc += latency[i]
+            total_misses += acc.llc_misses
+        ctx.total_misses = total_misses
+
+
+def _stage_feed_pmus(batch: SimBatch) -> None:
+    """Publish the kernel's counters into the PMUs and the CMT/MBM model."""
+    instructions, cycles, l1_hits, llc_refs, llc_misses, _ = batch.cores
+    for sim, ctx in batch:
+        pmus = sim.machine.pmus
+        for vm in sim.vms:
+            acc = ctx.per_vm[vm.name]
+            i = acc.first
+            for thread in acc.busy:
+                pmus[thread].advance_codes(
+                    instructions[i],
+                    cycles[i],
+                    {
+                        _L1_HITS: l1_hits[i],
+                        _L1_MISSES: llc_refs[i],
+                        _LLC_REFS: llc_refs[i],
+                        _LLC_MISSES: llc_misses[i],
+                    },
+                )
+                i += 1
+            sim._report_monitoring(
+                vm, acc.phase, ctx.hit_rates, ctx.effective_ways, acc.llc_misses
+            )
+
+
+def _stage_record(batch: SimBatch) -> None:
+    for sim, ctx in batch:
+        sim._record(ctx)
+
+
+def _stage_advance(batch: SimBatch) -> None:
+    """Advance every workload by one interval of time and retired work."""
+    for sim, ctx in batch:
+        interval_s = sim.machine.interval_s
+        for vm in sim.vms:
+            vm.workload.advance(interval_s, ctx.per_vm[vm.name].instructions)
+
+
+def _stage_control(batch: SimBatch) -> None:
+    """Run the cache manager's control plane (for dCat: the 5-step loop)."""
+    for sim, _ in batch:
+        sim.manager.control()
+
+
+def _stage_update_dram(batch: SimBatch) -> None:
+    for sim, ctx in batch:
+        sim._update_dram(ctx)
+
+
 class CloudSimulation:
     """Interval-stepped simulation of VMs sharing one socket.
 
     ``step()`` runs a :class:`~repro.engine.pipeline.StagedLoop` of seven
     named stages (``resolve_hit_rates -> execute_cores -> feed_pmus ->
-    record -> advance -> control -> update_dram``) over a shared
-    :class:`SimStepContext`; each stage publishes to the event bus.  The
-    loop is exposed as ``self.loop`` so instrumentation and alternate
-    models can be spliced in without subclassing.
+    record -> advance -> control -> update_dram``) over a
+    :class:`SimBatch` of this one host (:func:`step_batch`, the same code
+    a fleet interval runs over all its busy hosts); each stage publishes
+    to the event bus.  The loop is exposed as ``self.loop`` so
+    instrumentation and alternate models can be spliced in without
+    subclassing.
 
     How hit rates are resolved is delegated to an injected
     :class:`~repro.platform.substrate.CacheSubstrate` — analytical closed
@@ -246,17 +425,19 @@ class CloudSimulation:
         self._residual_s = 0.0
         if substrate is None:
             substrate = build_substrate(current_context().fidelity or "analytical")
+        # Events the batch stages raise, held for this host's turn.
+        self._outbox: List[Event] = []
         self.substrate = substrate
         self.substrate.bind(self)
         self.loop = StagedLoop(
             [
-                FunctionStage("resolve_hit_rates", self._stage_resolve_hit_rates),
-                FunctionStage("execute_cores", self._stage_execute_cores),
-                FunctionStage("feed_pmus", self._stage_feed_pmus),
-                FunctionStage("record", self._stage_record),
-                FunctionStage("advance", self._stage_advance),
-                FunctionStage("control", self._stage_control),
-                FunctionStage("update_dram", self._stage_update_dram),
+                FunctionStage("resolve_hit_rates", _stage_resolve_hit_rates),
+                FunctionStage("execute_cores", _stage_execute_cores),
+                FunctionStage("feed_pmus", _stage_feed_pmus),
+                FunctionStage("record", _stage_record),
+                FunctionStage("advance", _stage_advance),
+                FunctionStage("control", _stage_control),
+                FunctionStage("update_dram", _stage_update_dram),
             ],
             name="sim",
         )
@@ -418,61 +599,20 @@ class CloudSimulation:
         return self.result
 
     def step(self) -> None:
-        """One interval: run the staged loop over a fresh context."""
-        bus = self.bus
-        ctx = SimStepContext(time_s=self._time_s)
-        if bus.active:
-            bus.emit(IntervalStarted.fast(time_s=ctx.time_s, source="sim"))
-        self.loop.run(ctx)
-        if bus.active:
-            bus.emit(IntervalFinished.fast(time_s=ctx.time_s, source="sim"))
+        """One interval: :func:`step_batch` over this host alone."""
+        step_batch((self,))
 
-    # -- stages ------------------------------------------------------------------
+    def defer(self, event: Event) -> None:
+        """Emit ``event`` at this host's turn in the current interval.
 
-    def _stage_resolve_hit_rates(self, ctx: SimStepContext) -> None:
-        """Snapshot phases and resolve each VM's hit rate / effective ways."""
-        ctx.phases = {vm.name: vm.workload.current_phase() for vm in self.vms}
-        ctx.hit_rates, ctx.effective_ways = self.substrate.resolve(ctx.phases)
+        For the stages that run stage-major over a batch (a substrate's
+        spot check, say): their events would otherwise interleave hosts.
+        """
+        self._outbox.append(event)
 
-    def _stage_execute_cores(self, ctx: SimStepContext) -> None:
-        """Drive each busy vCPU's core model and aggregate per VM."""
-        machine = self.machine
-        for vm in self.vms:
-            acc = ctx.per_vm[vm.name] = VmIntervalAccumulator()
-            acc.phase = ctx.phases[vm.name]
-            acc.busy = tuple(vm.busy_vcpus) if acc.phase is not None else ()
-            for thread in acc.busy:
-                activity = machine.core_models[thread].execute_interval(
-                    acc.phase.behavior,
-                    ctx.hit_rates[vm.name],
-                    dram_latency=self._dram_latency,
-                )
-                acc.activities.append((thread, activity))
-                acc.instructions += activity.instructions
-                acc.cycles += activity.cycles
-                acc.latency_acc += activity.avg_mem_latency_cycles
-                acc.l1_refs += (
-                    activity.event_counts[L1_CACHE_HITS]
-                    + activity.event_counts[L1_CACHE_MISSES]
-                )
-                acc.llc_refs += activity.event_counts[LLC_REFERENCES]
-                acc.llc_misses += activity.event_counts[LLC_MISSES]
-                ctx.total_misses += activity.event_counts[LLC_MISSES]
+    # -- host stages (see the module-level stage functions) ------------------------
 
-    def _stage_feed_pmus(self, ctx: SimStepContext) -> None:
-        """Publish activity into the PMUs and the CMT/MBM occupancy model."""
-        machine = self.machine
-        for vm in self.vms:
-            acc = ctx.per_vm[vm.name]
-            for thread, activity in acc.activities:
-                machine.pmus[thread].advance(
-                    activity.instructions, activity.cycles, activity.event_counts
-                )
-            self._report_monitoring(
-                vm, acc.phase, ctx.hit_rates, ctx.effective_ways, acc.llc_misses
-            )
-
-    def _stage_record(self, ctx: SimStepContext) -> None:
+    def _record(self, ctx: SimStepContext) -> None:
         """Materialize each VM's interval record (and completion times)."""
         bus = self.bus
         for vm in self.vms:
@@ -512,18 +652,7 @@ class CloudSimulation:
                     )
                 )
 
-    def _stage_advance(self, ctx: SimStepContext) -> None:
-        """Advance every workload by one interval of time and retired work."""
-        for vm in self.vms:
-            vm.workload.advance(
-                self.machine.interval_s, ctx.per_vm[vm.name].instructions
-            )
-
-    def _stage_control(self, ctx: SimStepContext) -> None:
-        """Run the cache manager's control plane (for dCat: the 5-step loop)."""
-        self.manager.control()
-
-    def _stage_update_dram(self, ctx: SimStepContext) -> None:
+    def _update_dram(self, ctx: SimStepContext) -> None:
         """Refresh the loaded DRAM latency and advance virtual time."""
         machine = self.machine
         total_capacity_cycles = (

@@ -546,7 +546,9 @@ class MixedSubstrate(CacheSubstrate):
             self.divergences += 1
             self.divergence_log.append((sim.now, name, analytical, exact))
             if bus.active:
-                bus.emit(
+                # Resolution runs stage-major over a batch of hosts: the
+                # event waits for this host's turn (CloudSimulation.defer).
+                sim.defer(
                     FidelityDivergence.fast(
                         time_s=sim.now,
                         workload_id=name,

@@ -15,6 +15,7 @@ signature metric.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -76,9 +77,10 @@ class Phase:
             raise ValueError("working-set size cannot be negative")
         self.footprint  # validates pattern-specific parameters
 
-    @property
+    @functools.cached_property
     def footprint(self) -> Footprint:
-        """The cache model's view of this phase."""
+        """The cache model's view of this phase (built once: a phase is
+        immutable, and every interval looks its hit rate up by it)."""
         return Footprint(
             pattern=self.pattern,
             wss_bytes=self.wss_bytes,

@@ -137,6 +137,14 @@ class TestPqos:
         assert cat.cos_mask(2) == 0b111
         assert pqos.l3ca_get()[2].ways_mask == 0b111
         assert pqos.l3ca_get()[2].num_ways == 3
+        assert pqos.l3ca_masks() == tuple(e.ways_mask for e in pqos.l3ca_get())
+
+    def test_l3ca_set_is_all_or_nothing(self):
+        pqos, cat = self.make()
+        for bad in (PqosL3Ca(cos_id=3, ways_mask=0b101), PqosL3Ca(cos_id=16, ways_mask=1)):
+            with pytest.raises(ValueError):
+                pqos.l3ca_set([PqosL3Ca(cos_id=2, ways_mask=0b111), bad])
+            assert cat.cos_mask(2) == (1 << 20) - 1  # the valid entry never landed
 
     def test_assoc(self):
         pqos, _ = self.make()

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cpu.coremodel import CoreTimingModel, MemoryBehavior
+from repro.cpu.coremodel import (
+    NOISE_BLOCK,
+    CoreTimingModel,
+    MemoryBehavior,
+    core_cpis,
+    execute_cores,
+)
 from repro.cpu.socket import SocketSpec
 from repro.hwcounters.events import L1_CACHE_HITS, L1_CACHE_MISSES, LLC_MISSES, LLC_REFERENCES
 
@@ -133,6 +139,157 @@ def test_counters_never_negative(hit, refs, miss):
     act = model.execute_interval(b, hit)
     assert act.instructions >= 0
     assert all(v >= 0 for v in act.event_counts.values())
+
+
+# -- the batched core kernel ---------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+    sigma=st.floats(min_value=1e-6, max_value=2.0),
+    splits=st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=8),
+)
+def test_block_noise_equals_scalar_draws(seed, sigma, splits):
+    """``np.exp(normal(0, s, size=n))`` in blocks of any split is the
+    sequence of scalar ``float(np.exp(normal(0, s)))`` draws, bit for bit
+    (``math.exp`` is not: it may round differently)."""
+    scalar_rng = np.random.default_rng(seed)
+    scalar = [
+        float(np.exp(scalar_rng.normal(0.0, sigma))) for _ in range(sum(splits))
+    ]
+    block_rng = np.random.default_rng(seed)
+    blocks = []
+    for n in splits:
+        blocks.extend(np.exp(block_rng.normal(0.0, sigma, size=n)).tolist())
+    assert [x.hex() for x in blocks] == [x.hex() for x in scalar]
+
+
+def scalar_interval(model, noise, behavior, hit, dram):
+    """The per-core formulas, written out in scalar Python: the oracle the
+    numpy kernel must match exactly."""
+    blended = hit * model.llc_latency + (1.0 - hit) * dram
+    stall = blended / behavior.mlp
+    cpi = behavior.base_cpi + behavior.refs_per_instr * behavior.l1_miss_ratio * stall
+    cpi *= noise
+    cycles = int(round(model.cycles_per_interval * behavior.duty_cycle))
+    instructions = int(cycles / cpi) if cycles else 0
+    l1_ref = int(round(instructions * behavior.refs_per_instr))
+    llc_ref = int(round(l1_ref * behavior.l1_miss_ratio))
+    llc_miss = int(round(llc_ref * (1.0 - hit)))
+    return {
+        "instructions": instructions,
+        "cycles": cycles,
+        "l1_hits": max(l1_ref - llc_ref, 0),
+        "llc_refs": llc_ref,
+        "llc_misses": max(llc_miss, 0),
+        "avg_latency": model.l1_latency + behavior.l1_miss_ratio * blended,
+    }
+
+
+behaviors = st.builds(
+    MemoryBehavior,
+    refs_per_instr=st.floats(min_value=0.0, max_value=2.0),
+    l1_miss_ratio=st.floats(min_value=0.0, max_value=1.0),
+    base_cpi=st.floats(min_value=0.05, max_value=5.0),
+    mlp=st.floats(min_value=1.0, max_value=16.0),
+    duty_cycle=st.floats(min_value=0.0, max_value=1.0),
+)
+cores = st.tuples(
+    behaviors,
+    st.floats(min_value=0.0, max_value=1.0),  # hit rate
+    st.floats(min_value=40.0, max_value=2000.0),  # DRAM latency
+    st.integers(min_value=1, max_value=5_000_000),  # cycles per interval
+    st.sampled_from([0.0, 0.005, 0.05]),  # noise sigma
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.lists(cores, min_size=1, max_size=12), seed=st.integers(0, 2**32))
+def test_kernel_matches_scalar_formulas(batch, seed):
+    """Every counter of a batched kernel call equals the scalar formulas
+    under the same noise factor, whatever the batch holds."""
+    models = [
+        CoreTimingModel(
+            cycles_per_interval=cpi_cycles,
+            noise_sigma=sigma,
+            rng=np.random.default_rng(seed + i),
+        )
+        for i, (_, _, _, cpi_cycles, sigma) in enumerate(batch)
+    ]
+    twins = [
+        CoreTimingModel(
+            cycles_per_interval=cpi_cycles,
+            noise_sigma=sigma,
+            rng=np.random.default_rng(seed + i),
+        )
+        for i, (_, _, _, cpi_cycles, sigma) in enumerate(batch)
+    ]
+    out = execute_cores(
+        models,
+        [b for b, *_ in batch],
+        [hit for _, hit, *_ in batch],
+        [dram for _, _, dram, *_ in batch],
+    )
+    for i, (twin, (behavior, hit, dram, _, _)) in enumerate(zip(twins, batch)):
+        want = scalar_interval(twin, twin.next_noise(), behavior, hit, dram)
+        got = {field: getattr(out, field)[i] for field in want}
+        assert got == want
+        assert all(type(v) is int for k, v in got.items() if k != "avg_latency")
+
+
+def test_one_core_call_is_the_kernel():
+    """``execute_interval`` returns the kernel's counters for that core."""
+    a = CoreTimingModel(noise_sigma=0.01, rng=np.random.default_rng(5))
+    b = CoreTimingModel(noise_sigma=0.01, rng=np.random.default_rng(5))
+    for hit in (0.0, 0.3, 1.0):
+        act = a.execute_interval(MEMHEAVY, hit, dram_latency=300.0)
+        out = execute_cores([b], [MEMHEAVY], [hit], [300.0])
+        assert act.instructions == out.instructions[0]
+        assert act.cycles == out.cycles[0]
+        assert act.event_counts[L1_CACHE_HITS] == out.l1_hits[0]
+        assert act.event_counts[L1_CACHE_MISSES] == out.llc_refs[0]
+        assert act.event_counts[LLC_REFERENCES] == out.llc_refs[0]
+        assert act.event_counts[LLC_MISSES] == out.llc_misses[0]
+        assert act.avg_mem_latency_cycles == out.avg_latency[0]
+
+
+class TestNoiseBlocks:
+    def test_drawn_on_first_use(self):
+        model = CoreTimingModel(noise_sigma=0.01, rng=np.random.default_rng(1))
+        assert model._noise == []
+        model.next_noise()
+        assert len(model._noise) == NOISE_BLOCK
+
+    def test_block_refills_continue_the_stream(self):
+        model = CoreTimingModel(noise_sigma=0.01, rng=np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        want = [float(np.exp(rng.normal(0.0, 0.01))) for _ in range(3 * NOISE_BLOCK + 1)]
+        assert [model.next_noise() for _ in want] == want
+
+    def test_noiseless_core_never_draws(self):
+        model = quiet_model()
+        assert model.next_noise() == 1.0
+        assert model._noise == []
+
+
+class TestKernelValidation:
+    def test_rejects_hit_rate_outside_unit_interval(self):
+        for bad in (-0.1, 1.5, float("nan")):
+            model = CoreTimingModel(noise_sigma=0.01, rng=np.random.default_rng(3))
+            with pytest.raises(ValueError):
+                execute_cores([model], [MEMHEAVY], [bad], [200.0])
+            assert model._noise == []  # rejected before any noise was drawn
+
+    def test_empty_batch(self):
+        out = execute_cores([], [], [], [])
+        assert out.instructions == [] and out.avg_latency == []
+
+    def test_core_cpis_equal_scalar_cpi(self):
+        model = quiet_model()
+        hits = [0.0, 0.25, 0.5, 1.0]
+        cpis = core_cpis([model] * 4, [MEMHEAVY] * 4, hits, [250.0] * 4).tolist()
+        assert cpis == [model.cpi(MEMHEAVY, h, dram_latency=250.0) for h in hits]
 
 
 class TestSocket:

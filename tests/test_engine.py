@@ -180,6 +180,18 @@ class TestStagedLoop:
         with pytest.raises(KeyError):
             loop.get("mid")
 
+    def test_run_a_slice_of_the_stages(self):
+        log = []
+        loop = self.build(log)
+        loop.append(FunctionStage("c", lambda ctx: log.append("c")))
+        split = loop.index("b")
+        loop.run(None, stop=split)
+        assert log == ["a"]
+        loop.run(None, start=split)
+        assert log == ["a", "b", "c"]
+        with pytest.raises(KeyError):
+            loop.index("missing")
+
     def test_wrapping_a_stage_for_instrumentation(self):
         log = []
         loop = self.build(log)

@@ -13,10 +13,12 @@ These pin the two bug classes this layer existed to eliminate:
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import pickle
 import signal
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,7 @@ from repro.cloud import (
     run_churn_scenario,
 )
 from repro.cloud.executor import ParallelCloudFleet
+from repro.cloud.fleet import step_machines
 from repro.cloud.lifecycle import TenantSpec
 from repro.cpu.socket import SocketSpec
 from repro.engine.events import (
@@ -41,7 +44,7 @@ from repro.engine.events import (
 from repro.errors import FleetWorkerDied
 from repro.harness import cli
 from repro.platform.machine import Machine
-from repro.platform.managers import DCatManager, SharedCacheManager
+from repro.platform.managers import DCatManager
 from repro.platform.sim import CloudSimulation
 
 
@@ -268,6 +271,15 @@ class TestParallelByteIdentity:
         a, b = self.run_pair(data)
         assert a.canonical_bytes() == b.canonical_bytes()
 
+    def test_dense_benchmark_scenario(self):
+        """Every host busy every interval: the stage-major batch spans
+        the whole shard, so serial and sharded batches must agree."""
+        data = perfbench_dense("smoke")
+        serial = run_churn_scenario(dict(data), fleet_jobs=1)
+        for jobs in (2, 3):
+            parallel = run_churn_scenario(dict(data), fleet_jobs=jobs)
+            assert serial.canonical_bytes() == parallel.canonical_bytes()
+
 
 def perfbench_churn(placement):
     """The benchmark's smoke-size ``fleet_churn`` scenario at seed 1."""
@@ -295,7 +307,31 @@ def perfbench_churn(placement):
     }
 
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
+
+
+def perfbench_dense(size, seed=1):
+    """The benchmark's ``fleet_dense`` scenario, from its own generator."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses resolve through it
+    spec.loader.exec_module(workloads)
+    return workloads.dense_scenario(seed, workloads.SIZES[size]["fleet_dense"])
+
+
+def mixed_divergent():
+    """``churn_mixed`` on two hosts with a tolerance tight enough that
+    the oracle's ``FidelityDivergence`` events interleave both hosts'
+    interval events."""
+    data = json.loads((EXAMPLES / "churn_mixed.json").read_text())
+    data["fleet"]["machines"] = 2
+    data["fidelity"].update(
+        tolerance=0.02, warmup_samples=1, accesses_per_interval=4000
+    )
+    return data
 
 
 class TestPinnedOutputs:
@@ -326,6 +362,88 @@ class TestPinnedOutputs:
     def test_benchmark_churn_scenario(self, placement, digest):
         result = run_churn_scenario(perfbench_churn(placement), fleet_jobs=1)
         assert hashlib.sha256(result.canonical_bytes()).hexdigest()[:12] == digest
+
+    def test_benchmark_dense_scenario(self):
+        result = run_churn_scenario(perfbench_dense("smoke"), fleet_jobs=1)
+        assert hashlib.sha256(result.canonical_bytes()).hexdigest()[:12] == (
+            "90ae94ac5815"
+        )
+
+    @pytest.mark.smoke
+    def test_benchmark_dense_scenario_full_size(self):
+        """The ``# digest:`` line of ``perfbench/run.py --workload
+        fleet_dense --seed 1``."""
+        result = run_churn_scenario(perfbench_dense("full"), fleet_jobs=1)
+        assert hashlib.sha256(result.canonical_bytes()).hexdigest()[:12] == (
+            "145e28a93859"
+        )
+
+    @pytest.mark.parametrize(
+        "data, digest",
+        [
+            (lambda: str(EXAMPLES / "churn_mixed.json"), "77aa41e39fa3"),
+            (mixed_divergent, "f855f63b9040"),
+        ],
+        ids=["churn_mixed", "churn_mixed_divergent"],
+    )
+    def test_mixed_fidelity_traces(self, tmp_path, data, digest):
+        """The JSONL bus trace, spot-check events included."""
+        trace = tmp_path / "trace.jsonl"
+        run_churn_scenario(data(), fleet_jobs=1, trace=str(trace))
+        assert hashlib.sha256(trace.read_bytes()).hexdigest()[:12] == digest
+
+
+class TestStageMajorBatch:
+    """A fleet interval steps every busy host in one stage-major batch;
+    each host's interval must be exactly what stepping it alone gives."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [lambda: perfbench_dense("smoke"), mixed_divergent],
+        ids=["dense", "mixed_divergent"],
+    )
+    def test_batch_equals_hosts_stepped_alone(self, monkeypatch, tmp_path, data):
+        batched = run_churn_scenario(
+            data(), fleet_jobs=1, trace=str(tmp_path / "batched.jsonl")
+        )
+
+        def one_host_batches(fleet):
+            return [
+                report
+                for machine in fleet._active_machines()
+                for report in step_machines([machine], fleet.tick)
+            ]
+
+        monkeypatch.setattr(CloudFleet, "_step_hosts", one_host_batches)
+        alone = run_churn_scenario(
+            data(), fleet_jobs=1, trace=str(tmp_path / "alone.jsonl")
+        )
+        assert list(batched.machines) == list(alone.machines)
+        for name in batched.machines:
+            assert pickle.dumps(batched.machines[name], protocol=4) == pickle.dumps(
+                alone.machines[name], protocol=4
+            )
+        assert batched.canonical_bytes() == alone.canonical_bytes()
+        assert (tmp_path / "batched.jsonl").read_bytes() == (
+            tmp_path / "alone.jsonl"
+        ).read_bytes()
+
+    def test_spot_check_events_stay_inside_their_host_interval(self, tmp_path):
+        """``FidelityDivergence`` is raised while every host resolves, but
+        lands between its own host's ``IntervalStarted`` and first sample."""
+        trace = tmp_path / "trace.jsonl"
+        run_churn_scenario(mixed_divergent(), fleet_jobs=1, trace=str(trace))
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        divergences = 0
+        for i, event in enumerate(events):
+            if event["event"] != "FidelityDivergence":
+                continue
+            divergences += 1
+            before = [e["event"] for e in events[:i]]
+            opened = len(before) - 1 - before[::-1].index("IntervalStarted")
+            assert "SampleCollected" not in before[opened:]
+            assert events[opened]["source"] == "sim"
+        assert divergences > 0
 
 
 class TestFinishedDeparture:

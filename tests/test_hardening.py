@@ -50,6 +50,9 @@ class FlakyAssocPqos:
     def l3ca_get(self):
         return self._inner.l3ca_get()
 
+    def l3ca_masks(self):
+        return self._inner.l3ca_masks()
+
     def alloc_assoc_set(self, core, cos_id):
         if core in self.fail_assoc_cores:
             raise PqosError(f"assoc write to core {core} failed")
@@ -84,6 +87,9 @@ class DroppingTablePqos:
 
     def l3ca_get(self):
         return self._inner.l3ca_get()
+
+    def l3ca_masks(self):
+        return self._inner.l3ca_masks()
 
     def alloc_assoc_set(self, core, cos_id):
         self._inner.alloc_assoc_set(core, cos_id)
@@ -250,6 +256,18 @@ class TestWritePathHardening:
         assert "reprogram" in rig.actions()
         cos_a = rig.controller.records["a"].cos_id
         assert mask_way_count(rig.cat.cos_mask(cos_a)) == 4
+
+    def test_verify_after_write_checks_every_cos(self):
+        """The read-back compares every wanted COS, not just the first."""
+        rig = Rig(pqos_wrapper=DroppingTablePqos)
+        for name, cores in (("a", [0, 1]), ("b", [2, 3]), ("c", [4, 5])):
+            rig.controller.register_workload(name, cores, baseline_ways=4)
+        rig.pqos.drop_cos = {rig.controller.records["c"].cos_id}
+        rig.pqos.drops_left = 1
+        rig.controller.initialize()
+        assert "reprogram" in rig.actions()
+        cos_c = rig.controller.records["c"].cos_id
+        assert mask_way_count(rig.cat.cos_mask(cos_c)) == 4
 
     def test_dropped_assoc_write_rewritten(self):
         rig = Rig(pqos_wrapper=FaultyPqosLibrary)

@@ -108,6 +108,11 @@ class TestCorePmu:
         # Rejected before any register moved: no wrapped PMC, no partial slice.
         assert pmu.msrs.rdmsr(IA32_PMC0) == 0
         assert pmu.msrs.rdmsr(IA32_FIXED_CTR0) == 0
+        with pytest.raises(ValueError, match="0x412e"):
+            pmu.advance_codes(10, 10, {LLC_MISSES.code: -5})
+        assert pmu.msrs.rdmsr(IA32_FIXED_CTR0) == 0
+        pmu.advance_codes(10, 10, {LLC_MISSES.code: 5})
+        assert pmu.msrs.rdmsr(IA32_PMC0) == 5
 
     def test_selector_changes_take_effect_on_next_advance(self):
         pmu = CorePmu()
