@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy.special._ufuncs import _binom_pmf
 
 from repro.mem.address import CacheGeometry
 from repro.mem.paging import PAGE_4K
@@ -85,6 +85,17 @@ class Footprint:
                 raise ValueError("hot_bytes cannot exceed wss_bytes")
 
 
+def _binomial_pmf(ks: np.ndarray, n: int, p: float) -> np.ndarray:
+    """Binom(n, p) pmf at ``ks``, bit for bit SciPy's ``binom(n, p).pmf(ks)``.
+
+    SciPy's distribution object evaluates this same boost kernel and clips
+    it to [0, 1]; for in-support ``ks`` (``0 <= k <= n``, ``0 < p < 1``)
+    that is all it does, and calling the kernel directly spares every
+    process the ~1 s import of SciPy's statistics package.
+    """
+    return np.clip(_binom_pmf(ks, n, p), 0.0, 1.0)
+
+
 @functools.lru_cache(maxsize=4096)
 def _scatter_min_expectation(
     n_full: int, p_full: float, p_rem: float, base: int, ways: int
@@ -108,7 +119,7 @@ def _scatter_min_expectation(
         kmax = int(max(ways + 1, mean + 12 * math.sqrt(max(mean, 1.0)) + 12))
         kmax = min(kmax, n_full)
         ks = np.arange(0, kmax + 1)
-        pmf = stats.binom(n_full, p_full).pmf(ks)
+        pmf = _binomial_pmf(ks, n_full, p_full)
     else:
         ks = np.arange(0, 1)
         pmf = np.array([1.0])

@@ -1,34 +1,1 @@
 """Experiment harness: one runner per paper figure/table, plus reporting."""
-
-from repro.harness.registry import EXPERIMENTS, run_experiment
-from repro.harness.report import render_experiment
-from repro.harness.results import (
-    BarGroup,
-    ExperimentResult,
-    Series,
-    TableResult,
-    geomean,
-)
-from repro.harness.scenarios import (
-    build_stage,
-    manager_factories,
-    paper_machine,
-    run_scenario,
-    run_three_managers,
-)
-
-__all__ = [
-    "EXPERIMENTS",
-    "run_experiment",
-    "render_experiment",
-    "BarGroup",
-    "ExperimentResult",
-    "Series",
-    "TableResult",
-    "geomean",
-    "build_stage",
-    "manager_factories",
-    "paper_machine",
-    "run_scenario",
-    "run_three_managers",
-]

@@ -4,8 +4,9 @@ Seeds the repo's perf trajectory: each run times the paths every interval
 exercises — the exact cache model's access loop, counter aggregation, a full
 warm controller step, a simulation step under the null vs a recording bus,
 raw event emission, mask packing/validation, and one fleet interval with
-10 of 1000 hosts busy and with all 48 hosts busy, and one tenant admit and
-depart on a 1000-host fleet — and writes the results to
+10 of 1000 hosts busy and with all 48 hosts busy, one tenant admit and
+depart on a 1000-host fleet, one uncached conflict-scatter evaluation and
+one host build — and writes the results to
 ``BENCH_controller.json`` at the repo root (schema ``dcat-bench/v1``).
 
 Timing discipline: every benchmark runs ``repeats`` batches of
@@ -381,6 +382,44 @@ def _bench_fleet_admit_1k() -> Callable[[], None]:
     return run
 
 
+def _bench_scatter_kernel() -> Callable[[], None]:
+    """One uncached conflict-scatter evaluation: 8 MB on 4K pages, xeon_d.
+
+    Calls the memoized kernel's undecorated function, so every call pays
+    the binomial pmf and the moment sums a cold way curve pays.
+    """
+    from repro.cache.analytical import _scatter_min_expectation
+    from repro.mem.address import MB, CacheGeometry
+    from repro.mem.paging import PAGE_4K
+
+    geometry = CacheGeometry.xeon_d()
+    # A 4K page (64 lines) covers 64 of the 16384 sets once: no base share.
+    n_full = 8 * MB // PAGE_4K
+    p_full = round(PAGE_4K // geometry.line_size / geometry.num_sets, 9)
+    kernel = _scatter_min_expectation.__wrapped__
+
+    def run() -> None:
+        kernel(n_full, p_full, 0.0, 0, geometry.num_ways)
+
+    return run
+
+
+def _bench_host_build() -> Callable[[], None]:
+    """One fleet host from scratch: a xeon_d ``Machine``, its
+    ``CloudSimulation`` and a fresh dCat manager (16 seeded cores)."""
+    from repro.cpu.socket import SocketSpec
+    from repro.platform.machine import Machine
+    from repro.platform.managers import DCatManager
+    from repro.platform.sim import CloudSimulation
+
+    spec = SocketSpec.xeon_d()
+
+    def run() -> None:
+        CloudSimulation(Machine(spec, seed=42), [], DCatManager())
+
+    return run
+
+
 def _bench_mask_pack() -> Callable[[], None]:
     from repro.cat.cos import contiguous_mask, validate_cbm
 
@@ -441,6 +480,13 @@ _BENCHMARKS: List[Dict[str, Any]] = [
      "iterations": (20, 200), "repeats": (3, 5),
      "note": "one tenant admit + depart on 1000 xeon_d hosts with 100 "
              "residents (least_loaded)"},
+    {"name": "scatter_kernel", "build": _bench_scatter_kernel,
+     "iterations": (200, 2_000), "repeats": (3, 5),
+     "note": "one uncached conflict-scatter evaluation (8 MB, 4K pages, "
+             "xeon_d geometry, 12 ways)"},
+    {"name": "host_build", "build": _bench_host_build,
+     "iterations": (20, 200), "repeats": (3, 5),
+     "note": "one xeon_d Machine + CloudSimulation + dCat manager"},
 ]
 
 

@@ -4,14 +4,25 @@ Includes the model-vs-exact-scatter validation that justifies using the
 closed forms inside the platform simulator.
 """
 
+import dataclasses
+import json
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
+from repro.cache import analytical
 from repro.cache.analytical import AccessPattern, AnalyticalCacheModel, Footprint
 from repro.cache.conflict import simulated_scatter_hit_rate
+from repro.cpu.socket import SocketSpec
+from repro.harness.scenario_file import build_workload
 from repro.mem.address import MB, CacheGeometry
 from repro.mem.paging import PAGE_2M, PAGE_4K
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +255,91 @@ def test_hit_rate_always_in_unit_interval(wss_mb, ways):
     for pattern in (AccessPattern.RANDOM, AccessPattern.SEQUENTIAL, AccessPattern.ZIPF):
         h = model.hit_rate(pattern, wss_mb * MB, ways)
         assert 0.0 <= h <= 1.0
+
+
+# -- the binomial kernel against scipy.stats -----------------------------------
+
+
+def _stats_pmf(ks: np.ndarray, n: int, p: float) -> bytes:
+    return stats.binom(n, p).pmf(ks).tobytes()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=1, max_value=2_000_000),
+    p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    .map(lambda p: round(p, 9))
+    .filter(lambda p: 0.0 < p < 1.0),
+    data=st.data(),
+)
+def test_binomial_kernel_matches_scipy_stats_bit_for_bit(n, p, data):
+    """``_scatter_expectations`` rounds p to 9 places; the kernel asks for
+    ``0..kmax`` with ``kmax <= n``."""
+    kmax = data.draw(st.integers(min_value=0, max_value=min(n, 600)))
+    ks = np.arange(0, kmax + 1)
+    assert analytical._binomial_pmf(ks, n, p).tobytes() == _stats_pmf(ks, n, p)
+
+
+def _workload_specs(node):
+    """Every ``workload`` spec nested anywhere in a scenario document."""
+    if isinstance(node, dict):
+        spec = node.get("workload")
+        if isinstance(spec, dict) and "type" in spec:
+            yield spec
+        for value in node.values():
+            yield from _workload_specs(value)
+    elif isinstance(node, (list, tuple)):
+        for value in node:
+            yield from _workload_specs(value)
+
+
+def _shipped_footprints():
+    """The footprints of every workload in ``examples/*.json`` and in the
+    benchmark's generated mixes."""
+    docs = [json.loads(path.read_text()) for path in sorted((ROOT / "examples").glob("*.json"))]
+    bench = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    docs += [[{"workload": w} for w in bench["DENSE_MIX"]], bench["CHURN_MIX"]]
+    footprints = set()
+    for doc in docs:
+        for wl in _workload_specs(doc):
+            built = build_workload(wl["type"], "probe", dict(wl))
+            footprints.update(phase.footprint for phase in built.peek_phases())
+    return sorted(
+        (fp for fp in footprints if fp.pattern is not AccessPattern.NONE),
+        key=repr,
+    )
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [CacheGeometry.xeon_d(), CacheGeometry.xeon_e5(), SocketSpec.xeon_e5_2697v4().llc],
+    ids=["xeon_d", "xeon_e5", "xeon_e5_2697v4"],
+)
+@pytest.mark.parametrize("page", [PAGE_4K, PAGE_2M], ids=["4K", "2M"])
+def test_binomial_kernel_matches_scipy_stats_on_shipped_footprints(
+    geometry, page, monkeypatch
+):
+    """Every ``(n_full, p_full, ks)`` the way curves of the shipped
+    workloads evaluate, replayed through ``scipy.stats``."""
+    calls = []
+    kernel = analytical._binomial_pmf
+
+    def recording(ks, n, p):
+        calls.append((ks.copy(), n, p))
+        return kernel(ks, n, p)
+
+    monkeypatch.setattr(analytical, "_binomial_pmf", recording)
+    analytical._scatter_min_expectation.cache_clear()
+    try:
+        model = AnalyticalCacheModel(geometry)
+        footprints = _shipped_footprints()
+        assert footprints
+        for fp in footprints:
+            model.way_curve_fp(dataclasses.replace(fp, page_size=page))
+    finally:
+        analytical._scatter_min_expectation.cache_clear()
+    lines_per_page = page // geometry.line_size
+    if lines_per_page % geometry.num_sets:
+        assert calls, "a page that part-covers the sets must reach the kernel"
+    for ks, n, p in calls:
+        assert kernel(ks, n, p).tobytes() == _stats_pmf(ks, n, p), (n, p, ks[-1])

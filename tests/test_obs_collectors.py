@@ -245,14 +245,19 @@ class TestBenchPayload:
 
     def test_committed_payload_is_full_mode_with_fleet_rows(self):
         """The repo's committed BENCH_controller.json must stay schema-valid,
-        full mode, and carry the fleet-step and fleet-admit baseline rows."""
+        full mode, and carry the fleet-step, fleet-admit, scatter-kernel and
+        host-build baseline rows."""
         from pathlib import Path
 
         path = Path(__file__).parent.parent / "BENCH_controller.json"
         payload = validate_bench_payload(json.loads(path.read_text()))
         assert payload["quick"] is False
         names = {b["name"] for b in payload["benchmarks"]}
-        assert {"fleet_step_1k", "fleet_step_dense", "fleet_admit_1k"} <= names, sorted(names)
+        required = {
+            "fleet_step_1k", "fleet_step_dense", "fleet_admit_1k",
+            "scatter_kernel", "host_build",
+        }
+        assert required <= names, sorted(names)
 
     def test_write_bench_refuses_invalid(self, tmp_path):
         payload = _good_payload()
