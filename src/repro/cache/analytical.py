@@ -232,60 +232,6 @@ class AnalyticalCacheModel:
         capacity_lines = max(0.0, capacity_ways) * self.geometry.num_sets
         return _resident_hit_rate(key, capacity_lines)
 
-    # Legacy positional signatures, kept for the microbenchmark studies.
-
-    def hit_rate(
-        self,
-        pattern: AccessPattern,
-        wss_bytes: int,
-        ways: float,
-        page_size: int = PAGE_4K,
-        zipf_s: float | None = None,
-    ) -> float:
-        """Positional convenience wrapper over :meth:`hit_rate_fp`."""
-        return self.hit_rate_fp(
-            Footprint(pattern, wss_bytes, page_size=page_size, zipf_s=zipf_s), ways
-        )
-
-    def way_curve(
-        self,
-        pattern: AccessPattern,
-        wss_bytes: int,
-        page_size: int = PAGE_4K,
-        zipf_s: float | None = None,
-    ) -> np.ndarray:
-        """Positional convenience wrapper over :meth:`way_curve_fp`."""
-        return self.way_curve_fp(
-            Footprint(pattern, wss_bytes, page_size=page_size, zipf_s=zipf_s)
-        )
-
-    def capacity_hit_rate(
-        self,
-        pattern: AccessPattern,
-        wss_bytes: int,
-        capacity_ways: float,
-        zipf_s: float | None = None,
-    ) -> float:
-        """Positional convenience wrapper over :meth:`capacity_hit_rate_fp`."""
-        return self.capacity_hit_rate_fp(
-            Footprint(pattern, wss_bytes, zipf_s=zipf_s), capacity_ways
-        )
-
-    def marginal_gain(
-        self,
-        pattern: AccessPattern,
-        wss_bytes: int,
-        ways: int,
-        page_size: int = PAGE_4K,
-    ) -> float:
-        """Hit-rate improvement from one extra way (for diagnostics)."""
-        curve = self.way_curve(pattern, wss_bytes, page_size)
-        nways = self.geometry.num_ways
-        if ways >= nways:
-            return 0.0
-        below = curve[ways - 1] if ways >= 1 else 0.0
-        return float(curve[ways] - below)
-
     # -- curve construction -----------------------------------------------------
 
     def _compute_curve(self, key: _CurveKey) -> np.ndarray:

@@ -525,10 +525,6 @@ class SetAssociativeCache:
             out[int(cos)] = int(count)
         return out
 
-    def resident_lines(self) -> int:
-        """Total valid lines in the cache."""
-        return int(np.count_nonzero(self._tags != self.INVALID_TAG))
-
     def contains_line(self, line_id: int) -> bool:
         """True if the physical line id is resident (for inclusivity checks)."""
         geo = self.geometry

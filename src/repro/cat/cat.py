@@ -5,20 +5,18 @@ directly — they go through :class:`repro.cat.pqos.PqosLibrary` or the
 resctrl frontend, both of which program this device, mirroring how the real
 dCat daemon drives MSR writes through the pqos library.
 
-Observers (the platform simulator, an exact LLC model) subscribe to mask
-changes so allocation updates take effect on the modeled cache immediately,
-the way an IA32_L3_MASK_n write takes effect on real silicon.
+The simulator reads the COS table each interval, so a mask write takes
+effect on the modeled cache at the next interval; observers learn of mask
+changes from the ``MasksProgrammed`` events on the bus.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.cat.cos import MAX_COS, validate_cbm
 
 __all__ = ["CacheAllocationTechnology"]
-
-MaskListener = Callable[[int, int], None]  # (cos_id, new_mask)
 
 
 class CacheAllocationTechnology:
@@ -50,13 +48,6 @@ class CacheAllocationTechnology:
         # Power-on state: every COS maps the full cache, every core in COS0.
         self._cos_masks: List[int] = [full] * num_cos
         self._core_cos: List[int] = [0] * num_cores
-        self._mask_listeners: List[MaskListener] = []
-
-    # -- observers ----------------------------------------------------------
-
-    def on_mask_change(self, listener: MaskListener) -> None:
-        """Subscribe to COS mask updates."""
-        self._mask_listeners.append(listener)
 
     # -- programming ----------------------------------------------------------
 
@@ -79,11 +70,7 @@ class CacheAllocationTechnology:
             self._check_cos(cos_id)
             validate_cbm(mask, self.num_ways, self.min_cbm_bits)
         for cos_id, mask in batch:
-            if self._cos_masks[cos_id] == mask:
-                continue
             self._cos_masks[cos_id] = mask
-            for listener in self._mask_listeners:
-                listener(cos_id, mask)
 
     def associate_core(self, core: int, cos_id: int) -> None:
         """Point a core's IA32_PQR_ASSOC at a COS."""

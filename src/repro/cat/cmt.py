@@ -101,10 +101,6 @@ class CacheMonitoringTechnology:
             local_bandwidth_bytes=self._mbm_local.get(rmid, 0),
         )
 
-    def read_core(self, core: int) -> CmtReading:
-        """Read the RMID a core is currently associated with."""
-        return self.read(self.rmid_of(core))
-
     def _check_rmid(self, rmid: int) -> None:
         if not 0 <= rmid < self.num_rmids:
             raise ValueError(f"rmid {rmid} out of range [0, {self.num_rmids})")

@@ -13,11 +13,7 @@ Placement used to collapse every rejection into the string
 * ``no-capacity`` — machines are full for *different* reasons (or a
   policy declined for its own reasons despite raw headroom);
 * ``duplicate-tenant`` — the id is already resident or has a ledger
-  (service-level admission only; batch streams pre-validate names);
-* ``controller-rejected`` — the machine accepted placement but its
-  controller could not carve out the baseline (never happens for the
-  built-in policies, which only pick fitting machines; kept for
-  custom policies).
+  (service-level admission only; batch streams pre-validate names).
 
 The enum *values* are the wire/report strings; events and
 ``PlacementRecord.reason`` carry the value, not the enum member, so
@@ -27,9 +23,9 @@ JSONL traces stay plain strings.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
-__all__ = ["RejectReason", "machine_reject_reason", "classify_rejection"]
+__all__ = ["RejectReason", "classify_rejection"]
 
 
 class RejectReason(str, Enum):
@@ -40,23 +36,6 @@ class RejectReason(str, Enum):
     NO_COS = "no-cos"
     NO_WAYS = "no-ways"
     DUPLICATE_TENANT = "duplicate-tenant"
-    CONTROLLER_REJECTED = "controller-rejected"
-
-
-def machine_reject_reason(machine, baseline_ways: int) -> Optional[RejectReason]:
-    """Why one machine cannot host a tenant, or ``None`` if it fits.
-
-    Budgets are checked in the same order :meth:`FleetMachine.fits`
-    evaluates them (threads, then COS, then ways), so the reported
-    reason is the first exhausted budget.
-    """
-    if len(machine._free_threads) < machine.vcpus_per_vm:
-        return RejectReason.NO_THREADS
-    if len(machine.residents) >= machine._cos_capacity:
-        return RejectReason.NO_COS
-    if machine.reserved_ways + baseline_ways > machine.machine.num_ways:
-        return RejectReason.NO_WAYS
-    return None
 
 
 def classify_rejection(
@@ -64,12 +43,14 @@ def classify_rejection(
 ) -> RejectReason:
     """The fleet-wide rejection reason for a tenant no policy placed.
 
-    If every machine is out of the *same* budget the specific reason is
-    returned; if machines are full for different reasons — or some
-    machine actually fits but the policy still declined — the generic
-    ``NO_CAPACITY`` is reported.
+    Each machine reports its first exhausted budget
+    (:meth:`~repro.cloud.fleet.FleetMachine.reject_reason`).  If every
+    machine is out of the *same* budget that reason is returned; if
+    machines are full for different reasons — or some machine actually
+    fits but the policy still declined — the generic ``NO_CAPACITY`` is
+    reported.
     """
-    reasons = {machine_reject_reason(m, baseline_ways) for m in machines}
+    reasons = {m.reject_reason(baseline_ways) for m in machines}
     if len(reasons) == 1:
         only = next(iter(reasons))
         if only is not None:

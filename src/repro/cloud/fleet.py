@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.analytical import AccessPattern
-from repro.cloud.admission import classify_rejection
+from repro.cloud.admission import RejectReason, classify_rejection
 from repro.cloud.lifecycle import TenantSpec, scripted_tenants
 from repro.cloud.placement import PlacementPolicy
 from repro.cloud.slo import SloAccountant, TenantSloStats
@@ -45,7 +45,7 @@ from repro.engine.events import (
 from repro.errors import UnknownTenantError
 from repro.platform.machine import Machine
 from repro.platform.managers import CacheManager
-from repro.platform.sim import CloudSimulation, SimulationResult, step_batch
+from repro.platform.sim import CloudSimulation, SimulationResult, step_batch, whole_intervals
 from repro.platform.vm import VirtualMachine
 
 __all__ = [
@@ -248,13 +248,23 @@ class FleetMachine:
     def free_thread_slots(self) -> int:
         return len(self._free_threads) // self.vcpus_per_vm
 
+    def reject_reason(self, baseline_ways: int) -> Optional[RejectReason]:
+        """Why one more tenant with this reservation cannot be hosted.
+
+        Budgets are checked threads, then COS, then ways, so the reason
+        is the first exhausted one; ``None`` means the tenant fits.
+        """
+        if len(self._free_threads) < self.vcpus_per_vm:
+            return RejectReason.NO_THREADS
+        if len(self.residents) >= self._cos_capacity:
+            return RejectReason.NO_COS
+        if self.reserved_ways + baseline_ways > self.machine.num_ways:
+            return RejectReason.NO_WAYS
+        return None
+
     def fits(self, baseline_ways: int) -> bool:
         """Whether one more tenant with this reservation can be hosted."""
-        return (
-            len(self._free_threads) >= self.vcpus_per_vm
-            and len(self.residents) < self._cos_capacity
-            and self.reserved_ways + baseline_ways <= self.machine.num_ways
-        )
+        return self.reject_reason(baseline_ways) is None
 
     # -- churn -------------------------------------------------------------
 
@@ -500,9 +510,8 @@ class CloudFleet:
         """
         if duration_s < 0:
             raise ValueError(f"duration_s must be >= 0, got {duration_s}")
-        steps_exact = duration_s / self.interval_s
-        steps = int(round(steps_exact))
-        if abs(steps_exact - steps) > 1e-9 * max(1.0, abs(steps_exact)):
+        steps, remainder = whole_intervals(duration_s, self.interval_s)
+        if remainder:
             raise ValueError(
                 f"duration {duration_s} s is not a whole number of "
                 f"{self.interval_s} s fleet intervals"

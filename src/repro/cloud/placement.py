@@ -169,10 +169,9 @@ class CapacityIndex:
 class PlacementPolicy(abc.ABC):
     """Chooses a machine for an arriving tenant (or ``None`` to reject).
 
-    ``place`` accepts the fleet's :class:`CapacityIndex` or any plain
-    sequence of machines in fleet order; a sequence (or an index on
-    another policy's key) is wrapped into a fresh index, so every caller
-    goes through the same walk.
+    ``place`` walks a :class:`CapacityIndex` built on this policy's
+    :meth:`bucket_key` (the fleet's ``capacity``, or :meth:`index` over
+    a list of machines).
     """
 
     name: str = "policy"
@@ -186,17 +185,12 @@ class PlacementPolicy(abc.ABC):
         """A :class:`CapacityIndex` of ``machines`` on this policy's key."""
         return CapacityIndex(machines, self.bucket_key)
 
-    def _indexed(self, machines) -> CapacityIndex:
-        if isinstance(machines, CapacityIndex) and machines.key == self.bucket_key:
-            return machines
-        return self.index(machines)
-
     @abc.abstractmethod
     def place(
         self,
         tenant: TenantSpec,
         workload: Workload,
-        machines: Sequence["FleetMachine"],
+        machines: CapacityIndex,
     ) -> Optional["FleetMachine"]:
         """The machine that should host ``tenant``, or ``None``."""
 
@@ -207,7 +201,7 @@ class FirstFitPolicy(PlacementPolicy):
     name = "first_fit"
 
     def place(self, tenant, workload, machines):
-        return self._indexed(machines).first_fitting(tenant.baseline_ways)
+        return machines.first_fitting(tenant.baseline_ways)
 
 
 class LeastLoadedPolicy(PlacementPolicy):
@@ -221,7 +215,7 @@ class LeastLoadedPolicy(PlacementPolicy):
         return machine.reserved_ways / machine.machine.num_ways
 
     def place(self, tenant, workload, machines):
-        return self._indexed(machines).first_fitting(tenant.baseline_ways)
+        return machines.first_fitting(tenant.baseline_ways)
 
 
 class SensitivityAwarePolicy(PlacementPolicy):
@@ -244,21 +238,20 @@ class SensitivityAwarePolicy(PlacementPolicy):
         return machine.free_ways
 
     def place(self, tenant, workload, machines):
-        index = self._indexed(machines)
         ways = tenant.baseline_ways
         # Sensitivity depends on the host geometry (total ways, way size),
         # so judge it against the would-be placement — the machine with the
         # most spare reserved ways — not against whichever machine happens
         # to be first in fleet order.  Both walks start at ``min_key=ways``:
         # a machine with fewer free ways cannot fit the reservation.
-        headroom = index.first_fitting(ways, descending=True, min_key=ways)
+        headroom = machines.first_fitting(ways, descending=True, min_key=ways)
         if headroom is None:
             return None
         if cache_sensitivity(workload, headroom, ways) >= self.threshold:
             # Most spare reserved ways first: room to grow beyond baseline.
             return headroom
         # Insensitive: fill the fullest machine that still fits.
-        return index.first_fitting(ways, min_key=ways)
+        return machines.first_fitting(ways, min_key=ways)
 
 
 _POLICIES = {

@@ -74,6 +74,7 @@ from repro.harness.scenario_file import (
     substrate_from_spec,
 )
 from repro.platform.machine import Machine
+from repro.platform.sim import whole_intervals
 
 __all__ = [
     "ChurnScenarioError",
@@ -381,8 +382,7 @@ def load_churn_scenario(
     interval_s = _get_number(
         fleet_spec, "fleet", "interval_s", error, default=1.0, positive=True
     )
-    steps_exact = duration_s / interval_s
-    if abs(steps_exact - round(steps_exact)) > 1e-9 * max(1.0, abs(steps_exact)):
+    if whole_intervals(duration_s, interval_s)[1]:
         raise error(
             f"scenario.duration_s: {duration_s} is not a whole number of "
             f"fleet.interval_s={interval_s} intervals (the fleet only "

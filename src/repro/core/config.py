@@ -69,26 +69,12 @@ class DCatConfig:
         unknown_priority: Grant Unknown workloads before Receivers so
             streaming workloads are unmasked sooner (paper §3.5); disable
             for the ablation study.
-        flush_reassigned_ways: Model the user-level way-flush helper the
-            paper describes, clearing ways that change owners.
         hardened: Master switch for the robustness layer (retry, stale-sample
             fallback, write verification, quarantine).  Every hardening path
             is a no-op until a fault actually occurs, so a clean run behaves
             identically with it on or off; disable for the chaos ablation.
-        sampler_max_retries: Extra sampling attempts after a transient
-            counter read error before falling back to the stale sample.
-        l3ca_max_retries: Extra attempts for a failed pqos write (mask
-            programming, core association) before the controller gives up.
-        verify_mask_writes: Read the COS table back after programming and
-            reprogram any entry that did not land (verify-after-write).
-        max_plausible_ipc: IPC above which a sample is rejected as counter
-            corruption, triggering the stale-sample fallback.
-        max_plausible_cycles_slack: Multiple of the nominal per-interval
-            cycle budget above which a sample's cycle count is physically
-            impossible (saturated counters) and the sample is rejected.
-        quarantine_after: Consecutive erratic intervals (read failures or
-            implausible samples) after which a workload is quarantined back
-            to Reclaim at its reserved baseline until its counters recover.
+            Its budgets and bounds are constants of
+            :mod:`repro.core.controller`.
     """
 
     llc_miss_rate_thr: float = 0.03
@@ -105,14 +91,7 @@ class DCatConfig:
     shrink_step_ways: int = 1
     use_performance_table: bool = True
     unknown_priority: bool = True
-    flush_reassigned_ways: bool = True
     hardened: bool = True
-    sampler_max_retries: int = 2
-    l3ca_max_retries: int = 2
-    verify_mask_writes: bool = True
-    max_plausible_ipc: float = 8.0
-    max_plausible_cycles_slack: float = 2.0
-    quarantine_after: int = 3
 
     def __post_init__(self) -> None:
         # Imported here, not at module level: policies imports this module.
@@ -141,11 +120,3 @@ class DCatConfig:
             raise ValueError("interval_s must be positive")
         if self.grow_step_ways < 1 or self.shrink_step_ways < 1:
             raise ValueError("grow/shrink steps must be >= 1")
-        if self.sampler_max_retries < 0 or self.l3ca_max_retries < 0:
-            raise ValueError("retry budgets cannot be negative")
-        if self.max_plausible_ipc <= 0:
-            raise ValueError("max_plausible_ipc must be positive")
-        if self.max_plausible_cycles_slack < 1:
-            raise ValueError("max_plausible_cycles_slack must be >= 1")
-        if self.quarantine_after < 1:
-            raise ValueError("quarantine_after must be >= 1")

@@ -52,12 +52,29 @@ from repro.engine.events import (
     WorkloadDeregistered,
     WorkloadRegistered,
 )
-from repro.engine.pipeline import FunctionStage, StagedLoop
+from repro.engine.pipeline import StagedLoop
 from repro.errors import UnknownTenantError
 from repro.hwcounters.msr import CounterReadError
 from repro.hwcounters.perfmon import CounterSample, PerfMonitor
 
 __all__ = ["WorkloadStatus", "StepResult", "ControlStepContext", "DCatController"]
+
+# Budgets and bounds of the hardening layer (``DCatConfig.hardened``).
+#: Extra sampling attempts after a transient counter read error before
+#: falling back to the stale sample.
+SAMPLER_MAX_RETRIES = 2
+#: Extra attempts for a failed pqos write (mask programming, core
+#: association) before the controller gives up.
+L3CA_MAX_RETRIES = 2
+#: IPC above which a sample is rejected as counter corruption.
+MAX_PLAUSIBLE_IPC = 8.0
+#: Multiple of the nominal per-interval cycle budget above which a sample's
+#: cycle count is physically impossible (saturated counters).
+MAX_PLAUSIBLE_CYCLES_SLACK = 2.0
+#: Consecutive erratic intervals (read failures or implausible samples)
+#: after which a workload is quarantined back to Reclaim at its reserved
+#: baseline until its counters recover.
+QUARANTINE_AFTER = 3
 
 
 @dataclass(frozen=True)
@@ -121,7 +138,7 @@ class DCatController:
             per interval (for idle detection).
         flush_callback: Optional hook invoked with the way mask of every
             span that changed owners, modeling the paper's user-level
-            way-flush helper.
+            way-flush helper; without one, no ways are flushed.
         bus: Event bus for control-plane events (defaults to the null bus).
     """
 
@@ -156,12 +173,12 @@ class DCatController:
         self.history: List[StepResult] = []
         self.loop = StagedLoop(
             [
-                FunctionStage("collect", self._stage_collect),
-                FunctionStage("detect_phase", self._stage_detect_phase),
-                FunctionStage("get_baseline", self._stage_get_baseline),
-                FunctionStage("categorize", self._stage_categorize),
-                FunctionStage("allocate", self._stage_allocate),
-                FunctionStage("commit", self._stage_commit),
+                ("collect", self._stage_collect),
+                ("detect_phase", self._stage_detect_phase),
+                ("get_baseline", self._stage_get_baseline),
+                ("categorize", self._stage_categorize),
+                ("allocate", self._stage_allocate),
+                ("commit", self._stage_commit),
             ],
             name="controller",
         )
@@ -249,10 +266,7 @@ class DCatController:
         ]
         if self.config.hardened:
             try:
-                self._pqos_retry(
-                    lambda: self.pqos.l3ca_set(reset),
-                    self.config.l3ca_max_retries,
-                )
+                self._pqos_retry(lambda: self.pqos.l3ca_set(reset))
             except PqosError:
                 # The COS keeps its stale mask for now; reuse goes through
                 # _apply_plan, which programs it before the plan lands.
@@ -263,7 +277,7 @@ class DCatController:
                             kind="l3ca_set_fail",
                             target=workload_id,
                             action="deferred_reset",
-                            attempts=self.config.l3ca_max_retries + 1,
+                            attempts=L3CA_MAX_RETRIES + 1,
                         )
                     )
         else:
@@ -661,7 +675,7 @@ class DCatController:
             self._program_masks(entries, when)
         else:
             self.pqos.l3ca_set(entries)
-        if self.config.flush_reassigned_ways and self.flush_callback is not None:
+        if self.flush_callback is not None:
             for wid in layout.moved:
                 self.flush_callback(layout.masks[wid])
         self._masks = dict(layout.masks)
@@ -678,19 +692,19 @@ class DCatController:
     # -- hardening (the repro.faults robustness layer) -------------------------
 
     @staticmethod
-    def _pqos_retry(call: Callable[[], None], max_retries: int) -> int:
+    def _pqos_retry(call: Callable[[], None]) -> int:
         """Run a pqos write, retrying transient failures; returns attempts.
 
         Raises:
-            PqosError: When the call still fails after ``max_retries``
+            PqosError: When the call still fails after ``L3CA_MAX_RETRIES``
                 additional attempts.
         """
-        for attempt in range(1, max_retries + 2):
+        for attempt in range(1, L3CA_MAX_RETRIES + 2):
             try:
                 call()
                 return attempt
             except PqosError:
-                if attempt > max_retries:
+                if attempt > L3CA_MAX_RETRIES:
                     raise
         raise AssertionError("unreachable")
 
@@ -703,14 +717,11 @@ class DCatController:
         run an interval on masks it merely believes it wrote.
 
         Raises:
-            PqosError: If the write keeps failing beyond ``l3ca_max_retries``
+            PqosError: If the write keeps failing beyond ``L3CA_MAX_RETRIES``
                 or readback never converges to the requested table.
         """
-        cfg = self.config
         bus = self.bus
-        attempts = self._pqos_retry(
-            lambda: self.pqos.l3ca_set(entries), cfg.l3ca_max_retries
-        )
+        attempts = self._pqos_retry(lambda: self.pqos.l3ca_set(entries))
         if attempts > 1 and bus.active:
             bus.emit(
                 FaultRecovered.fast(
@@ -721,10 +732,8 @@ class DCatController:
                     attempts=attempts,
                 )
             )
-        if not cfg.verify_mask_writes:
-            return
         wanted = sorted({e.cos_id: e.ways_mask for e in entries}.items())
-        for round_ in range(cfg.l3ca_max_retries + 1):
+        for round_ in range(L3CA_MAX_RETRIES + 1):
             table = self.pqos.l3ca_masks()
             stray = [
                 PqosL3Ca(cos_id=cos, ways_mask=mask)
@@ -733,9 +742,7 @@ class DCatController:
             ]
             if not stray:
                 return
-            self._pqos_retry(
-                lambda: self.pqos.l3ca_set(stray), cfg.l3ca_max_retries
-            )
+            self._pqos_retry(lambda: self.pqos.l3ca_set(stray))
             if bus.active:
                 bus.emit(
                     FaultRecovered.fast(
@@ -756,14 +763,14 @@ class DCatController:
         """Associate a core with a COS, verifying the write took effect.
 
         A dropped association (the write silently not landing) is detected
-        by readback and re-issued up to ``l3ca_max_retries`` times.  Returns
+        by readback and re-issued up to ``L3CA_MAX_RETRIES`` times.  Returns
         True once the association is in place; with ``best_effort`` a
         persistent failure returns False instead of raising.
         """
         if not self.config.hardened:
             self.pqos.alloc_assoc_set(core, cos_id)
             return True
-        for attempt in range(1, self.config.l3ca_max_retries + 2):
+        for attempt in range(1, L3CA_MAX_RETRIES + 2):
             try:
                 self.pqos.alloc_assoc_set(core, cos_id)
             except PqosError:
@@ -788,10 +795,10 @@ class DCatController:
 
     def _plausible(self, rec: WorkloadRecord, sample: CounterSample) -> bool:
         """Physical sanity gate: IPC and per-interval cycle-budget bounds."""
-        if sample.ipc > self.config.max_plausible_ipc:
+        if sample.ipc > MAX_PLAUSIBLE_IPC:
             return False
         budget = self.nominal_cycles_per_core * len(rec.cores)
-        return sample.cycles <= self.config.max_plausible_cycles_slack * budget
+        return sample.cycles <= MAX_PLAUSIBLE_CYCLES_SLACK * budget
 
     def _sample_hardened(
         self, wid: str, rec: WorkloadRecord, ctx: ControlStepContext
@@ -799,7 +806,7 @@ class DCatController:
         """Sample with bounded retries, a plausibility gate, stale fallback.
 
         A transient :class:`CounterReadError` is retried up to
-        ``sampler_max_retries`` extra times (the fault raises before the
+        ``SAMPLER_MAX_RETRIES`` extra times (the fault raises before the
         counters are consumed, so a retry still sees the full interval
         delta).  A read that keeps failing — or that returns physically
         impossible values — is replaced by the previous interval's sample
@@ -807,13 +814,12 @@ class DCatController:
         quarantine streak; the first clean sample clears the streak and
         releases any quarantine.
         """
-        cfg = self.config
         bus = self.bus
         time_s = ctx.time_s
         sample: Optional[CounterSample] = None
         kind = ""
         attempts = 0
-        for attempts in range(1, cfg.sampler_max_retries + 2):
+        for attempts in range(1, SAMPLER_MAX_RETRIES + 2):
             try:
                 candidate = self.perfmon.sample_cores(rec.cores)
             except CounterReadError:
@@ -864,7 +870,7 @@ class DCatController:
                     attempts=attempts,
                 )
             )
-        if not rec.quarantined and rec.erratic_streak >= cfg.quarantine_after:
+        if not rec.quarantined and rec.erratic_streak >= QUARANTINE_AFTER:
             rec.quarantined = True
             if bus.active:
                 bus.emit(

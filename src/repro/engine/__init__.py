@@ -5,8 +5,8 @@ This package is the seam between the reproduction's layers:
 * :mod:`repro.engine.events` — frozen event types, the :class:`EventBus`
   (with a null-bus fast path), and built-in sinks (ring buffer, JSONL
   trace, counters/histograms);
-* :mod:`repro.engine.pipeline` — the :class:`Stage` protocol and
-  :class:`StagedLoop` that both interval loops are composed from;
+* :mod:`repro.engine.pipeline` — the :class:`StagedLoop` of named
+  ``(name, fn)`` stages that both interval loops are composed from;
 * :mod:`repro.engine.runner` — the deterministic process-pool experiment
   runner behind ``dcat-experiment run all --jobs N``;
 * :mod:`repro.engine.context` — the :class:`RunContext` (fidelity,
@@ -33,7 +33,7 @@ from repro.engine.events import (
     set_default_bus,
     use_bus,
 )
-from repro.engine.pipeline import FunctionStage, Stage, StagedLoop
+from repro.engine.pipeline import StagedLoop
 from repro.engine.runner import derive_seed, run_experiments
 
 __all__ = [
@@ -57,8 +57,6 @@ __all__ = [
     "get_default_bus",
     "set_default_bus",
     "use_bus",
-    "FunctionStage",
-    "Stage",
     "StagedLoop",
     "derive_seed",
     "run_experiments",

@@ -403,10 +403,6 @@ class RingBufferRecorder:
     def of_type(self, event_type: Type[Event]) -> List[Event]:
         return [e for e in self._events if isinstance(e, event_type)]
 
-    def type_names(self) -> List[str]:
-        """The recorded sequence as class names (order assertions)."""
-        return [type(e).__name__ for e in self._events]
-
     def clear(self) -> None:
         self._events.clear()
 

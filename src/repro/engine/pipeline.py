@@ -1,15 +1,11 @@
 """Staged interval loops.
 
 A :class:`StagedLoop` decomposes a monolithic per-interval ``step()`` into
-an ordered list of named stages sharing one mutable context object.  The
-stage list is data, not code, so callers can inspect it, wrap a stage with
-instrumentation, inject a fault between two stages, or swap an
-implementation (e.g. a vectorized core model) without touching the loop
-that owns it.
-
-Stages are duck-typed against the :class:`Stage` protocol — anything with a
-``name`` and a ``run(ctx)``.  Plain callables are adapted with
-:class:`FunctionStage`.
+an ordered list of named stages sharing one mutable context object.  A
+stage is a ``(name, fn)`` pair and runs as ``fn(ctx)``.  The stage list is
+data, not code, so callers can inspect it, run a slice of it, or splice a
+stage in before an existing one (the fault injector's ``inject_faults``)
+without touching the loop that owns it.
 
 Per-stage profiling hooks in here the same way the default event bus hooks
 into :mod:`repro.engine.events`: a process-wide default profiler
@@ -34,12 +30,11 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Tuple,
     runtime_checkable,
 )
 
 __all__ = [
-    "Stage",
-    "FunctionStage",
     "StagedLoop",
     "StageObserver",
     "get_default_profiler",
@@ -47,16 +42,8 @@ __all__ = [
     "use_profiler",
 ]
 
-
-@runtime_checkable
-class Stage(Protocol):
-    """One named step of an interval loop."""
-
-    name: str
-
-    def run(self, ctx: Any) -> None:
-        """Advance the interval: read and mutate the shared context."""
-        ...
+#: One named step of an interval loop; the loop runs it as ``fn(ctx)``.
+_NamedStage = Tuple[str, Callable[[Any], None]]
 
 
 @runtime_checkable
@@ -102,96 +89,47 @@ def use_profiler(profiler: Optional[StageObserver]) -> Iterator[Optional[StageOb
         set_default_profiler(previous)
 
 
-class FunctionStage:
-    """Adapts a ``ctx -> None`` callable to the :class:`Stage` protocol."""
-
-    __slots__ = ("name", "fn")
-
-    def __init__(self, name: str, fn: Callable[[Any], None]) -> None:
-        self.name = name
-        self.fn = fn
-
-    def run(self, ctx: Any) -> None:
-        self.fn(ctx)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FunctionStage({self.name!r})"
-
-
 class StagedLoop:
-    """An ordered, editable composition of uniquely named stages.
+    """An ordered composition of uniquely named stages.
 
     Args:
-        stages: Initial stage order.
+        stages: Initial stage order, as ``(name, fn)`` pairs.
         name: Label for error messages (e.g. ``"sim"``, ``"controller"``).
     """
 
-    def __init__(self, stages: Sequence[Stage], name: str = "loop") -> None:
+    def __init__(self, stages: Sequence[_NamedStage], name: str = "loop") -> None:
         self.name = name
-        self._stages: List[Stage] = []
+        self._stages: List[_NamedStage] = []
         #: Per-stage wall-time observer, captured from the process default at
         #: construction; assign directly to (de)instrument a live loop.
         self.profiler: Optional[StageObserver] = get_default_profiler()
-        for s in stages:
-            self.append(s)
+        for stage in stages:
+            self._check_new(stage)
+            self._stages.append(stage)
 
     # -- composition ----------------------------------------------------------
 
     @property
     def stage_names(self) -> List[str]:
-        return [s.name for s in self._stages]
-
-    def __iter__(self) -> Iterator[Stage]:
-        return iter(self._stages)
-
-    def __len__(self) -> int:
-        return len(self._stages)
+        return [name for name, _ in self._stages]
 
     def index(self, name: str) -> int:
         """Position of the stage called ``name`` (``KeyError`` if absent)."""
-        for i, s in enumerate(self._stages):
-            if s.name == name:
+        for i, (stage_name, _) in enumerate(self._stages):
+            if stage_name == name:
                 return i
         raise KeyError(f"{self.name}: no stage named {name!r} "
                        f"(stages: {', '.join(self.stage_names)})")
 
-    def get(self, name: str) -> Stage:
-        return self._stages[self.index(name)]
-
-    def append(self, stage: Stage) -> None:
-        if stage.name in self.stage_names:
-            raise ValueError(f"{self.name}: duplicate stage name {stage.name!r}")
-        self._stages.append(stage)
-
-    def insert_before(self, name: str, stage: Stage) -> None:
+    def insert_before(self, name: str, stage: _NamedStage) -> None:
         """Insert a new stage just before an existing one."""
         idx = self.index(name)
-        if stage.name in self.stage_names:
-            raise ValueError(f"{self.name}: duplicate stage name {stage.name!r}")
+        self._check_new(stage)
         self._stages.insert(idx, stage)
 
-    def insert_after(self, name: str, stage: Stage) -> None:
-        """Insert a new stage just after an existing one."""
-        idx = self.index(name)
-        if stage.name in self.stage_names:
-            raise ValueError(f"{self.name}: duplicate stage name {stage.name!r}")
-        self._stages.insert(idx + 1, stage)
-
-    def replace(self, name: str, stage: Stage) -> Stage:
-        """Swap a stage in place (instrumented wrappers, alternate models).
-
-        Returns the stage that was replaced.
-        """
-        idx = self.index(name)
-        if stage.name != name and stage.name in self.stage_names:
-            raise ValueError(f"{self.name}: duplicate stage name {stage.name!r}")
-        old = self._stages[idx]
-        self._stages[idx] = stage
-        return old
-
-    def remove(self, name: str) -> Stage:
-        """Drop a stage from the loop (returns it)."""
-        return self._stages.pop(self.index(name))
+    def _check_new(self, stage: _NamedStage) -> None:
+        if stage[0] in self.stage_names:
+            raise ValueError(f"{self.name}: duplicate stage name {stage[0]!r}")
 
     # -- execution ------------------------------------------------------------
 
@@ -208,14 +146,14 @@ class StagedLoop:
         stages = self._stages if start == 0 and stop is None else self._stages[start:stop]
         profiler = self.profiler
         if profiler is None:
-            for stage in stages:
-                stage.run(ctx)
+            for _, fn in stages:
+                fn(ctx)
             return
         loop_name = self.name
-        for stage in stages:
+        for stage_name, fn in stages:
             began = perf_counter()
-            stage.run(ctx)
-            profiler.observe(loop_name, stage.name, perf_counter() - began)
+            fn(ctx)
+            profiler.observe(loop_name, stage_name, perf_counter() - began)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StagedLoop({self.name!r}: {' -> '.join(self.stage_names)})"

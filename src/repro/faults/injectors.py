@@ -27,7 +27,6 @@ from repro.cat.pqos import (
 )
 from repro.core.controller import ControlStepContext, DCatController
 from repro.engine.events import FaultInjected
-from repro.engine.pipeline import FunctionStage
 from repro.faults.plan import COUNTER_KINDS, FaultKind, FaultPlan, FaultRule
 from repro.hwcounters.msr import COUNTER_WIDTH_BITS, CounterReadError
 from repro.hwcounters.perfmon import CounterSample, PerfMonitor
@@ -205,7 +204,7 @@ class FaultInjector:
         controller.pqos = self.pqos
         controller.perfmon = self.perfmon
         controller.loop.insert_before(
-            "collect", FunctionStage(self.STAGE_NAME, self._stage_arm)
+            "collect", (self.STAGE_NAME, self._stage_arm)
         )
         self._controller = controller
         return self

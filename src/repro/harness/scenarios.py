@@ -30,7 +30,6 @@ __all__ = [
     "paper_machine",
     "build_stage",
     "run_scenario",
-    "run_three_managers",
     "manager_factories",
 ]
 
@@ -115,25 +114,3 @@ def manager_factories(
         "static": StaticCatManager,
         "dcat": lambda: DCatManager(config=dcat_config),
     }
-
-
-def run_three_managers(
-    vms_factory: Callable[[Machine], List[VirtualMachine]],
-    duration_s: Optional[float] = None,
-    watch: Optional[Sequence[str]] = None,
-    max_duration_s: float = 600.0,
-    seed: int = 1234,
-    dcat_config: Optional[DCatConfig] = None,
-) -> Dict[str, SimulationResult]:
-    """Run the identical stage under shared / static / dCat."""
-    results: Dict[str, SimulationResult] = {}
-    for label, factory in manager_factories(dcat_config).items():
-        results[label] = run_scenario(
-            vms_factory,
-            factory(),
-            duration_s=duration_s,
-            watch=watch,
-            max_duration_s=max_duration_s,
-            seed=seed,
-        )
-    return results

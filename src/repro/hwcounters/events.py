@@ -57,11 +57,6 @@ class PerfEvent:
         enable = 1 << 22
         return self.event_select | (self.umask << 8) | usr | os_ | enable
 
-    @classmethod
-    def from_evtsel(cls, name: str, value: int) -> "PerfEvent":
-        """Decode an IA32_PERFEVTSELx register value back into an event."""
-        return cls(name=name, event_select=value & 0xFF, umask=(value >> 8) & 0xFF)
-
 
 # Paper Table 2 encodings (standard architectural/Broadwell events).
 LLC_MISSES = PerfEvent("llc_misses", 0x2E, 0x41)

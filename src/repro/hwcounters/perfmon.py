@@ -66,11 +66,6 @@ class CounterSample:
         """L1 references per retired instruction — the phase signature."""
         return self.l1_ref / self.ret_ins if self.ret_ins else 0.0
 
-    @property
-    def llc_refs_per_instr(self) -> float:
-        """LLC references per instruction (low => cannot benefit from LLC)."""
-        return self.llc_ref / self.ret_ins if self.ret_ins else 0.0
-
     def __add__(self, other: "CounterSample") -> "CounterSample":
         return CounterSample(
             l1_ref=self.l1_ref + other.l1_ref,

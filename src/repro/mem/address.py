@@ -81,10 +81,6 @@ class CacheGeometry:
 
     # -- scalar decomposition ---------------------------------------------
 
-    def line_address(self, paddr: int) -> int:
-        """Return the line-aligned address containing ``paddr``."""
-        return paddr & ~(self.line_size - 1)
-
     def set_index(self, paddr: int) -> int:
         """Return the set that physical address ``paddr`` maps to."""
         return (paddr >> self.offset_bits) % self.num_sets

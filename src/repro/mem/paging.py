@@ -47,10 +47,6 @@ class MappedBuffer:
     size: int
     page_size: int
 
-    @property
-    def vend(self) -> int:
-        return self.vbase + self.size
-
 
 class PageTable:
     """Single-address-space page table with pseudo-random frame allocation.

@@ -87,11 +87,7 @@ class SharedCacheManager(CacheManager):
 
 
 class StaticCatManager(CacheManager):
-    """Static CAT: program each VM's reserved ways once.
-
-    Args:
-        flush_on_setup: Irrelevant to steady state; kept for symmetry.
-    """
+    """Static CAT: program each VM's reserved ways once."""
 
     mode = "partitioned"
     name = "static-cat"

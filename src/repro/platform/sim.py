@@ -26,6 +26,7 @@ the experiment harness turns into the paper's figures and tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -40,7 +41,7 @@ from repro.engine.events import (
     get_default_bus,
 )
 from repro.engine.context import current_context
-from repro.engine.pipeline import FunctionStage, StagedLoop
+from repro.engine.pipeline import StagedLoop
 from repro.errors import UnknownTenantError
 from repro.hwcounters.events import L1_CACHE_HITS, L1_CACHE_MISSES, LLC_MISSES, LLC_REFERENCES
 from repro.platform.machine import Machine
@@ -59,6 +60,7 @@ __all__ = [
     "VmIntervalAccumulator",
     "CloudSimulation",
     "step_batch",
+    "whole_intervals",
 ]
 
 _L1_HITS, _L1_MISSES, _LLC_REFS, _LLC_MISSES = (
@@ -216,6 +218,25 @@ class SimBatch:
         return zip(self.sims, self.ctxs)
 
 
+def whole_intervals(duration_s: float, interval_s: float) -> Tuple[int, float]:
+    """Split ``duration_s`` into whole ``interval_s`` steps and a remainder.
+
+    A step count within a relative 1e-9 of a whole number is that number,
+    with remainder ``0.0``: a float product such as ``20_971_524 * 0.1``
+    lands a hair below its count, and an absolute tolerance loses an
+    interval once counts reach the tens of millions.  Any other count
+    rounds down and the positive remainder is returned.  Every conversion
+    of a duration into intervals goes through here: the simulation's and
+    the fleet's ``run`` and the churn scenario loader.
+    """
+    exact = duration_s / interval_s
+    steps = round(exact)
+    if abs(exact - steps) <= 1e-9 * max(1.0, abs(exact)):
+        return steps, 0.0
+    steps = math.floor(exact)
+    return steps, duration_s - steps * interval_s
+
+
 def step_batch(sims: Sequence["CloudSimulation"]) -> None:
     """One interval of every simulation in ``sims``, stage-major.
 
@@ -360,9 +381,8 @@ class CloudSimulation:
     record -> advance -> control -> update_dram``) over a
     :class:`SimBatch` of this one host (:func:`step_batch`, the same code
     a fleet interval runs over all its busy hosts); each stage publishes
-    to the event bus.  The loop is exposed as ``self.loop`` so
-    instrumentation and alternate models can be spliced in without
-    subclassing.
+    to the event bus.  The loop is exposed as ``self.loop``, where a
+    profiler can time it.
 
     How hit rates are resolved is delegated to an injected
     :class:`~repro.platform.substrate.CacheSubstrate` — analytical closed
@@ -431,13 +451,13 @@ class CloudSimulation:
         self.substrate.bind(self)
         self.loop = StagedLoop(
             [
-                FunctionStage("resolve_hit_rates", _stage_resolve_hit_rates),
-                FunctionStage("execute_cores", _stage_execute_cores),
-                FunctionStage("feed_pmus", _stage_feed_pmus),
-                FunctionStage("record", _stage_record),
-                FunctionStage("advance", _stage_advance),
-                FunctionStage("control", _stage_control),
-                FunctionStage("update_dram", _stage_update_dram),
+                ("resolve_hit_rates", _stage_resolve_hit_rates),
+                ("execute_cores", _stage_execute_cores),
+                ("feed_pmus", _stage_feed_pmus),
+                ("record", _stage_record),
+                ("advance", _stage_advance),
+                ("control", _stage_control),
+                ("update_dram", _stage_update_dram),
             ],
             name="sim",
         )
@@ -548,37 +568,23 @@ class CloudSimulation:
         """The loaded DRAM latency the next interval will execute under."""
         return self._dram_latency
 
-    def run(self, duration_s: float, strict: bool = False) -> SimulationResult:
+    def run(self, duration_s: float) -> SimulationResult:
         """Advance the simulation by ``duration_s`` of virtual time.
 
-        The simulation only moves in whole intervals.  By default, time that
-        does not fill an interval is *accumulated*: ``run(1.25)`` at a 0.5 s
-        interval runs 2 steps and banks 0.25 s, so a following ``run(0.25)``
-        runs the third step — no time is silently created or destroyed the
-        way the old ``round()`` did.  With ``strict=True``, a duration that
-        is not a whole number of intervals raises instead.
-
-        Args:
-            duration_s: Virtual time to advance by (>= 0).
-            strict: Refuse durations that are not interval multiples.
+        The simulation only moves in whole intervals (:func:`whole_intervals`).
+        Time that does not fill an interval is *accumulated*: ``run(1.25)``
+        at a 0.5 s interval runs 2 steps and banks 0.25 s, so a following
+        ``run(0.25)`` runs the third step — no time is silently created or
+        destroyed the way the old ``round()`` did.
 
         Raises:
-            ValueError: If ``duration_s`` is negative, or (``strict``) not a
-                whole number of intervals.
+            ValueError: If ``duration_s`` is negative.
         """
         if duration_s < 0:
             raise ValueError(f"duration_s must be >= 0, got {duration_s}")
-        interval_s = self.machine.interval_s
-        if strict:
-            steps_exact = duration_s / interval_s
-            if abs(steps_exact - round(steps_exact)) > 1e-9:
-                raise ValueError(
-                    f"duration {duration_s} s is not a whole number of "
-                    f"{interval_s} s intervals"
-                )
-        self._residual_s += duration_s
-        steps = int(self._residual_s / interval_s + 1e-9)
-        self._residual_s = max(0.0, self._residual_s - steps * interval_s)
+        steps, self._residual_s = whole_intervals(
+            self._residual_s + duration_s, self.machine.interval_s
+        )
         for _ in range(steps):
             self.step()
         return self.result

@@ -60,10 +60,11 @@ class TestDecomposition:
         self.geo = CacheGeometry(line_size=64, num_sets=128, num_ways=8)
 
     def test_line_address_alignment(self):
-        assert self.geo.line_address(0) == 0
-        assert self.geo.line_address(63) == 0
-        assert self.geo.line_address(64) == 64
-        assert self.geo.line_address(130) == 128
+        # Every byte of a line decomposes to that line's aligned address.
+        geo = self.geo
+        for paddr, aligned in ((0, 0), (63, 0), (64, 64), (130, 128)):
+            line_id = geo.line_id_of(geo.set_index(paddr), geo.tag(paddr))
+            assert line_id * geo.line_size == aligned
 
     def test_set_index_wraps(self):
         line_span = 64 * 128

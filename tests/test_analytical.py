@@ -65,36 +65,38 @@ class TestCurveShapes:
         assert np.all((0.0 <= curve) & (curve <= 1.0))
 
     def test_zero_ways_zero_hits(self, e5_model):
-        assert e5_model.hit_rate(AccessPattern.RANDOM, 8 * MB, 0.0) == 0.0
+        assert e5_model.hit_rate_fp(Footprint(AccessPattern.RANDOM, 8 * MB), 0.0) == 0.0
 
     def test_none_pattern_never_hits(self, e5_model):
-        assert e5_model.hit_rate(AccessPattern.NONE, 8 * MB, 10) == 0.0
+        assert e5_model.hit_rate_fp(Footprint(AccessPattern.NONE, 8 * MB), 10) == 0.0
 
     def test_fractional_ways_interpolate(self, e5_model):
-        h3 = e5_model.hit_rate(AccessPattern.RANDOM, 8 * MB, 3)
-        h4 = e5_model.hit_rate(AccessPattern.RANDOM, 8 * MB, 4)
-        h35 = e5_model.hit_rate(AccessPattern.RANDOM, 8 * MB, 3.5)
+        fp = Footprint(AccessPattern.RANDOM, 8 * MB)
+        h3 = e5_model.hit_rate_fp(fp, 3)
+        h4 = e5_model.hit_rate_fp(fp, 4)
+        h35 = e5_model.hit_rate_fp(fp, 3.5)
         assert h3 <= h35 <= h4
 
     def test_sequential_cliff(self, e5_model):
         # A 60 MB sweep oversubscribes the 45 MB cache: near-zero reuse
         # (only the scatter's luckier sets retain their lines).
-        curve = e5_model.way_curve(AccessPattern.SEQUENTIAL, 60 * MB)
+        curve = e5_model.way_curve_fp(Footprint(AccessPattern.SEQUENTIAL, 60 * MB))
         assert curve[-1] < 0.15
         assert curve[10] < 0.02
         # A 2 MB sweep fits from the first ways.
-        small = e5_model.way_curve(AccessPattern.SEQUENTIAL, 2 * MB)
+        small = e5_model.way_curve_fp(Footprint(AccessPattern.SEQUENTIAL, 2 * MB))
         assert small[5] > 0.9
 
     def test_bigger_wss_lower_hit_rate(self, e5_model):
-        h_small = e5_model.hit_rate(AccessPattern.RANDOM, 4 * MB, 4)
-        h_large = e5_model.hit_rate(AccessPattern.RANDOM, 16 * MB, 4)
+        h_small = e5_model.hit_rate_fp(Footprint(AccessPattern.RANDOM, 4 * MB), 4)
+        h_large = e5_model.hit_rate_fp(Footprint(AccessPattern.RANDOM, 16 * MB), 4)
         assert h_small > h_large
 
     def test_hugepages_beat_4k_at_tight_allocations(self, e5_model):
-        h_4k = e5_model.hit_rate(AccessPattern.RANDOM, int(4.5 * MB), 2)
-        h_2m = e5_model.hit_rate(
-            AccessPattern.RANDOM, int(4.5 * MB), 2, page_size=PAGE_2M
+        wss = int(4.5 * MB)
+        h_4k = e5_model.hit_rate_fp(Footprint(AccessPattern.RANDOM, wss), 2)
+        h_2m = e5_model.hit_rate_fp(
+            Footprint(AccessPattern.RANDOM, wss, page_size=PAGE_2M), 2
         )
         assert h_2m > h_4k
 
@@ -109,9 +111,10 @@ class TestCurveShapes:
         assert hot_slope > 5 * tail_slope
 
     def test_marginal_gain(self, e5_model):
-        gain = e5_model.marginal_gain(AccessPattern.RANDOM, 8 * MB, 4)
-        assert gain > 0
-        assert e5_model.marginal_gain(AccessPattern.RANDOM, 8 * MB, 20) == 0.0
+        # Hit-rate improvement from a fifth way; a 20-way LLC has no 21st.
+        curve = e5_model.way_curve_fp(Footprint(AccessPattern.RANDOM, 8 * MB))
+        assert curve[4] - curve[3] > 0
+        assert curve.size == 20
 
 
 class TestAgainstExactScatter:
@@ -129,7 +132,9 @@ class TestAgainstExactScatter:
     )
     def test_random_pattern_accuracy(self, e5_model, wss_mb, ways, page):
         wss = int(wss_mb * MB)
-        predicted = e5_model.hit_rate(AccessPattern.RANDOM, wss, ways, page_size=page)
+        predicted = e5_model.hit_rate_fp(
+            Footprint(AccessPattern.RANDOM, wss, page_size=page), ways
+        )
         reference = simulated_scatter_hit_rate(
             wss, e5_model.geometry, ways, page_size=page, samples=3
         )
@@ -138,17 +143,20 @@ class TestAgainstExactScatter:
 
 class TestCapacityHitRate:
     def test_random_linear_in_capacity(self, e5_model):
-        h = e5_model.capacity_hit_rate(AccessPattern.RANDOM, 45 * MB, 10.0)
+        h = e5_model.capacity_hit_rate_fp(Footprint(AccessPattern.RANDOM, 45 * MB), 10.0)
         assert h == pytest.approx(10 / 20, abs=0.01)
 
     def test_capacity_exceeding_wss_saturates(self, e5_model):
-        assert e5_model.capacity_hit_rate(AccessPattern.RANDOM, 2 * MB, 10.0) == 1.0
+        assert e5_model.capacity_hit_rate_fp(
+            Footprint(AccessPattern.RANDOM, 2 * MB), 10.0
+        ) == 1.0
 
     def test_no_associativity_penalty(self, e5_model):
         """Shared-capacity hit rate >= the way-partitioned one."""
+        fp = Footprint(AccessPattern.RANDOM, 9 * MB)
         for ways in (2, 4, 8):
-            part = e5_model.hit_rate(AccessPattern.RANDOM, 9 * MB, ways)
-            shared = e5_model.capacity_hit_rate(AccessPattern.RANDOM, 9 * MB, float(ways))
+            part = e5_model.hit_rate_fp(fp, ways)
+            shared = e5_model.capacity_hit_rate_fp(fp, float(ways))
             assert shared >= part - 1e-9
 
     def test_hotcold_piecewise(self, e5_model):
@@ -161,15 +169,19 @@ class TestCapacityHitRate:
         assert e5_model.capacity_hit_rate_fp(fp, 2.0) == pytest.approx(0.4, abs=0.01)
 
     def test_zipf_concentrates(self, e5_model):
-        skewed = e5_model.capacity_hit_rate(AccessPattern.ZIPF, 90 * MB, 2.0, zipf_s=1.1)
-        flat = e5_model.capacity_hit_rate(AccessPattern.ZIPF, 90 * MB, 2.0, zipf_s=0.5)
+        skewed = e5_model.capacity_hit_rate_fp(
+            Footprint(AccessPattern.ZIPF, 90 * MB, zipf_s=1.1), 2.0
+        )
+        flat = e5_model.capacity_hit_rate_fp(
+            Footprint(AccessPattern.ZIPF, 90 * MB, zipf_s=0.5), 2.0
+        )
         assert skewed > flat
 
 
 class TestMemoization:
     def test_way_curve_cached(self, e5_model):
-        a = e5_model.way_curve(AccessPattern.RANDOM, 8 * MB)
-        b = e5_model.way_curve(AccessPattern.RANDOM, 8 * MB)
+        a = e5_model.way_curve_fp(Footprint(AccessPattern.RANDOM, 8 * MB))
+        b = e5_model.way_curve_fp(Footprint(AccessPattern.RANDOM, 8 * MB))
         assert a is b
 
 
@@ -253,7 +265,7 @@ def test_every_knot_matches_interpolation():
 def test_hit_rate_always_in_unit_interval(wss_mb, ways):
     model = AnalyticalCacheModel(CacheGeometry.xeon_e5())
     for pattern in (AccessPattern.RANDOM, AccessPattern.SEQUENTIAL, AccessPattern.ZIPF):
-        h = model.hit_rate(pattern, wss_mb * MB, ways)
+        h = model.hit_rate_fp(Footprint(pattern, wss_mb * MB), ways)
         assert 0.0 <= h <= 1.0
 
 

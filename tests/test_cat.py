@@ -94,14 +94,6 @@ class TestCatDevice:
         with pytest.raises(ValueError):
             cat.associate_core(9, 0)
 
-    def test_listeners_fire_on_change_only(self):
-        cat = self.make()
-        events = []
-        cat.on_mask_change(lambda cos, mask: events.append((cos, mask)))
-        cat.set_cos_mask(1, 0b1)
-        cat.set_cos_mask(1, 0b1)  # no-op
-        assert events == [(1, 0b1)]
-
     def test_reset_restores_power_on(self):
         cat = self.make()
         cat.set_cos_mask(1, 0b1)

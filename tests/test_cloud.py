@@ -143,7 +143,8 @@ class TestPlacement:
     def test_first_fit_takes_first_fitting(self):
         m0, m1 = make_fleet_machine("m0"), make_fleet_machine("m1", seed=8)
         spec = self._spec("t", {"type": "lookbusy"})
-        chosen = FirstFitPolicy().place(spec, self._workload(spec.workload), [m0, m1])
+        policy = FirstFitPolicy()
+        chosen = policy.place(spec, self._workload(spec.workload), policy.index([m0, m1]))
         assert chosen is m0
 
     def test_first_fit_skips_full_machine(self):
@@ -151,7 +152,8 @@ class TestPlacement:
         big = self._spec("big", {"type": "lookbusy"}, ways=11)
         m0.admit(big, self._workload(big.workload, "big"), now=0.0)
         spec = self._spec("t", {"type": "lookbusy"}, ways=4)
-        chosen = FirstFitPolicy().place(spec, self._workload(spec.workload), [m0, m1])
+        policy = FirstFitPolicy()
+        chosen = policy.place(spec, self._workload(spec.workload), policy.index([m0, m1]))
         assert chosen is m1
 
     def test_least_loaded_prefers_emptier_machine(self):
@@ -159,7 +161,8 @@ class TestPlacement:
         anchor = self._spec("anchor", {"type": "lookbusy"}, ways=5)
         m0.admit(anchor, self._workload(anchor.workload, "anchor"), now=0.0)
         spec = self._spec("t", {"type": "lookbusy"})
-        chosen = LeastLoadedPolicy().place(spec, self._workload(spec.workload), [m0, m1])
+        policy = LeastLoadedPolicy()
+        chosen = policy.place(spec, self._workload(spec.workload), policy.index([m0, m1]))
         assert chosen is m1
 
     def test_sensitivity_aware_splits_by_curvature(self):
@@ -171,11 +174,13 @@ class TestPlacement:
         spinner = self._spec("spin", {"type": "lookbusy"})
         # The sensitive tenant gets the machine with the most headroom ...
         assert policy.place(
-            cache_hungry, self._workload(cache_hungry.workload, "hungry"), [m0, m1]
+            cache_hungry,
+            self._workload(cache_hungry.workload, "hungry"),
+            policy.index([m0, m1]),
         ) is m1
         # ... while the insensitive one is packed onto the loaded machine.
         assert policy.place(
-            spinner, self._workload(spinner.workload, "spin"), [m0, m1]
+            spinner, self._workload(spinner.workload, "spin"), policy.index([m0, m1])
         ) is m0
 
     def test_no_capacity_returns_none(self):
@@ -184,7 +189,9 @@ class TestPlacement:
         m0.admit(big, self._workload(big.workload, "big"), now=0.0)
         spec = self._spec("t", {"type": "lookbusy"})
         for policy in (FirstFitPolicy(), LeastLoadedPolicy(), SensitivityAwarePolicy()):
-            assert policy.place(spec, self._workload(spec.workload), [m0]) is None
+            assert policy.place(
+                spec, self._workload(spec.workload), policy.index([m0])
+            ) is None
 
     def test_sensitivity_depends_on_host_geometry(self):
         # An 8 MB working set behind a 4-way reservation: starved on the
@@ -216,11 +223,11 @@ class TestPlacement:
         )
         spec = self._spec("t", {"type": "mlr", "wss_mb": 8}, ways=4)
         policy = SensitivityAwarePolicy()
-        chosen = policy.place(spec, self._workload(spec.workload), [d, e5])
+        chosen = policy.place(spec, self._workload(spec.workload), policy.index([d, e5]))
         assert chosen is d  # packed: fewest free ways among fitting machines
         # D-only fleet: the would-be host is the D, where 4 MB of ways
         # cannot hold 8 MB, so the tenant is sensitive and keeps headroom.
-        assert policy.place(spec, self._workload(spec.workload), [d]) is d
+        assert policy.place(spec, self._workload(spec.workload), policy.index([d])) is d
 
 
 class TestFleetMachine:

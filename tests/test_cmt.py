@@ -51,7 +51,7 @@ class TestCmtDevice:
         cmt = self.make()
         cmt.assoc_rmid(2, 3)
         cmt.report_occupancy(3, 4096)
-        assert cmt.read_core(2).occupancy_bytes == 4096
+        assert cmt.read(cmt.rmid_of(2)).occupancy_bytes == 4096
 
     def test_validation(self):
         cmt = self.make()

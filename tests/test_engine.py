@@ -26,7 +26,7 @@ from repro.engine.events import (
     get_default_bus,
     use_bus,
 )
-from repro.engine.pipeline import FunctionStage, StagedLoop
+from repro.engine.pipeline import StagedLoop
 from repro.hwcounters.events import (
     L1_CACHE_HITS,
     L1_CACHE_MISSES,
@@ -69,7 +69,10 @@ class TestEventBus:
         bus.subscribe(rec)
         bus.emit(IntervalStarted(time_s=0.0, source="sim"))
         bus.emit(IntervalFinished(time_s=0.0, source="sim"))
-        assert rec.type_names() == ["IntervalStarted", "IntervalFinished"]
+        assert [type(e).__name__ for e in rec.events] == [
+            "IntervalStarted",
+            "IntervalFinished",
+        ]
 
     def test_null_bus_rejects_subscribers(self):
         assert not NULL_BUS.active
@@ -149,8 +152,8 @@ class TestStagedLoop:
     def build(self, log):
         return StagedLoop(
             [
-                FunctionStage("a", lambda ctx: log.append("a")),
-                FunctionStage("b", lambda ctx: log.append("b")),
+                ("a", lambda ctx: log.append("a")),
+                ("b", lambda ctx: log.append("b")),
             ],
             name="test",
         )
@@ -161,29 +164,28 @@ class TestStagedLoop:
         assert log == ["a", "b"]
 
     def test_duplicate_names_rejected(self):
-        log = []
-        loop = self.build(log)
         with pytest.raises(ValueError, match="duplicate"):
-            loop.append(FunctionStage("a", lambda ctx: None))
+            StagedLoop([("a", lambda ctx: None), ("a", lambda ctx: None)])
+        loop = self.build([])
+        with pytest.raises(ValueError, match="duplicate"):
+            loop.insert_before("b", ("a", lambda ctx: None))
 
-    def test_insert_replace_remove(self):
+    def test_insert_before(self):
         log = []
         loop = self.build(log)
-        loop.insert_after("a", FunctionStage("mid", lambda ctx: log.append("mid")))
-        loop.insert_before("a", FunctionStage("pre", lambda ctx: log.append("pre")))
-        old = loop.replace("b", FunctionStage("b", lambda ctx: log.append("B")))
-        assert old.name == "b"
+        loop.insert_before("b", ("mid", lambda ctx: log.append("mid")))
+        loop.insert_before("a", ("pre", lambda ctx: log.append("pre")))
+        assert loop.stage_names == ["pre", "a", "mid", "b"]
         loop.run(None)
-        assert log == ["pre", "a", "mid", "B"]
-        loop.remove("mid")
-        assert loop.stage_names == ["pre", "a", "b"]
+        assert log == ["pre", "a", "mid", "b"]
         with pytest.raises(KeyError):
-            loop.get("mid")
+            loop.insert_before("missing", ("x", lambda ctx: None))
 
     def test_run_a_slice_of_the_stages(self):
         log = []
-        loop = self.build(log)
-        loop.append(FunctionStage("c", lambda ctx: log.append("c")))
+        loop = StagedLoop(
+            [(name, lambda ctx, name=name: log.append(name)) for name in "abc"]
+        )
         split = loop.index("b")
         loop.run(None, stop=split)
         assert log == ["a"]
@@ -193,18 +195,18 @@ class TestStagedLoop:
             loop.index("missing")
 
     def test_wrapping_a_stage_for_instrumentation(self):
-        log = []
+        # The profiler slot wraps every stage; a live loop takes an observer
+        # by plain assignment, and each sample follows its stage's run.
+        log, seen = [], []
+
+        class Recorder:
+            def observe(self, loop, stage, elapsed_s):
+                seen.append((loop, stage, log[-1]))
+
         loop = self.build(log)
-        inner = loop.get("a")
-        calls = []
-
-        def wrapped(ctx):
-            calls.append("before")
-            inner.run(ctx)
-
-        loop.replace("a", FunctionStage("a", wrapped))
+        loop.profiler = Recorder()
         loop.run(None)
-        assert calls == ["before"] and log == ["a", "b"]
+        assert seen == [("test", "a", "a"), ("test", "b", "b")]
 
 
 def controller_rig(bus):
@@ -263,7 +265,7 @@ class TestControllerEvents:
             feed(pmus, core)
         controller.step()
 
-        names = rec.type_names()
+        names = [type(e).__name__ for e in rec.events]
         assert names[0] == "IntervalStarted"
         assert names[-1] == "IntervalFinished"
         assert names.count("SampleCollected") == 2  # one per workload

@@ -13,7 +13,7 @@ from repro.cat.cat import CacheAllocationTechnology
 from repro.cat.cos import mask_way_count
 from repro.cat.pqos import PqosError, PqosLibrary
 from repro.core.config import DCatConfig
-from repro.core.controller import DCatController
+from repro.core.controller import QUARANTINE_AFTER, DCatController
 from repro.core.states import WorkloadState
 from repro.engine.events import EventBus, FaultRecovered
 from repro.faults.injectors import (
@@ -202,9 +202,8 @@ class TestSamplerHardening:
         assert stale[0].attempts == 1  # the deltas are gone; no retry
 
     def test_quarantine_engages_and_releases(self):
-        config = DCatConfig(quarantine_after=3)
-        rig = make_pair(config=config)
-        for _ in range(3):
+        rig = make_pair()
+        for _ in range(QUARANTINE_AFTER):
             rig.feed_all([0, 1, 2, 3])
             rig.perfmon.arm([rig.read_error([0], budget=10)])
             rig.controller.step()

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.engine.pipeline import (
-    FunctionStage,
     StagedLoop,
     get_default_profiler,
     use_profiler,
@@ -156,8 +155,7 @@ class TestProfilerHook:
         profiler = StageProfiler()
         with use_profiler(profiler):
             loop = StagedLoop(
-                [FunctionStage("a", lambda ctx: None),
-                 FunctionStage("b", lambda ctx: None)],
+                [("a", lambda ctx: None), ("b", lambda ctx: None)],
                 name="demo",
             )
         assert get_default_profiler() is None
@@ -169,15 +167,15 @@ class TestProfilerHook:
 
     def test_loop_without_profiler_records_nothing(self):
         profiler = StageProfiler()
-        loop = StagedLoop([FunctionStage("a", lambda ctx: None)], name="demo")
+        loop = StagedLoop([("a", lambda ctx: None)], name="demo")
         loop.run(None)
         assert profiler.invocations("demo", "a") == 0
 
     def test_spliced_stage_is_profiled(self):
         profiler = StageProfiler()
         with use_profiler(profiler):
-            loop = StagedLoop([FunctionStage("a", lambda ctx: None)], name="demo")
-        loop.insert_before("a", FunctionStage("pre", lambda ctx: None))
+            loop = StagedLoop([("a", lambda ctx: None)], name="demo")
+        loop.insert_before("a", ("pre", lambda ctx: None))
         loop.run(None)
         assert profiler.invocations("demo", "pre") == 1
 

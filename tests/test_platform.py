@@ -1,13 +1,14 @@
 """Tests for repro.platform: machine wiring, VM pinning, managers, and sim."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cat.cos import mask_way_count
 from repro.core.states import WorkloadState
 from repro.mem.address import MB
 from repro.platform.machine import Machine
 from repro.platform.managers import DCatManager, SharedCacheManager, StaticCatManager
-from repro.platform.sim import CloudSimulation
+from repro.platform.sim import CloudSimulation, whole_intervals
 from repro.platform.vm import VirtualMachine, pin_vms
 from repro.workloads.lookbusy import LookbusyWorkload
 from repro.workloads.mlr import MlrWorkload
@@ -132,9 +133,11 @@ class TestSimulation:
         vms = make_vms(machine, MlrWorkload(4 * MB), baseline=4)
         result = CloudSimulation(machine, vms, StaticCatManager()).run(3.0)
         rec = result.timeline("mlr-4mb")[-1]
-        from repro.cache.analytical import AccessPattern
+        from repro.cache.analytical import AccessPattern, Footprint
 
-        expected = machine.analytic.hit_rate(AccessPattern.RANDOM, 4 * MB, 4)
+        expected = machine.analytic.hit_rate_fp(
+            Footprint(AccessPattern.RANDOM, 4 * MB), 4
+        )
         assert rec.llc_hit_rate == pytest.approx(expected)
 
     def test_shared_mode_reports_fractional_ways(self):
@@ -229,18 +232,47 @@ class TestRunDuration:
             sim.run(0.3)  # 3.0 s total = 6 intervals
         assert self.steps(sim) == 6
 
-    def test_strict_accepts_multiples(self):
-        sim = self.make_sim(interval_s=0.5)
-        sim.run(2.0, strict=True)
-        assert self.steps(sim) == 4
-
-    def test_strict_rejects_non_multiples(self):
-        sim = self.make_sim(interval_s=0.5)
-        with pytest.raises(ValueError, match="whole number"):
-            sim.run(1.25, strict=True)
-        assert self.steps(sim) == 0
-
     def test_negative_duration_rejected(self):
         sim = self.make_sim()
         with pytest.raises(ValueError, match=">= 0"):
             sim.run(-1.0)
+
+
+INTERVALS = (0.001, 0.01, 0.1, 0.5, 1.0)
+
+
+class TestWholeIntervals:
+    """The one float-duration -> whole-intervals rule (sim, fleet, scenario)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=200_000_000),
+        interval_s=st.sampled_from(INTERVALS),
+    )
+    def test_whole_multiples_count_exactly(self, k, interval_s):
+        assert whole_intervals(k * interval_s, interval_s) == (k, 0.0)
+
+    @pytest.mark.parametrize(
+        "duration_s,interval_s,k",
+        [
+            # An absolute 1e-9 on the step count ran one interval short here.
+            (20_971_524 * 0.1, 0.1, 20_971_524),
+            # The first such short count at 1 ms intervals.
+            (32_768_005 * 0.001, 0.001, 32_768_005),
+            # ... and an absolute 1e-9 refused this as a non-multiple.
+            (1048576.2, 0.1, 10_485_762),
+        ],
+    )
+    def test_long_horizon_counterexamples(self, duration_s, interval_s, k):
+        assert whole_intervals(duration_s, interval_s) == (k, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=100_000_000),
+        fraction=st.sampled_from((0.25, 0.5, 0.75)),
+        interval_s=st.sampled_from(INTERVALS),
+    )
+    def test_partial_interval_rounds_down(self, k, fraction, interval_s):
+        steps, remainder = whole_intervals((k + fraction) * interval_s, interval_s)
+        assert steps == k
+        assert remainder == pytest.approx(fraction * interval_s, rel=1e-3)

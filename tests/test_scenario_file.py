@@ -103,6 +103,25 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="bad dcat config"):
             load_scenario(data)
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "sampler_max_retries",
+            "l3ca_max_retries",
+            "verify_mask_writes",
+            "max_plausible_ipc",
+            "max_plausible_cycles_slack",
+            "quarantine_after",
+            "flush_reassigned_ways",
+        ],
+    )
+    def test_hardening_budgets_are_not_config_keys(self, knob):
+        # Constants of repro.core.controller, not DCatConfig fields.
+        data = dict(BASIC)
+        data["manager"] = {"type": "dcat", "config": {knob: 1}}
+        with pytest.raises(ScenarioError, match="bad dcat config"):
+            load_scenario(data)
+
     def test_bad_policy(self):
         data = dict(BASIC)
         data["manager"] = {"type": "dcat", "config": {"policy": "max_chaos"}}

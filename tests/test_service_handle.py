@@ -11,11 +11,7 @@ import json
 
 import pytest
 
-from repro.cloud.admission import (
-    RejectReason,
-    classify_rejection,
-    machine_reject_reason,
-)
+from repro.cloud.admission import RejectReason, classify_rejection
 from repro.cloud.handle import FleetHandle, replay_journal
 from repro.errors import UnknownTenantError
 from repro.service.config import load_service_config
@@ -182,8 +178,9 @@ class TestRejectReasons:
     def test_machine_reject_reason_orders_budgets(self):
         config = load_service_config(ONE_MACHINE)
         machine = config.build().fleet.machines[0]
-        assert machine_reject_reason(machine, 3) is None
-        assert machine_reject_reason(machine, 99) == RejectReason.NO_WAYS
+        assert machine.reject_reason(3) is None and machine.fits(3)
+        assert machine.reject_reason(99) == RejectReason.NO_WAYS
+        assert not machine.fits(99)
 
     def test_classify_unanimous_reason_is_specific(self):
         fleet = load_service_config(CONFIG).build().fleet
@@ -195,6 +192,6 @@ class TestRejectReasons:
         fleet = load_service_config(CONFIG).build().fleet
         handle = FleetHandle(fleet)
         handle.admit("a", 10, {"type": "lookbusy"})
-        reasons = {machine_reject_reason(m, 10) for m in fleet.machines}
+        reasons = {m.reject_reason(10) for m in fleet.machines}
         assert None in reasons and len(reasons) > 1
         assert classify_rejection(fleet.machines, 10) == RejectReason.NO_CAPACITY

@@ -285,7 +285,6 @@ class TestMaintenance:
         occ = cache.occupancy_by_cos()
         assert occ[1] == 1
         assert occ[2] == 1
-        assert cache.resident_lines() == 2
 
     def test_contains_line(self):
         cache = tiny_cache()

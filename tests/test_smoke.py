@@ -11,6 +11,8 @@ They carry the ``smoke`` marker, which the default run deselects::
     PYTHONPATH=src python -m pytest -q -m smoke
 """
 
+import hashlib
+import itertools
 import json
 import os
 import re
@@ -84,6 +86,47 @@ def test_metrics_export_carries_stage_and_grant_families(tmp_path, capsys):
     assert "dcat_stage_seconds_bucket" in text
     assert "dcat_ways_granted_total" in text
     json.loads((tmp_path / "out.prom.json").read_text())
+
+
+# -- paper reports and long horizons ----------------------------------------
+
+
+#: sha256 of the stdout of ``run all --seed 1234``: every paper figure,
+#: table and ablation report.  A change that moves one byte of a report
+#: fails here; one that means to must say why and re-pin.
+RUN_ALL_SHA256 = "d8bff77878e4490a029d50ee9bb1b8f6cbcf9acf76d1575d9bf544eb6ead0f8f"
+
+
+def _src_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    ))
+
+
+def test_run_all_reports_are_pinned():
+    out = subprocess.run(
+        [sys.executable, "-m", "repro.harness", "run", "all",
+         "--seed", "1234", "--jobs", "2"],
+        stdout=subprocess.PIPE,
+        check=True,
+        env=_src_env(),
+        timeout=600,
+    ).stdout
+    assert hashlib.sha256(out).hexdigest() == RUN_ALL_SHA256
+
+
+def test_run_keeps_every_interval_at_long_horizons():
+    from repro.platform.machine import Machine
+    from repro.platform.managers import SharedCacheManager
+    from repro.platform.sim import CloudSimulation
+
+    k = 20_971_524
+    sim = CloudSimulation(Machine(interval_s=0.1), [], SharedCacheManager())
+    steps = itertools.count()
+    sim.step = steps.__next__  # count intervals instead of simulating them
+    sim.run(k * 0.1)
+    assert next(steps) == k
+    assert sim._residual_s == 0.0
 
 
 # -- churn and fidelity ------------------------------------------------------
@@ -181,9 +224,7 @@ def _http(method, url, payload=None):
 
 def test_daemon_serves_a_lifecycle_and_stops_on_sigterm(tmp_path):
     trace = tmp_path / "service.jsonl"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    ))
+    env = _src_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.harness", "serve",
          str(EXAMPLES / "service.json"), "--port", "0", "--trace", str(trace)],
