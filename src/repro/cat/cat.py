@@ -12,7 +12,7 @@ changes from the ``MasksProgrammed`` events on the bus.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.cat.cos import MAX_COS, validate_cbm
 
@@ -48,6 +48,10 @@ class CacheAllocationTechnology:
         # Power-on state: every COS maps the full cache, every core in COS0.
         self._cos_masks: List[int] = [full] * num_cos
         self._core_cos: List[int] = [0] * num_cores
+        # CBMs that passed validate_cbm: it is a pure function of the mask
+        # and this device's fixed geometry, so each distinct mask is
+        # validated once.
+        self._valid_cbms: Set[int] = set()
 
     # -- programming ----------------------------------------------------------
 
@@ -66,9 +70,11 @@ class CacheAllocationTechnology:
                 been written when this raises.
         """
         batch = list(entries)
+        valid = self._valid_cbms
         for cos_id, mask in batch:
             self._check_cos(cos_id)
-            validate_cbm(mask, self.num_ways, self.min_cbm_bits)
+            if mask not in valid:
+                valid.add(validate_cbm(mask, self.num_ways, self.min_cbm_bits))
         for cos_id, mask in batch:
             self._cos_masks[cos_id] = mask
 

@@ -9,7 +9,7 @@ reads like the C program it reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from repro.cat.cat import CacheAllocationTechnology
 from repro.cat.cos import mask_way_count
@@ -37,8 +37,7 @@ class PqosCapability:
     min_cbm_bits: int
 
 
-@dataclass(frozen=True)
-class PqosL3Ca:
+class PqosL3Ca(NamedTuple):
     """One L3 CA table entry, as pqos_l3ca_get returns it."""
 
     cos_id: int
@@ -83,13 +82,14 @@ class PqosLibrary:
         every entry lands or none does (the real library likewise validates
         the full request before touching IA32_L3_MASK_n); the device's
         :meth:`~repro.cat.cat.CacheAllocationTechnology.set_cos_masks`
-        does both.
+        does both.  An entry is a ``(cos_id, ways_mask)`` tuple, so the
+        batch goes to the device as it is.
 
         Raises:
             ValueError: If any entry's COS id or bitmask is invalid; no
                 mask has been written when this raises.
         """
-        self._cat.set_cos_masks([(e.cos_id, e.ways_mask) for e in entries])
+        self._cat.set_cos_masks(entries)
 
     def l3ca_get(self) -> List[PqosL3Ca]:
         """Read back the full COS table (mirrors pqos_l3ca_get)."""

@@ -25,8 +25,8 @@ phase-hint apportioning and Memshare-style reserved+pooled harvesting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import DCatConfig
 from repro.core.hints import PhaseHint
@@ -36,8 +36,7 @@ from repro.core.states import WorkloadState
 __all__ = ["AllocationInput", "base_plan", "plan_allocation", "optimize_way_split"]
 
 
-@dataclass(frozen=True)
-class AllocationInput:
+class AllocationInput(NamedTuple):
     """One workload's inputs to the allocation round."""
 
     workload_id: str
@@ -71,10 +70,7 @@ def plan_allocation(
             f"{len(inputs)} workloads cannot each hold {config.min_ways} way(s) "
             f"of a {total_ways}-way cache"
         )
-    # Imported here, not at module level: policies builds on base_plan.
-    from repro.core.policies import get_strategy
-
-    plan = get_strategy(config.policy).plan(inputs, total_ways, config)
+    plan = policies.get_strategy(config.policy).plan(inputs, total_ways, config)
     assert sum(plan.values()) <= total_ways
     return plan
 
@@ -100,11 +96,12 @@ def base_plan(
 
     # -- step 2/3: grant from the pool, Unknown before Receiver ---------------
     free = total_ways - sum(plan.values())
+    by_id = sorted(inputs, key=attrgetter("workload_id"))
     for priority_states in _grant_order(config):
-        for inp in sorted(inputs, key=lambda i: i.workload_id):
+        for inp in by_id:
             if free <= 0:
                 break
-            if inp.state in priority_states and inp.grow_request > 0:
+            if inp.grow_request > 0 and inp.state in priority_states:
                 grant = min(inp.grow_request, free)
                 plan[inp.workload_id] += grant
                 free -= grant
@@ -112,13 +109,16 @@ def base_plan(
     return plan
 
 
-def _grant_order(config: DCatConfig) -> List[frozenset]:
-    if config.unknown_priority:
-        return [
-            frozenset({WorkloadState.UNKNOWN}),
-            frozenset({WorkloadState.RECEIVER}),
-        ]
-    return [frozenset({WorkloadState.UNKNOWN, WorkloadState.RECEIVER})]
+#: Grant rounds, in order: Unknown before Receiver, or both in one round.
+_UNKNOWN_FIRST = (
+    frozenset({WorkloadState.UNKNOWN}),
+    frozenset({WorkloadState.RECEIVER}),
+)
+_ONE_ROUND = (frozenset({WorkloadState.UNKNOWN, WorkloadState.RECEIVER}),)
+
+
+def _grant_order(config: DCatConfig) -> Tuple[FrozenSet[WorkloadState], ...]:
+    return _UNKNOWN_FIRST if config.unknown_priority else _ONE_ROUND
 
 
 def _enforce_budget(
@@ -298,3 +298,8 @@ def optimize_way_split(
     if dp[best_b] == NEG:
         return None
     return choice[best_b]
+
+
+# Bound last: policies builds on base_plan, so the two modules import each
+# other, and only a module reference resolves in either import order.
+from repro.core import policies  # noqa: E402

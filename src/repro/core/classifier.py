@@ -27,8 +27,7 @@ ablatable via the config):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.core.config import DCatConfig
 from repro.core.states import WorkloadState, can_transition
@@ -42,8 +41,7 @@ __all__ = ["Decision", "DONOR_MISS_RATE_FRACTION", "categorize"]
 DONOR_MISS_RATE_FRACTION = 1.0 / 6.0
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One workload's categorization outcome for this interval.
 
     Attributes:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cat.layout import pack_contiguous
 from repro.cat.pqos import PqosError, PqosL3Ca, PqosLibrary
@@ -77,8 +77,7 @@ MAX_PLAUSIBLE_CYCLES_SLACK = 2.0
 QUARANTINE_AFTER = 3
 
 
-@dataclass(frozen=True)
-class WorkloadStatus:
+class WorkloadStatus(NamedTuple):
     """One workload's externally visible status after a control step."""
 
     workload_id: str
@@ -162,6 +161,11 @@ class DCatController:
         self._max_cos = cap.num_cos
         self._records: Dict[str, WorkloadRecord] = {}
         self._masks: Dict[str, int] = {}
+        # The last packing round's plan, masks and pqos entries, reused
+        # while neither the plan nor the masks change (see _apply_plan).
+        self._packed_plan: Dict[str, int] = {}
+        self._packed_masks: Dict[str, int] = {}
+        self._entries: List[PqosL3Ca] = []
         # COS0 stays the unmanaged default; 1..num_cos-1 are allocatable.
         # A min-heap so re-registration reuses the lowest released id first.
         self._free_cos: List[int] = list(range(1, self._max_cos))
@@ -529,33 +533,30 @@ class DCatController:
     def _stage_allocate(self, ctx: ControlStepContext) -> None:
         """Step 5 — arbitrate the pool, pack masks, program the hardware."""
         bus = self.bus
-        ctx.phase_tables = {
-            wid: rec.table.known_phase(rec.signature)
-            for wid, rec in self._records.items()
-        }
-        inputs = [
-            AllocationInput(
-                workload_id=wid,
-                state=ctx.decisions[wid].state,
-                target_ways=ctx.decisions[wid].target_ways,
-                grow_request=ctx.decisions[wid].grow_request,
-                baseline_ways=self._records[wid].baseline_ways,
-                reclaiming=ctx.reclaiming[wid],
-                phase_table=ctx.phase_tables[wid],
-                hint=(
-                    PhaseHint(
-                        time_s=ctx.time_s,
-                        schedule=self._records[wid].declared,
-                        measured_refs_per_instr=(
-                            ctx.samples[wid].mem_refs_per_instr
-                        ),
-                    )
-                    if self._records[wid].declared is not None
-                    else None
-                ),
+        tables = ctx.phase_tables
+        inputs = []
+        for wid, rec in self._records.items():
+            decision = ctx.decisions[wid]
+            table = tables[wid] = rec.table.known_phase(rec.signature)
+            hint = None
+            if rec.declared is not None:
+                hint = PhaseHint(
+                    time_s=ctx.time_s,
+                    schedule=rec.declared,
+                    measured_refs_per_instr=ctx.samples[wid].mem_refs_per_instr,
+                )
+            inputs.append(
+                AllocationInput(
+                    workload_id=wid,
+                    state=decision.state,
+                    target_ways=decision.target_ways,
+                    grow_request=decision.grow_request,
+                    baseline_ways=rec.baseline_ways,
+                    reclaiming=ctx.reclaiming[wid],
+                    phase_table=table,
+                    hint=hint,
+                )
             )
-            for wid in self._records
-        ]
         ctx.plan = plan_allocation(inputs, self.total_ways, self.config)
         free = self.total_ways - sum(ctx.plan.values())
         if bus.active:
@@ -594,21 +595,20 @@ class DCatController:
                         new_state=decision.state.value,
                     )
                 )
+            ipc = sample.ipc
             rec.prev_ways = rec.ways
             rec.ways = ctx.plan[wid]
             rec.state = decision.state
             rec.last_sample = sample
-            rec.last_ipc = sample.ipc
+            rec.last_ipc = ipc
             table = ctx.phase_tables[wid]
             baseline_ipc = table.baseline_ipc if table else None
             ctx.result.statuses[wid] = WorkloadStatus(
                 workload_id=wid,
                 state=decision.state,
                 ways=ctx.plan[wid],
-                ipc=sample.ipc,
-                normalized_ipc=(
-                    sample.ipc / baseline_ipc if baseline_ipc else None
-                ),
+                ipc=ipc,
+                normalized_ipc=ipc / baseline_ipc if baseline_ipc else None,
                 llc_miss_rate=sample.llc_miss_rate,
                 phase_changed=ctx.changed[wid],
                 sample=sample,
@@ -640,12 +640,13 @@ class DCatController:
 
     def _record_performance(self, rec: WorkloadRecord, sample: CounterSample) -> None:
         """Feed this interval's IPC into the phase's performance table."""
-        if rec.signature.idle or rec.idle or sample.ipc <= 0:
+        ipc = sample.ipc
+        if rec.signature.idle or rec.idle or ipc <= 0:
             return
         phase_table = rec.table.phase(rec.signature)
         if rec.ways == rec.baseline_ways:
-            phase_table.record_baseline(sample.ipc)
-        phase_table.record(rec.ways, sample.ipc)
+            phase_table.record_baseline(ipc)
+        phase_table.record(rec.ways, ipc)
 
     def _update_unknown_bookkeeping(
         self, rec: WorkloadRecord, sample: CounterSample
@@ -664,30 +665,45 @@ class DCatController:
     def _apply_plan(
         self, plan: Dict[str, int], time_s: Optional[float] = None
     ) -> List[str]:
-        """Pack the plan into contiguous masks and program the hardware."""
-        layout = pack_contiguous(plan, self.total_ways, previous=self._masks)
-        entries = []
-        for wid, mask in layout.masks.items():
-            rec = self._records[wid]
-            entries.append(PqosL3Ca(cos_id=rec.cos_id, ways_mask=mask))
+        """Pack the plan into contiguous masks and program the hardware.
+
+        Packing a plan over the masks it was last packed into lays every
+        run down where it already is, so while neither the plan nor the
+        masks changed the last layout and its entries are reused.  The
+        write (and, hardened, its read-back) is issued either way.
+        """
+        if plan == self._packed_plan and self._masks == self._packed_masks:
+            moved: List[str] = []
+        else:
+            layout = pack_contiguous(plan, self.total_ways, previous=self._masks)
+            moved = layout.moved
+            records = self._records
+            self._entries = [
+                PqosL3Ca(cos_id=records[wid].cos_id, ways_mask=mask)
+                for wid, mask in layout.masks.items()
+            ]
+            self._packed_plan = dict(plan)
+            self._packed_masks = layout.masks
+        masks = self._packed_masks
+        entries = self._entries
         when = self._time_s if time_s is None else time_s
         if self.config.hardened:
             self._program_masks(entries, when)
         else:
             self.pqos.l3ca_set(entries)
         if self.flush_callback is not None:
-            for wid in layout.moved:
-                self.flush_callback(layout.masks[wid])
-        self._masks = dict(layout.masks)
+            for wid in moved:
+                self.flush_callback(masks[wid])
+        self._masks = dict(masks)
         if self.bus.active:
             self.bus.emit(
                 MasksProgrammed.fast(
                     time_s=when,
-                    masks=dict(layout.masks),
-                    moved=tuple(layout.moved),
+                    masks=dict(masks),
+                    moved=tuple(moved),
                 )
             )
-        return list(layout.moved)
+        return list(moved)
 
     # -- hardening (the repro.faults robustness layer) -------------------------
 
@@ -732,14 +748,12 @@ class DCatController:
                     attempts=attempts,
                 )
             )
-        wanted = sorted({e.cos_id: e.ways_mask for e in entries}.items())
+        # One entry per COS, so sorting the ``(cos_id, ways_mask)`` tuples
+        # orders them by COS id.
+        wanted = sorted(entries)
         for round_ in range(L3CA_MAX_RETRIES + 1):
             table = self.pqos.l3ca_masks()
-            stray = [
-                PqosL3Ca(cos_id=cos, ways_mask=mask)
-                for cos, mask in wanted
-                if table[cos] != mask
-            ]
+            stray = [e for e in wanted if table[e.cos_id] != e.ways_mask]
             if not stray:
                 return
             self._pqos_retry(lambda: self.pqos.l3ca_set(stray))

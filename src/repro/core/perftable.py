@@ -56,9 +56,6 @@ class PhaseTable:
     def normalized(self, ways: int) -> Optional[float]:
         return self.entries.get(ways)
 
-    def best_normalized(self) -> Optional[float]:
-        return max(self.entries.values()) if self.entries else None
-
     def preferred_ways(self, tolerance: float = 0.02) -> Optional[int]:
         """Smallest allocation within ``tolerance`` of the best entry.
 

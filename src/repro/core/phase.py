@@ -16,14 +16,12 @@ Fig. 12).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = ["PhaseSignature", "PhaseDetector"]
 
 
-@dataclass(frozen=True)
-class PhaseSignature:
+class PhaseSignature(NamedTuple):
     """Stable identifier for a workload phase.
 
     ``bucket`` is the geometric quantization of mem-accesses-per-instruction;
@@ -37,6 +35,9 @@ class PhaseSignature:
     @classmethod
     def idle_signature(cls) -> "PhaseSignature":
         return cls(bucket=0, idle=True)
+
+
+_IDLE_SIGNATURE = PhaseSignature.idle_signature()
 
 
 class PhaseDetector:
@@ -54,13 +55,16 @@ class PhaseDetector:
         self.min_refs_per_instr = min_refs_per_instr
         self._reference: Optional[float] = None
         self._idle: bool = False
+        # Recomputed only when the reference moves: every interval reads
+        # the signature, but most intervals keep their reference.
+        self._signature = _IDLE_SIGNATURE
 
     # -- signatures ------------------------------------------------------------
 
     def signature_for(self, refs_per_instr: float) -> PhaseSignature:
         """Quantize a ratio into its phase signature."""
         if refs_per_instr < self.min_refs_per_instr:
-            return PhaseSignature.idle_signature()
+            return _IDLE_SIGNATURE
         # Buckets are geometric with ratio (1 + threshold), so two ratios
         # within the detection threshold of each other share a bucket (up to
         # boundary effects), and a re-encountered phase re-derives the same
@@ -70,9 +74,8 @@ class PhaseDetector:
 
     @property
     def current_signature(self) -> PhaseSignature:
-        if self._idle or self._reference is None:
-            return PhaseSignature.idle_signature()
-        return self.signature_for(self._reference)
+        """The reference's signature; idle while idle or unset."""
+        return self._signature
 
     # -- detection ---------------------------------------------------------------
 
@@ -89,6 +92,7 @@ class PhaseDetector:
             changed = not self._idle and self._reference is not None
             self._idle = True
             self._reference = None
+            self._signature = _IDLE_SIGNATURE
             return changed
 
         if self._idle or self._reference is None:
@@ -96,11 +100,13 @@ class PhaseDetector:
             first = self._reference is None and not self._idle
             self._idle = False
             self._reference = refs_per_instr
+            self._signature = self.signature_for(refs_per_instr)
             return not first  # the very first observation is not a "change"
 
         relative = abs(refs_per_instr - self._reference) / self._reference
         if relative > self.threshold:
             self._reference = refs_per_instr
+            self._signature = self.signature_for(refs_per_instr)
             return True
         return False
 
@@ -108,3 +114,4 @@ class PhaseDetector:
         """Forget the reference (used when a workload restarts)."""
         self._reference = None
         self._idle = False
+        self._signature = _IDLE_SIGNATURE

@@ -344,9 +344,3 @@ class CoreTimingModel:
             avg_mem_latency_cycles=out.avg_latency[0],
             llc_hit_rate=llc_hit_rate,
         )
-
-    def miss_traffic_lines_per_cycle(self, activity: CoreActivity) -> float:
-        """This activity's DRAM line traffic, for the DRAM load feedback."""
-        if activity.cycles == 0:
-            return 0.0
-        return activity.event_counts[LLC_MISSES] / activity.cycles

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
-from repro.mem.address import MB, CacheGeometry
+from repro.mem.address import CacheGeometry
 
 __all__ = ["SocketSpec"]
 
@@ -45,19 +44,6 @@ class SocketSpec:
     @property
     def llc_way_bytes(self) -> int:
         return self.llc.way_bytes
-
-    def thread_siblings(self, thread: int) -> Tuple[int, ...]:
-        """All hardware threads sharing this thread's physical core."""
-        if not 0 <= thread < self.num_threads:
-            raise ValueError(f"thread {thread} out of range")
-        core = thread % self.num_cores
-        return tuple(core + i * self.num_cores for i in range(self.threads_per_core))
-
-    def core_of(self, thread: int) -> int:
-        """The physical core a hardware thread belongs to (Linux numbering)."""
-        if not 0 <= thread < self.num_threads:
-            raise ValueError(f"thread {thread} out of range")
-        return thread % self.num_cores
 
     @classmethod
     def xeon_e5_2697v4(cls) -> "SocketSpec":

@@ -228,7 +228,7 @@ def run_chaos(
     )
     from repro.hwcounters.msr import CounterReadError
     from repro.platform.managers import DCatManager
-    from repro.platform.sim import CloudSimulation
+    from repro.platform.sim import CloudSimulation, whole_intervals
     from repro.platform.vm import VirtualMachine
 
     error = ScenarioError
@@ -245,6 +245,13 @@ def run_chaos(
     if not isinstance(manager, DCatManager):
         raise error(
             "chaos runs need a dcat manager (faults target its control loop)"
+        )
+    steps, partial = whole_intervals(duration_s, machine.interval_s)
+    if partial:
+        raise error(
+            f"duration_s: {duration_s} is not a whole number of "
+            f"{machine.interval_s} s intervals (the simulation only moves in "
+            f"whole intervals)"
         )
     restarts = _parse_restarts(
         data.get("restarts"), [vm.name for vm in vms], error
@@ -289,7 +296,6 @@ def run_chaos(
             bus=bus,
             patience=patience,
         )
-        steps = int(round(duration_s / machine.interval_s))
         parked: Dict[str, VirtualMachine] = {}
         crashed: Optional[str] = None
         try:

@@ -12,7 +12,8 @@ is exercised for real).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from types import MappingProxyType
+from typing import Dict, Mapping, Sequence
 
 from repro.hwcounters.events import (
     FIXED_CTR_RETIRED_INSTRUCTIONS,
@@ -86,6 +87,15 @@ class MsrFile:
         except KeyError:
             raise KeyError(f"rdmsr of unimplemented MSR {addr:#x}") from None
 
+    @property
+    def registers(self) -> Mapping[int, int]:
+        """A live, read-only view of the register file.
+
+        ``operator.itemgetter(*addrs)(msrs.registers)`` reads several
+        registers in one call (the sampler's grouped read).
+        """
+        return MappingProxyType(self._regs)
+
     def wrmsr(self, addr: int, value: int) -> None:
         """Write an MSR (values are truncated to 64 bits)."""
         self._regs[addr] = value & ((1 << 64) - 1)
@@ -98,7 +108,7 @@ class MsrFile:
 class CorePmu:
     """Per-core PMU: routes simulated activity into programmed counters.
 
-    The simulation calls :meth:`advance_codes` once per interval with the
+    The simulation calls :meth:`advance_counts` once per interval with the
     core's activity totals; the PMU increments whichever PMCs the controller has
     programmed (via IA32_PERFEVTSELx writes) plus the always-on fixed
     counters, with 48-bit wraparound.
@@ -136,18 +146,37 @@ class CorePmu:
         self, instructions: int, cycles: int, counts: Mapping[int, int]
     ) -> None:
         """:meth:`advance` with counts keyed by :attr:`PerfEvent.code
-        <repro.hwcounters.events.PerfEvent.code>` (the simulation's feed).
+        <repro.hwcounters.events.PerfEvent.code>`.
+
+        Raises:
+            ValueError: Any total or count is negative; no register moves.
+        """
+        slots = {code: k for k, code in enumerate(counts)}
+        self.advance_counts(instructions, cycles, slots, tuple(counts.values()))
+
+    def advance_counts(
+        self,
+        instructions: int,
+        cycles: int,
+        slots: Mapping[int, int],
+        counts: Sequence[int],
+    ) -> None:
+        """The one register update: the event whose
+        :attr:`~repro.hwcounters.events.PerfEvent.code` is ``code``
+        occurred ``counts[slots[code]]`` times.  The simulation feeds every
+        core through here with one shared ``slots`` map and a count tuple.
 
         Raises:
             ValueError: Any total or count is negative; no register moves.
         """
         if instructions < 0 or cycles < 0:
             raise ValueError("activity totals cannot be negative")
-        for code, count in counts.items():
-            if count < 0:
-                raise ValueError(
-                    f"event count for code {code:#06x} cannot be negative, got {count}"
-                )
+        if counts and min(counts) < 0:
+            k = next(k for k, count in enumerate(counts) if count < 0)
+            codes = ", ".join(f"{c:#06x}" for c, j in slots.items() if j == k)
+            raise ValueError(
+                f"event count for code {codes or k} cannot be negative, got {counts[k]}"
+            )
         # The register file is the PMU's only state: counters update in place
         # and every IA32_PERFEVTSELx is re-read, so a reprogrammed or
         # disabled selector takes effect on the very next slice.
@@ -157,6 +186,6 @@ class CorePmu:
         for evtsel, pmc in _PMC_SLOTS:
             sel = regs[evtsel]
             if sel & _EVTSEL_EN:
-                count = counts.get(sel & 0xFFFF)
-                if count is not None:
-                    regs[pmc] = (regs[pmc] + count) & _COUNTER_MASK
+                code = sel & 0xFFFF
+                if code in slots:
+                    regs[pmc] = (regs[pmc] + counts[slots[code]]) & _COUNTER_MASK

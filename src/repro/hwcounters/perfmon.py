@@ -11,8 +11,8 @@ IPC / miss-rate / memory-accesses-per-instruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from repro.hwcounters.events import (
     FIXED_CTR_RETIRED_INSTRUCTIONS,
@@ -36,13 +36,13 @@ __all__ = ["CounterSample", "PerfMonitor"]
 _WRAP = 1 << COUNTER_WIDTH_BITS
 
 
-@dataclass(frozen=True)
-class CounterSample:
+class CounterSample(NamedTuple):
     """Interval counter deltas for one workload (summed over its cores).
 
     All derived properties are defined to be safe on zero denominators (an
     idle interval yields zeros rather than exceptions — the classifier
-    treats that as an idle Donor).
+    treats that as an idle Donor).  ``+`` adds counters field by field; it
+    never concatenates.
     """
 
     l1_ref: int = 0
@@ -66,7 +66,7 @@ class CounterSample:
         """L1 references per retired instruction — the phase signature."""
         return self.l1_ref / self.ret_ins if self.ret_ins else 0.0
 
-    def __add__(self, other: "CounterSample") -> "CounterSample":
+    def __add__(self, other: "CounterSample") -> "CounterSample":  # type: ignore[override]
         return CounterSample(
             l1_ref=self.l1_ref + other.l1_ref,
             llc_ref=self.llc_ref + other.llc_ref,
@@ -81,7 +81,7 @@ class CounterSample:
 
         Sums in plain locals and constructs one sample at the end: this runs
         every interval for every workload, and building an intermediate
-        frozen dataclass per core would dominate the sampling cost.
+        sample per core would dominate the sampling cost.
         """
         l1_ref = llc_ref = llc_miss = ret_ins = cycles = 0
         for s in samples:
@@ -112,8 +112,18 @@ _LLC_REF_PMC = _PMC_OF[LLC_REFERENCES]
 _L1_MISS_PMC = _PMC_OF[L1_CACHE_MISSES]
 _L1_HIT_PMC = _PMC_OF[L1_CACHE_HITS]
 
-#: Raw counter snapshot: LLC misses, LLC refs, L1 misses, L1 hits,
-#: instructions, cycles.
+#: One raw counter snapshot, read from a core's register file as one
+#: group: LLC misses, LLC refs, L1 misses, L1 hits, instructions, cycles.
+_read_raw = itemgetter(
+    _LLC_MISS_PMC,
+    _LLC_REF_PMC,
+    _L1_MISS_PMC,
+    _L1_HIT_PMC,
+    IA32_FIXED_CTR0 + FIXED_CTR_RETIRED_INSTRUCTIONS,
+    IA32_FIXED_CTR0 + FIXED_CTR_UNHALTED_CYCLES,
+)
+
+#: Raw counter snapshot, in ``_read_raw`` order.
 _Raw = Tuple[int, int, int, int, int, int]
 
 
@@ -127,32 +137,21 @@ class PerfMonitor:
     def __init__(self, pmus: Mapping[int, CorePmu]) -> None:
         if not pmus:
             raise ValueError("PerfMonitor needs at least one core")
-        self._pmus: Dict[int, CorePmu] = dict(pmus)
+        self._registers: Dict[int, Mapping[int, int]] = {}
         self._last_raw: Dict[int, _Raw] = {}
-        for core, pmu in self._pmus.items():
+        for core, pmu in pmus.items():
             self._program(pmu)
-            self._last_raw[core] = self._read_raw(pmu)
+            self._registers[core] = pmu.msrs.registers
+            self._last_raw[core] = _read_raw(self._registers[core])
 
     @staticmethod
     def _program(pmu: CorePmu) -> None:
         for slot, event in enumerate(_PMC_EVENTS):
             pmu.msrs.wrmsr(IA32_PERFEVTSEL0 + slot, event.evtsel_value)
 
-    @staticmethod
-    def _read_raw(pmu: CorePmu) -> _Raw:
-        rdmsr = pmu.msrs.rdmsr
-        return (
-            rdmsr(_LLC_MISS_PMC),
-            rdmsr(_LLC_REF_PMC),
-            rdmsr(_L1_MISS_PMC),
-            rdmsr(_L1_HIT_PMC),
-            rdmsr(IA32_FIXED_CTR0 + FIXED_CTR_RETIRED_INSTRUCTIONS),
-            rdmsr(IA32_FIXED_CTR0 + FIXED_CTR_UNHALTED_CYCLES),
-        )
-
     @property
     def cores(self) -> List[int]:
-        return sorted(self._pmus)
+        return sorted(self._registers)
 
     def sample_core(self, core: int) -> CounterSample:
         """Read one core's counters and return the delta since last sample."""
@@ -162,15 +161,16 @@ class PerfMonitor:
         """Sample several cores and aggregate (one workload's vCPUs).
 
         Each delta is taken modulo 2**48, so a counter that wrapped since
-        the last sample still yields the true increment.  The deltas are
-        summed in plain locals and one sample is built at the end (see
+        the last sample still yields the true increment.  Each core's six
+        counters come from one grouped register read; the deltas are summed
+        in plain locals and one sample is built at the end (see
         :meth:`CounterSample.aggregate`).
         """
         l1_ref = llc_ref = llc_miss = ret_ins = cycles = 0
-        pmus = self._pmus
+        registers = self._registers
         last_raw = self._last_raw
         for core in cores:
-            raw = self._read_raw(pmus[core])
+            raw = _read_raw(registers[core])
             b_miss, b_ref, b_l1_miss, b_l1_hit, b_ins, b_cyc = last_raw[core]
             last_raw[core] = raw
             miss, ref, l1_miss, l1_hit, ins, cyc = raw

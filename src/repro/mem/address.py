@@ -75,10 +75,6 @@ class CacheGeometry:
         """Number of line-offset bits."""
         return int(self.line_size).bit_length() - 1
 
-    def ways_for_bytes(self, size_bytes: int) -> int:
-        """Smallest number of ways whose combined capacity holds ``size_bytes``."""
-        return max(1, -(-size_bytes // self.way_bytes))
-
     # -- scalar decomposition ---------------------------------------------
 
     def set_index(self, paddr: int) -> int:

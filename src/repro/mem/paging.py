@@ -176,12 +176,3 @@ class PageTable:
         nlines = -(-buf.size // line_size)
         offsets = np.arange(nlines, dtype=np.int64) * line_size
         return self.translate_buffer(buf, offsets)
-
-    # -- introspection ----------------------------------------------------------
-
-    @property
-    def mapped_bytes(self) -> int:
-        """Total bytes of mapped physical memory."""
-        return (
-            len(self._mappings) * PAGE_4K + len(self._huge_mappings) * PAGE_2M
-        )

@@ -91,11 +91,6 @@ class Machine:
     # -- derived quantities --------------------------------------------------
 
     @property
-    def scaled_frequency_hz(self) -> float:
-        """The scaled core clock implied by cycles-per-interval."""
-        return self.cycles_per_interval / self.interval_s
-
-    @property
     def num_ways(self) -> int:
         return self.spec.llc.num_ways
 

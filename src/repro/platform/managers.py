@@ -170,5 +170,7 @@ class DCatManager(CacheManager):
     def state_of(self, vm_name: str) -> Optional[WorkloadState]:
         if self.controller is None:
             return None
-        record = self.controller.records.get(vm_name)
-        return record.state if record is not None else None
+        try:
+            return self.controller.state_of(vm_name)
+        except KeyError:
+            return None

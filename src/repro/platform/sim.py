@@ -63,9 +63,12 @@ __all__ = [
     "whole_intervals",
 ]
 
-_L1_HITS, _L1_MISSES, _LLC_REFS, _LLC_MISSES = (
-    e.code for e in (L1_CACHE_HITS, L1_CACHE_MISSES, LLC_REFERENCES, LLC_MISSES)
-)
+#: Event code -> position of its count in a PMU feed tuple (L1 misses are
+#: LLC references, so the kernel's ``llc_refs`` feeds both).
+_FEED_SLOTS = {
+    e.code: k
+    for k, e in enumerate((L1_CACHE_HITS, L1_CACHE_MISSES, LLC_REFERENCES, LLC_MISSES))
+}
 
 #: The first stage that runs host by host; the stages before it run
 #: stage-major over the whole batch.
@@ -333,15 +336,12 @@ def _stage_feed_pmus(batch: SimBatch) -> None:
             acc = ctx.per_vm[vm.name]
             i = acc.first
             for thread in acc.busy:
-                pmus[thread].advance_codes(
+                refs = llc_refs[i]
+                pmus[thread].advance_counts(
                     instructions[i],
                     cycles[i],
-                    {
-                        _L1_HITS: l1_hits[i],
-                        _L1_MISSES: llc_refs[i],
-                        _LLC_REFS: llc_refs[i],
-                        _LLC_MISSES: llc_misses[i],
-                    },
+                    _FEED_SLOTS,
+                    (l1_hits[i], refs, refs, llc_misses[i]),
                 )
                 i += 1
             sim._report_monitoring(

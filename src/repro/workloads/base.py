@@ -218,17 +218,6 @@ class PhasedWorkload(Workload):
             return None
         return max(0, phase.instructions - self._instructions_in_phase)
 
-    def phase_progress(self) -> float:
-        """Fractional progress through the active phase's budget (0..1)."""
-        phase = self.current_phase()
-        if phase is None:
-            return 1.0
-        if phase.instructions is not None:
-            return min(1.0, self._instructions_in_phase / phase.instructions)
-        if phase.duration_s is not None:
-            return min(1.0, self._elapsed_in_phase / phase.duration_s)
-        return 0.0
-
     def _next_phase(self) -> None:
         self._elapsed_in_phase = 0.0
         self._instructions_in_phase = 0

@@ -44,16 +44,6 @@ class TestDerivedSizes:
         geo = CacheGeometry(line_size=64, num_sets=1024, num_ways=16)
         assert geo.way_bytes == 64 * KB
 
-    def test_ways_for_bytes_rounds_up(self):
-        geo = CacheGeometry(line_size=64, num_sets=1024, num_ways=16)
-        assert geo.ways_for_bytes(1) == 1
-        assert geo.ways_for_bytes(64 * KB) == 1
-        assert geo.ways_for_bytes(64 * KB + 1) == 2
-
-    def test_ways_for_bytes_minimum_one(self):
-        geo = CacheGeometry()
-        assert geo.ways_for_bytes(0) == 1
-
 
 class TestDecomposition:
     def setup_method(self):

@@ -297,6 +297,7 @@ class TestMalformedFields:
             ("scenario", _edited(SCENARIO, "manager.config", []),
              "manager.config", []),
             ("chaos", _edited(CHAOS, "patience", "soon"), "patience", []),
+            ("chaos", _edited(CHAOS, "duration_s", 2.6), "duration_s", []),
             ("churn", _edited(CHURN, "tenants.0.workload.wss_mb", [1]),
              "tenants[0].workload.wss_mb", []),
             ("churn", SHARED_WITH_FAULTS, "faults", ["--fleet-jobs", "2"]),
@@ -310,6 +311,7 @@ class TestMalformedFields:
             "scenario-wss-string",
             "scenario-manager-config-list",
             "chaos-patience",
+            "chaos-partial-interval",
             "churn-wss-list",
             "churn-faults-shared-parallel",
         ],

@@ -100,14 +100,6 @@ class TestCounterIdentities:
         assert loaded.avg_mem_latency_cycles > idle.avg_mem_latency_cycles
         assert loaded.ipc < idle.ipc
 
-    def test_miss_traffic_helper(self):
-        model = quiet_model()
-        act = model.execute_interval(MEMHEAVY, 0.0)
-        traffic = model.miss_traffic_lines_per_cycle(act)
-        assert traffic == pytest.approx(
-            act.event_counts[LLC_MISSES] / act.cycles
-        )
-
 
 class TestNoise:
     def test_zero_noise_deterministic(self):
@@ -298,19 +290,6 @@ class TestSocket:
         assert spec.num_cores == 18
         assert spec.num_threads == 36
         assert spec.llc.num_ways == 20
-
-    def test_thread_siblings(self):
-        spec = SocketSpec.xeon_e5_2697v4()
-        assert spec.thread_siblings(0) == (0, 18)
-        assert spec.thread_siblings(18) == (0, 18)
-        assert spec.core_of(19) == 1
-
-    def test_bounds(self):
-        spec = SocketSpec.xeon_d()
-        with pytest.raises(ValueError):
-            spec.thread_siblings(99)
-        with pytest.raises(ValueError):
-            spec.core_of(-1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

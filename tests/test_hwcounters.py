@@ -70,6 +70,14 @@ class TestMsrFile:
         msrs.wrmsr(IA32_PMC0, 1 << 70)
         assert msrs.rdmsr(IA32_PMC0) == 0
 
+    def test_registers_view_is_live_and_read_only(self):
+        msrs = MsrFile()
+        view = msrs.registers
+        msrs.wrmsr(IA32_PMC0, 7)
+        assert view[IA32_PMC0] == 7 == msrs.rdmsr(IA32_PMC0)
+        with pytest.raises(TypeError):
+            view[IA32_PMC0] = 1
+
 
 class TestCorePmu:
     def test_fixed_counters_always_count(self):

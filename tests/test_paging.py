@@ -57,11 +57,6 @@ class TestMapping:
         b = table.map_buffer(1 * MB)
         assert a.vbase + a.size <= b.vbase or b.vbase + b.size <= a.vbase
 
-    def test_mapped_bytes_accounting(self):
-        table = small_table()
-        table.map_buffer(8 * PAGE_4K)
-        assert table.mapped_bytes == 8 * PAGE_4K
-
     def test_frame_exhaustion_raises(self):
         table = PageTable(
             page_size=PAGE_2M, phys_bytes=8 * MB, rng=np.random.default_rng(1)

@@ -43,10 +43,6 @@ class TestMachine:
         m.cat.associate_core(0, 1)
         assert m.effective_ways(0) == 3
 
-    def test_scaled_frequency(self):
-        m = Machine(cycles_per_interval=1_000_000, interval_s=0.5)
-        assert m.scaled_frequency_hz == pytest.approx(2_000_000.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Machine(cycles_per_interval=0)

@@ -11,7 +11,9 @@ They carry the ``smoke`` marker, which the default run deselects::
     PYTHONPATH=src python -m pytest -q -m smoke
 """
 
+import cProfile
 import hashlib
+import importlib.util
 import itertools
 import json
 import os
@@ -86,6 +88,74 @@ def test_metrics_export_carries_stage_and_grant_families(tmp_path, capsys):
     assert "dcat_stage_seconds_bucket" in text
     assert "dcat_ways_granted_total" in text
     json.loads((tmp_path / "out.prom.json").read_text())
+
+
+# -- noise-free call-count gate ---------------------------------------------
+
+
+#: How far above its committed ``BENCH_calls.json`` total a workload's call
+#: count may rise.
+CALLS_BOUND = 1.02
+
+
+def _window_calls(workload: str) -> int:
+    """Calls cProfile counts over one perfbench fleet workload's measured
+    window: the full-size scenario dict for seed 1, built serially, warmed
+    up, then ``horizon`` fleet intervals profiled.
+
+    Summed over the profiler's raw entries, one per code object.
+    ``pstats`` keys entries by ``(file, line, name)`` and keeps only one of
+    the code objects that share a key (every dataclass ``__init__`` is
+    ``<string>:2``), so its total moves with memory layout.
+    """
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    from repro.cloud.scenario import load_churn_scenario
+
+    size = workloads.SIZES["full"][workload]
+    build = {"fleet_dense": workloads.dense_scenario,
+             "fleet_churn": workloads.churn_scenario}[workload]
+    fleet, _ = load_churn_scenario(build(1, size), fleet_jobs=1)
+    try:
+        for _ in range(size["warmup"]):
+            fleet.step()
+        profile = cProfile.Profile()
+        profile.enable()
+        for _ in range(size["horizon"]):
+            fleet.step()
+        profile.disable()
+    finally:
+        fleet.close()
+    return sum(entry.callcount for entry in profile.getstats())
+
+
+def test_call_counts_within_bound_of_committed():
+    """Python function calls per measured window may not grow.
+
+    Unlike a timing, a call count does not move with the host's load, so a
+    2% bound catches an interpreted-code regression that wall-time rows on
+    a shared runner could not resolve.  It sees only calls: work inside
+    numpy (or any C loop) is invisible to it, which the wall-time rows of
+    ``BENCH_controller.json`` still cover.  Counts differ between Python
+    minors (3.12 inlines comprehensions), so the gate runs only on the one
+    the committed counts were taken on.  Run with ``-s`` to print today's
+    counts; a change that lowers them commits the new ones.
+    """
+    committed = json.loads((ROOT / "BENCH_calls.json").read_text())
+    here = "{}.{}".format(*sys.version_info[:2])
+    if committed["python"] != here:
+        pytest.skip(f"counts were taken on Python {committed['python']}, not {here}")
+    measured = {name: _window_calls(name) for name in committed["calls"]}
+    print(f"window calls on Python {here}: {measured}")
+    over = [
+        f"{name}: {calls:,} calls vs committed {committed['calls'][name]:,}"
+        for name, calls in measured.items()
+        if calls > CALLS_BOUND * committed["calls"][name]
+    ]
+    assert not over, f"over {CALLS_BOUND:g}x the committed count: " + "; ".join(over)
 
 
 # -- paper reports and long horizons ----------------------------------------

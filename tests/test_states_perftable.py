@@ -72,12 +72,6 @@ class TestPhaseTable:
     def test_preferred_none_when_empty(self):
         assert PhaseTable(baseline_ways=3).preferred_ways() is None
 
-    def test_best_normalized(self):
-        table = PhaseTable(baseline_ways=2)
-        table.baseline_ipc = 1.0
-        table.entries.update({2: 1.0, 4: 1.4})
-        assert table.best_normalized() == pytest.approx(1.4)
-
     def test_nonpositive_ipc_ignored(self):
         table = PhaseTable(baseline_ways=3)
         table.record_baseline(0.0)

@@ -118,11 +118,6 @@ class TestPhasedWorkload:
         w.advance(1.0, 300)
         assert w.remaining_instructions() == 700
 
-    def test_phase_progress(self):
-        w = PhasedWorkload("w", [mlr_phase(MB, duration_s=4.0)])
-        w.advance(1.0, 0)
-        assert w.phase_progress() == pytest.approx(0.25)
-
     def test_negative_progress_rejected(self):
         with pytest.raises(ValueError):
             self.two_phase().advance(-1.0, 0)
