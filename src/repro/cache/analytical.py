@@ -83,6 +83,13 @@ class Footprint:
                 raise ValueError("hot_fraction must be in (0, 1]")
             if self.hot_bytes > self.wss_bytes:
                 raise ValueError("hot_bytes cannot exceed wss_bytes")
+        # What the cache model's memo is keyed by: equal exactly when the
+        # footprints are, and a plain tuple hashes without running the
+        # generated ``__hash__`` and the enum's on every lookup.
+        object.__setattr__(self, "_memo_key", (
+            self.pattern.value, self.wss_bytes, self.page_size,
+            self.zipf_s, self.hot_bytes, self.hot_fraction,
+        ))
 
 
 def _binomial_pmf(ks: np.ndarray, n: int, p: float) -> np.ndarray:
@@ -160,9 +167,10 @@ class AnalyticalCacheModel:
     def __init__(self, geometry: CacheGeometry, zipf_s: float = 0.99) -> None:
         self.geometry = geometry
         self.zipf_s = zipf_s
-        # Per footprint: the way curve and its knot table ``(0.0, *curve)``
-        # (hit rate at 0..num_ways ways), shared by both lookups below.
-        self._curves: Dict[Footprint, Tuple[np.ndarray, Tuple[float, ...]]] = {}
+        # Per footprint (by its memo key): the way curve and its knot table
+        # ``(0.0, *curve)`` (hit rate at 0..num_ways ways), shared by both
+        # lookups below.
+        self._curves: Dict[tuple, Tuple[np.ndarray, Tuple[float, ...]]] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -188,7 +196,7 @@ class AnalyticalCacheModel:
         so both paths agree bit for bit.  Out-of-range ways clamp to
         ``[0, num_ways]``; NaN or infinite ways raise ``ValueError``.
         """
-        entry = self._curves.get(footprint)
+        entry = self._curves.get(footprint._memo_key)
         knots = (entry if entry is not None else self._entry(footprint))[1]
         if type(ways) is int or isinstance(ways, np.integer):
             if 0 <= ways < len(knots):
@@ -203,7 +211,7 @@ class AnalyticalCacheModel:
 
     def way_curve_fp(self, footprint: Footprint) -> np.ndarray:
         """Hit rate for each allocation 1..num_ways (memoized)."""
-        entry = self._curves.get(footprint)
+        entry = self._curves.get(footprint._memo_key)
         return (entry if entry is not None else self._entry(footprint))[0]
 
     def _entry(self, footprint: Footprint) -> Tuple[np.ndarray, Tuple[float, ...]]:
@@ -213,7 +221,7 @@ class AnalyticalCacheModel:
         else:
             # curve[i] is the hit rate with (i + 1) ways; 0 ways -> 0 hit rate.
             knots = (0.0, *curve.tolist())
-        entry = self._curves[footprint] = (curve, knots)
+        entry = self._curves[footprint._memo_key] = (curve, knots)
         return entry
 
     def capacity_hit_rate_fp(

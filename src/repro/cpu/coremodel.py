@@ -249,7 +249,9 @@ class CoreTimingModel:
             interval's CPI, so measured IPC jitters like real hardware and
             the controller's thresholds are exercised honestly.  Fixed at
             construction: the noise is pre-drawn in blocks.
-        rng: Seeded generator for the noise (this core's alone).
+        seed: Seed of this core's noise stream, ``default_rng(seed)``.  The
+            generator is built on the first block draw, so a core that
+            never runs (or runs noise-free) never builds one.
     """
 
     def __init__(
@@ -259,7 +261,7 @@ class CoreTimingModel:
         llc_latency: float = 40.0,
         dram: Optional[DramModel] = None,
         noise_sigma: float = 0.005,
-        rng: Optional[np.random.Generator] = None,
+        seed: int = 42,
     ) -> None:
         if cycles_per_interval < 1:
             raise ValueError("cycles_per_interval must be positive")
@@ -268,9 +270,10 @@ class CoreTimingModel:
         self.llc_latency = llc_latency
         self.dram = dram if dram is not None else DramModel()
         self.noise_sigma = noise_sigma
-        self._rng = rng if rng is not None else np.random.default_rng(42)
-        # Drawn on first use, so building a host's idle cores costs nothing.
-        self._noise: List[float] = []
+        # Built and drawn on first use, so a host's idle cores cost nothing.
+        self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
+        self._noise: Sequence[float] = ()
         self._noise_at = 0
 
     def next_noise(self) -> float:
@@ -279,6 +282,8 @@ class CoreTimingModel:
             return 1.0
         at = self._noise_at
         if at == len(self._noise):
+            if self._rng is None:
+                self._rng = np.random.default_rng(self._seed)
             self._noise = np.exp(
                 self._rng.normal(0.0, self.noise_sigma, size=NOISE_BLOCK)
             ).tolist()

@@ -103,8 +103,11 @@ class StagedLoop:
         #: Per-stage wall-time observer, captured from the process default at
         #: construction; assign directly to (de)instrument a live loop.
         self.profiler: Optional[StageObserver] = get_default_profiler()
+        seen = set()
         for stage in stages:
-            self._check_new(stage)
+            if stage[0] in seen:
+                raise ValueError(f"{self.name}: duplicate stage name {stage[0]!r}")
+            seen.add(stage[0])
             self._stages.append(stage)
 
     # -- composition ----------------------------------------------------------

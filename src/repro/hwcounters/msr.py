@@ -52,6 +52,18 @@ _CYCLE_CTR = IA32_FIXED_CTR0 + FIXED_CTR_UNHALTED_CYCLES
 _PMC_SLOTS = tuple(
     (IA32_PERFEVTSEL0 + i, IA32_PMC0 + i) for i in range(NUM_PROGRAMMABLE_COUNTERS)
 )
+#: The register file at reset, which every :class:`MsrFile` copies: each
+#: PMCx with its IA32_PERFEVTSELx, the fixed counters and the two
+#: controls, all zero.
+_RESET: Dict[int, int] = dict.fromkeys(
+    (
+        *(addr for evtsel, pmc in _PMC_SLOTS for addr in (pmc, evtsel)),
+        *(IA32_FIXED_CTR0 + i for i in range(NUM_FIXED_COUNTERS)),
+        IA32_FIXED_CTR_CTRL,
+        IA32_PERF_GLOBAL_CTRL,
+    ),
+    0,
+)
 
 
 class CounterReadError(OSError):
@@ -71,14 +83,7 @@ class MsrFile:
     """
 
     def __init__(self) -> None:
-        self._regs: Dict[int, int] = {}
-        for i in range(NUM_PROGRAMMABLE_COUNTERS):
-            self._regs[IA32_PMC0 + i] = 0
-            self._regs[IA32_PERFEVTSEL0 + i] = 0
-        for i in range(NUM_FIXED_COUNTERS):
-            self._regs[IA32_FIXED_CTR0 + i] = 0
-        self._regs[IA32_FIXED_CTR_CTRL] = 0
-        self._regs[IA32_PERF_GLOBAL_CTRL] = 0
+        self._regs: Dict[int, int] = dict(_RESET)
 
     def rdmsr(self, addr: int) -> int:
         """Read an MSR; raises KeyError for unimplemented addresses."""

@@ -77,15 +77,20 @@ class Machine:
         self.pmus: Dict[int, CorePmu] = {
             t: CorePmu() for t in range(self.spec.num_threads)
         }
-        master = np.random.default_rng(seed)
+        # One draw seeds every core, in core order: the same values as one
+        # scalar draw per core, and a core's stream does not depend on when
+        # (or whether) it builds its generator.
+        core_seeds = np.random.default_rng(seed).integers(
+            0, 2**63, size=self.spec.num_threads
+        )
         self.core_models: Dict[int, CoreTimingModel] = {
             t: CoreTimingModel(
                 cycles_per_interval=cycles_per_interval,
                 dram=self.dram,
                 noise_sigma=noise_sigma,
-                rng=np.random.default_rng(master.integers(0, 2**63)),
+                seed=core_seed,
             )
-            for t in range(self.spec.num_threads)
+            for t, core_seed in enumerate(core_seeds.tolist())
         }
 
     # -- derived quantities --------------------------------------------------

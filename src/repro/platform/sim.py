@@ -439,7 +439,7 @@ class CloudSimulation:
         # (RMID 0 stays the unmonitored default, like COS0 on the CAT side).
         used = set(self._rmid_of.values())
         self._free_rmids: List[int] = sorted(
-            r for r in range(1, machine.cmt.num_rmids) if r not in used
+            set(range(1, machine.cmt.num_rmids)) - used
         )
         # Virtual time requested by run() but not yet a whole interval.
         self._residual_s = 0.0

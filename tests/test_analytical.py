@@ -6,7 +6,9 @@ closed forms inside the platform simulator.
 
 import dataclasses
 import json
+import pickle
 import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -178,11 +180,55 @@ class TestCapacityHitRate:
         assert skewed > flat
 
 
+def _memo_footprint(pattern, wss_mb, page, zipf_s, hot_mb, hot_fraction):
+    if pattern is not AccessPattern.HOTCOLD:
+        return Footprint(pattern, wss_mb * MB, page_size=page, zipf_s=zipf_s)
+    return Footprint(pattern, wss_mb * MB, page_size=page, zipf_s=zipf_s,
+                     hot_bytes=hot_mb * MB, hot_fraction=hot_fraction)
+
+
+#: Footprints over small domains, so equal pairs are common.
+_MEMO_FOOTPRINTS = st.builds(
+    _memo_footprint,
+    st.sampled_from(list(AccessPattern)),
+    st.sampled_from([2, 4]),
+    st.sampled_from([PAGE_4K, PAGE_2M]),
+    st.sampled_from([None, 0.8, 0.99]),
+    st.sampled_from([1, 2]),
+    st.sampled_from([0.5, 1.0]),
+)
+
+
 class TestMemoization:
     def test_way_curve_cached(self, e5_model):
         a = e5_model.way_curve_fp(Footprint(AccessPattern.RANDOM, 8 * MB))
         b = e5_model.way_curve_fp(Footprint(AccessPattern.RANDOM, 8 * MB))
         assert a is b
+
+    def test_warm_lookup_runs_no_hash_frame(self, e5_model):
+        fp = Footprint(AccessPattern.ZIPF, 8 * MB)
+        e5_model.hit_rate_fp(fp, 3)
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name)
+                       if event == "call" else None)
+        try:
+            e5_model.hit_rate_fp(fp, 3)
+            e5_model.way_curve_fp(fp)
+        finally:
+            sys.setprofile(None)
+        assert calls == ["hit_rate_fp", "way_curve_fp"]
+
+    def test_unpickled_footprint_finds_its_curve(self, e5_model):
+        fp = Footprint(AccessPattern.RANDOM, 12 * MB)
+        curve = e5_model.way_curve_fp(fp)
+        assert e5_model.way_curve_fp(pickle.loads(pickle.dumps(fp))) is curve
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_MEMO_FOOTPRINTS, b=_MEMO_FOOTPRINTS)
+    def test_memo_key_equal_exactly_when_footprints_are(self, a, b):
+        assert (a._memo_key == b._memo_key) == (a == b)
+        if a == b:
+            assert hash(a._memo_key) == hash(b._memo_key)
 
 
 class TestWaysValidation:

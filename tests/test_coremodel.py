@@ -108,12 +108,12 @@ class TestNoise:
         assert a.instructions == b.instructions
 
     def test_noise_jitters_ipc(self):
-        model = CoreTimingModel(noise_sigma=0.01, rng=np.random.default_rng(0))
+        model = CoreTimingModel(noise_sigma=0.01, seed=0)
         vals = {model.execute_interval(MEMHEAVY, 0.5).instructions for _ in range(8)}
         assert len(vals) > 1
 
     def test_noise_is_small(self):
-        model = CoreTimingModel(noise_sigma=0.005, rng=np.random.default_rng(0))
+        model = CoreTimingModel(noise_sigma=0.005, seed=0)
         base = quiet_model().execute_interval(MEMHEAVY, 0.5).ipc
         samples = [model.execute_interval(MEMHEAVY, 0.5).ipc for _ in range(50)]
         assert all(abs(s / base - 1) < 0.05 for s in samples)
@@ -205,7 +205,7 @@ def test_kernel_matches_scalar_formulas(batch, seed):
         CoreTimingModel(
             cycles_per_interval=cpi_cycles,
             noise_sigma=sigma,
-            rng=np.random.default_rng(seed + i),
+            seed=seed + i,
         )
         for i, (_, _, _, cpi_cycles, sigma) in enumerate(batch)
     ]
@@ -213,7 +213,7 @@ def test_kernel_matches_scalar_formulas(batch, seed):
         CoreTimingModel(
             cycles_per_interval=cpi_cycles,
             noise_sigma=sigma,
-            rng=np.random.default_rng(seed + i),
+            seed=seed + i,
         )
         for i, (_, _, _, cpi_cycles, sigma) in enumerate(batch)
     ]
@@ -232,8 +232,8 @@ def test_kernel_matches_scalar_formulas(batch, seed):
 
 def test_one_core_call_is_the_kernel():
     """``execute_interval`` returns the kernel's counters for that core."""
-    a = CoreTimingModel(noise_sigma=0.01, rng=np.random.default_rng(5))
-    b = CoreTimingModel(noise_sigma=0.01, rng=np.random.default_rng(5))
+    a = CoreTimingModel(noise_sigma=0.01, seed=5)
+    b = CoreTimingModel(noise_sigma=0.01, seed=5)
     for hit in (0.0, 0.3, 1.0):
         act = a.execute_interval(MEMHEAVY, hit, dram_latency=300.0)
         out = execute_cores([b], [MEMHEAVY], [hit], [300.0])
@@ -248,13 +248,13 @@ def test_one_core_call_is_the_kernel():
 
 class TestNoiseBlocks:
     def test_drawn_on_first_use(self):
-        model = CoreTimingModel(noise_sigma=0.01, rng=np.random.default_rng(1))
-        assert model._noise == []
+        model = CoreTimingModel(noise_sigma=0.01, seed=1)
+        assert model._noise == () and model._rng is None
         model.next_noise()
-        assert len(model._noise) == NOISE_BLOCK
+        assert len(model._noise) == NOISE_BLOCK and model._rng is not None
 
     def test_block_refills_continue_the_stream(self):
-        model = CoreTimingModel(noise_sigma=0.01, rng=np.random.default_rng(2))
+        model = CoreTimingModel(noise_sigma=0.01, seed=2)
         rng = np.random.default_rng(2)
         want = [float(np.exp(rng.normal(0.0, 0.01))) for _ in range(3 * NOISE_BLOCK + 1)]
         assert [model.next_noise() for _ in want] == want
@@ -262,16 +262,16 @@ class TestNoiseBlocks:
     def test_noiseless_core_never_draws(self):
         model = quiet_model()
         assert model.next_noise() == 1.0
-        assert model._noise == []
+        assert model._noise == () and model._rng is None
 
 
 class TestKernelValidation:
     def test_rejects_hit_rate_outside_unit_interval(self):
         for bad in (-0.1, 1.5, float("nan")):
-            model = CoreTimingModel(noise_sigma=0.01, rng=np.random.default_rng(3))
+            model = CoreTimingModel(noise_sigma=0.01, seed=3)
             with pytest.raises(ValueError):
                 execute_cores([model], [MEMHEAVY], [bad], [200.0])
-            assert model._noise == []  # rejected before any noise was drawn
+            assert model._noise == ()  # rejected before any noise was drawn
 
     def test_empty_batch(self):
         out = execute_cores([], [], [], [])

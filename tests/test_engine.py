@@ -166,6 +166,9 @@ class TestStagedLoop:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             StagedLoop([("a", lambda ctx: None), ("a", lambda ctx: None)])
+        stages = [(name, lambda ctx: None) for name in ("a", "b", "c", "b")]
+        with pytest.raises(ValueError, match="^sim: duplicate stage name 'b'$"):
+            StagedLoop(stages, name="sim")
         loop = self.build([])
         with pytest.raises(ValueError, match="duplicate"):
             loop.insert_before("b", ("a", lambda ctx: None))

@@ -13,6 +13,8 @@ from repro.hwcounters.events import (
 from repro.hwcounters.msr import (
     COUNTER_WIDTH_BITS,
     IA32_FIXED_CTR0,
+    IA32_FIXED_CTR_CTRL,
+    IA32_PERF_GLOBAL_CTRL,
     IA32_PERFEVTSEL0,
     IA32_PMC0,
     CorePmu,
@@ -69,6 +71,23 @@ class TestMsrFile:
         msrs = MsrFile()
         msrs.wrmsr(IA32_PMC0, 1 << 70)
         assert msrs.rdmsr(IA32_PMC0) == 0
+
+    def test_fresh_file_holds_the_reset_register_set(self):
+        # Every PMCx next to its IA32_PERFEVTSELx, then the three fixed
+        # counters and the two controls, all zero, in that order.
+        want = []
+        for i in range(4):
+            want += [(IA32_PMC0 + i, 0), (IA32_PERFEVTSEL0 + i, 0)]
+        want += [(IA32_FIXED_CTR0 + i, 0) for i in range(3)]
+        want += [(IA32_FIXED_CTR_CTRL, 0), (IA32_PERF_GLOBAL_CTRL, 0)]
+        assert list(MsrFile().registers.items()) == want
+
+    def test_files_do_not_share_registers(self):
+        a, b = MsrFile(), MsrFile()
+        a.wrmsr(IA32_PMC0, 5)
+        a.wrmsr(IA32_PERF_GLOBAL_CTRL, 1)
+        assert b.rdmsr(IA32_PMC0) == 0 and b.rdmsr(IA32_PERF_GLOBAL_CTRL) == 0
+        assert MsrFile().rdmsr(IA32_PMC0) == 0
 
     def test_registers_view_is_live_and_read_only(self):
         msrs = MsrFile()

@@ -1,10 +1,15 @@
 """Tests for repro.platform: machine wiring, VM pinning, managers, and sim."""
 
+import gc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cat.cos import mask_way_count
 from repro.core.states import WorkloadState
+from repro.cpu.coremodel import NOISE_BLOCK
+from repro.cpu.socket import SocketSpec
 from repro.mem.address import MB
 from repro.platform.machine import Machine
 from repro.platform.managers import DCatManager, SharedCacheManager, StaticCatManager
@@ -48,6 +53,63 @@ class TestMachine:
             Machine(cycles_per_interval=0)
         with pytest.raises(ValueError):
             Machine(interval_s=0.0)
+
+
+def eager_core_noise(spec, seed, sigma, draws):
+    """Each core's noise factors as hosts once drew them: one scalar seed
+    draw per core from the master stream, every generator built at once,
+    one scalar normal per factor."""
+    master = np.random.default_rng(seed)
+    rngs = [
+        np.random.default_rng(master.integers(0, 2**63))
+        for _ in range(spec.num_threads)
+    ]
+    return [
+        [float(np.exp(rng.normal(0.0, sigma))) for _ in range(draws)]
+        for rng in rngs
+    ]
+
+
+def live_generators():
+    gc.collect()
+    return sum(isinstance(o, np.random.Generator) for o in gc.get_objects())
+
+
+class TestLazyCores:
+    """A host seeds every core at construction and builds each core's
+    generator on its first draw; neither changes a noise factor."""
+
+    @pytest.mark.parametrize(
+        "spec", [SocketSpec.xeon_e5_2697v4(), SocketSpec.xeon_d()],
+        ids=["e5_2697v4", "xeon_d"],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 1234, 2**40 + 3])
+    def test_core_streams_equal_eager_per_core_seeding(self, spec, seed):
+        draws = NOISE_BLOCK + 3  # crosses a block refill
+        machine = Machine(spec, seed=seed, noise_sigma=0.005)
+        # Draw the last core first: a stream must not depend on build order.
+        got = {
+            t: [machine.core_models[t].next_noise() for _ in range(draws)]
+            for t in reversed(range(spec.num_threads))
+        }
+        want = eager_core_noise(spec, seed, 0.005, draws)
+        assert [got[t] for t in range(spec.num_threads)] == want
+
+    def test_building_a_host_builds_no_generator(self):
+        before = live_generators()
+        machine = Machine(SocketSpec.xeon_d(), seed=3)
+        assert live_generators() == before
+        machine.core_models[5].next_noise()
+        assert live_generators() == before + 1
+        for _ in range(2 * NOISE_BLOCK):
+            machine.core_models[5].next_noise()
+        assert live_generators() == before + 1  # refills reuse it
+
+    def test_noise_free_core_never_builds_one(self):
+        machine = Machine(SocketSpec.xeon_d(), seed=3, noise_sigma=0.0)
+        before = live_generators()
+        assert [machine.core_models[0].next_noise() for _ in range(40)] == [1.0] * 40
+        assert live_generators() == before
 
 
 class TestPinning:

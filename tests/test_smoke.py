@@ -98,10 +98,11 @@ def test_metrics_export_carries_stage_and_grant_families(tmp_path, capsys):
 CALLS_BOUND = 1.02
 
 
-def _window_calls(workload: str) -> int:
-    """Calls cProfile counts over one perfbench fleet workload's measured
-    window: the full-size scenario dict for seed 1, built serially, warmed
-    up, then ``horizon`` fleet intervals profiled.
+def _workload_calls(workload: str) -> dict:
+    """Calls cProfile counts over one perfbench fleet workload, in two
+    parts: ``setup`` is the serial build of the full-size scenario dict for
+    seed 1 plus its warm-up intervals (what perfbench's ``setup_s`` times),
+    ``window`` the ``horizon`` fleet intervals that follow.
 
     Summed over the profiler's raw entries, one per code object.
     ``pstats`` keys entries by ``(file, line, name)`` and keeps only one of
@@ -118,22 +119,28 @@ def _window_calls(workload: str) -> int:
     size = workloads.SIZES["full"][workload]
     build = {"fleet_dense": workloads.dense_scenario,
              "fleet_churn": workloads.churn_scenario}[workload]
-    fleet, _ = load_churn_scenario(build(1, size), fleet_jobs=1)
+    scenario = build(1, size)
+    setup, window = cProfile.Profile(), cProfile.Profile()
+    setup.enable()
+    fleet, _ = load_churn_scenario(scenario, fleet_jobs=1)
     try:
         for _ in range(size["warmup"]):
             fleet.step()
-        profile = cProfile.Profile()
-        profile.enable()
+        setup.disable()
+        window.enable()
         for _ in range(size["horizon"]):
             fleet.step()
-        profile.disable()
+        window.disable()
     finally:
+        setup.disable()
         fleet.close()
-    return sum(entry.callcount for entry in profile.getstats())
+    return {part: sum(entry.callcount for entry in profile.getstats())
+            for part, profile in (("setup", setup), ("window", window))}
 
 
 def test_call_counts_within_bound_of_committed():
-    """Python function calls per measured window may not grow.
+    """Python function calls per fleet build and per measured window may
+    not grow.
 
     Unlike a timing, a call count does not move with the host's load, so a
     2% bound catches an interpreted-code regression that wall-time rows on
@@ -141,19 +148,22 @@ def test_call_counts_within_bound_of_committed():
     numpy (or any C loop) is invisible to it, which the wall-time rows of
     ``BENCH_controller.json`` still cover.  Counts differ between Python
     minors (3.12 inlines comprehensions), so the gate runs only on the one
-    the committed counts were taken on.  Run with ``-s`` to print today's
-    counts; a change that lowers them commits the new ones.
+    the committed counts were taken on.  They come from a fresh process;
+    earlier tests in the same one leave imports done and caches warm, which
+    lowers a setup count.  Run with ``-s`` to print today's counts; a
+    change that lowers them commits the new ones.
     """
     committed = json.loads((ROOT / "BENCH_calls.json").read_text())
     here = "{}.{}".format(*sys.version_info[:2])
     if committed["python"] != here:
         pytest.skip(f"counts were taken on Python {committed['python']}, not {here}")
-    measured = {name: _window_calls(name) for name in committed["calls"]}
-    print(f"window calls on Python {here}: {measured}")
+    measured = {name: _workload_calls(name) for name in committed["calls"]}
+    print(f"calls on Python {here}: {measured}")
     over = [
-        f"{name}: {calls:,} calls vs committed {committed['calls'][name]:,}"
+        f"{name} {part}: {calls[part]:,} calls vs committed {committed[key][name]:,}"
         for name, calls in measured.items()
-        if calls > CALLS_BOUND * committed["calls"][name]
+        for part, key in (("setup", "setup_calls"), ("window", "calls"))
+        if calls[part] > CALLS_BOUND * committed[key][name]
     ]
     assert not over, f"over {CALLS_BOUND:g}x the committed count: " + "; ".join(over)
 
