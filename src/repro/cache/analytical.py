@@ -33,11 +33,15 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import ModuleSpec
+from importlib.util import module_from_spec
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.special._ufuncs import _binom_pmf
+import scipy
 
 from repro.mem.address import CacheGeometry
 from repro.mem.paging import PAGE_4K
@@ -90,6 +94,37 @@ class Footprint:
             self.pattern.value, self.wss_bytes, self.page_size,
             self.zipf_s, self.hot_bytes, self.hot_fraction,
         ))
+
+
+def _load_binom_pmf() -> np.ufunc:
+    """SciPy's ``scipy.special._ufuncs._binom_pmf``, without running
+    ``scipy/special/__init__.py`` unless something already has.
+
+    That ``__init__`` loads SciPy's array-API shims (and with them
+    ``numpy.f2py`` and ``numpy.testing``): about 0.25 s and 13 MB of a cold
+    boot, for one ufunc.  A bare package module stands in for
+    ``scipy.special`` while ``_ufuncs`` loads, so only the extension
+    modules it needs load; the stand-in is dropped afterwards, and a later
+    ``import scipy.special`` runs the real ``__init__`` over the cached
+    extension modules, which hold this same ufunc.
+    """
+    name = "scipy.special"
+    if name in sys.modules:
+        from scipy.special._ufuncs import _binom_pmf
+        return _binom_pmf
+    spec = ModuleSpec(name, None, is_package=True)
+    spec.submodule_search_locations.append(
+        os.path.join(os.path.dirname(scipy.__file__), "special")
+    )
+    sys.modules[name] = module_from_spec(spec)
+    try:
+        from scipy.special._ufuncs import _binom_pmf
+    finally:
+        del sys.modules[name]
+    return _binom_pmf
+
+
+_binom_pmf = _load_binom_pmf()
 
 
 def _binomial_pmf(ks: np.ndarray, n: int, p: float) -> np.ndarray:

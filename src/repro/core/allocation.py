@@ -26,7 +26,7 @@ phase-hint apportioning and Memshare-style reserved+pooled harvesting.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import DCatConfig
 from repro.core.hints import PhaseHint
@@ -110,14 +110,13 @@ def base_plan(
 
 
 #: Grant rounds, in order: Unknown before Receiver, or both in one round.
-_UNKNOWN_FIRST = (
-    frozenset({WorkloadState.UNKNOWN}),
-    frozenset({WorkloadState.RECEIVER}),
-)
-_ONE_ROUND = (frozenset({WorkloadState.UNKNOWN, WorkloadState.RECEIVER}),)
+#: Tuples, not sets: membership in a tuple tests identity first, while a set
+#: runs the Python-level ``Enum.__hash__`` on every lookup.
+_UNKNOWN_FIRST = ((WorkloadState.UNKNOWN,), (WorkloadState.RECEIVER,))
+_ONE_ROUND = ((WorkloadState.UNKNOWN, WorkloadState.RECEIVER),)
 
 
-def _grant_order(config: DCatConfig) -> Tuple[FrozenSet[WorkloadState], ...]:
+def _grant_order(config: DCatConfig) -> Tuple[Tuple[WorkloadState, ...], ...]:
     return _UNKNOWN_FIRST if config.unknown_priority else _ONE_ROUND
 
 

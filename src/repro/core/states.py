@@ -20,7 +20,7 @@ Every workload is always in exactly one state:
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet
+from typing import Dict, FrozenSet, Tuple
 
 __all__ = ["WorkloadState", "ALLOWED_TRANSITIONS", "can_transition"]
 
@@ -92,6 +92,15 @@ ALLOWED_TRANSITIONS: Dict[WorkloadState, FrozenSet[WorkloadState]] = {
 }
 
 
+#: ``ALLOWED_TRANSITIONS`` keyed by member name, each a tuple.  A member's
+#: hash is the Python-level ``Enum.__hash__``; a name's hash and a tuple
+#: membership test (identity first) run no Python frame, and this check runs
+#: once per workload per interval.
+_ALLOWED_BY_NAME: Dict[str, Tuple[WorkloadState, ...]] = {
+    src._name_: tuple(dsts) for src, dsts in ALLOWED_TRANSITIONS.items()
+}
+
+
 def can_transition(src: WorkloadState, dst: WorkloadState) -> bool:
     """True if Fig. 6 permits moving from ``src`` to ``dst``."""
-    return dst in ALLOWED_TRANSITIONS[src]
+    return dst in _ALLOWED_BY_NAME[src._name_]

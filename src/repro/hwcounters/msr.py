@@ -105,6 +105,14 @@ class MsrFile:
         """Write an MSR (values are truncated to 64 bits)."""
         self._regs[addr] = value & ((1 << 64) - 1)
 
+    def wrmsr_batch(self, values: Mapping[int, int]) -> None:
+        """Write several MSRs in one update, ``{addr: value}``.
+
+        Unlike :meth:`wrmsr` nothing is truncated: each value must already
+        fit in 64 bits (the sampler's precomputed selector encodings).
+        """
+        self._regs |= values
+
     def implemented(self, addr: int) -> bool:
         return addr in self._regs
 

@@ -111,11 +111,11 @@ _LLC_MISS_PMC = _PMC_OF[LLC_MISSES]
 _LLC_REF_PMC = _PMC_OF[LLC_REFERENCES]
 _L1_MISS_PMC = _PMC_OF[L1_CACHE_MISSES]
 _L1_HIT_PMC = _PMC_OF[L1_CACHE_HITS]
-#: ``(IA32_PERFEVTSELx, selector value)`` writes that program the slots.
-_PROGRAM = tuple(
-    (IA32_PERFEVTSEL0 + slot, event.evtsel_value)
+#: ``{IA32_PERFEVTSELx: selector value}``, the writes that program the slots.
+_PROGRAM = {
+    IA32_PERFEVTSEL0 + slot: event.evtsel_value
     for slot, event in enumerate(_PMC_EVENTS)
-)
+}
 
 #: One raw counter snapshot, read from a core's register file as one
 #: group: LLC misses, LLC refs, L1 misses, L1 hits, instructions, cycles.
@@ -146,8 +146,7 @@ class PerfMonitor:
         self._last_raw: Dict[int, _Raw] = {}
         for core, pmu in pmus.items():
             msrs = pmu.msrs
-            for addr, value in _PROGRAM:
-                msrs.wrmsr(addr, value)
+            msrs.wrmsr_batch(_PROGRAM)
             self._registers[core] = msrs.registers
             self._last_raw[core] = _read_raw(self._registers[core])
 

@@ -5,9 +5,10 @@ exercises — the exact cache model's access loop, counter aggregation, a full
 warm controller step, a simulation step under the null vs a recording bus,
 raw event emission, mask packing/validation, and one fleet interval with
 10 of 1000 hosts busy and with all 48 hosts busy, one tenant admit and
-depart on a 1000-host fleet, one uncached conflict-scatter evaluation and
-one host build — and writes the results to
-``BENCH_controller.json`` at the repo root (schema ``dcat-bench/v1``).
+depart on a 1000-host fleet, one uncached conflict-scatter evaluation, one
+host build and one cold boot of the daemon and executor entry points — and
+writes the results to ``BENCH_controller.json`` at the repo root (schema
+``dcat-bench/v1``).
 
 Timing discipline: every benchmark runs ``repeats`` batches of
 ``iterations`` calls, reporting best/median/mean per-call seconds; *best*
@@ -22,7 +23,10 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import statistics
+import subprocess
+import sys
 from time import perf_counter
 from typing import Any, Callable, Dict, List
 
@@ -420,6 +424,23 @@ def _bench_host_build() -> Callable[[], None]:
     return run
 
 
+def _bench_cold_import() -> Callable[[], None]:
+    """A fresh interpreter that imports the daemon and executor entry
+    points: what every daemon restart and fleet worker pays to boot."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    argv = [sys.executable, "-c", "import repro.service.daemon, repro.cloud.executor"]
+
+    def run() -> None:
+        subprocess.run(argv, env=env, check=True)
+
+    return run
+
+
 def _bench_mask_pack() -> Callable[[], None]:
     from repro.cat.cos import contiguous_mask, validate_cbm
 
@@ -487,6 +508,10 @@ _BENCHMARKS: List[Dict[str, Any]] = [
     {"name": "host_build", "build": _bench_host_build,
      "iterations": (20, 200), "repeats": (3, 5),
      "note": "one xeon_d Machine + CloudSimulation + dCat manager"},
+    {"name": "cold_import", "build": _bench_cold_import,
+     "iterations": (1, 2), "repeats": (3, 5),
+     "note": "fresh interpreter importing repro.service.daemon and "
+             "repro.cloud.executor"},
 ]
 
 

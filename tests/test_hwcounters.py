@@ -89,6 +89,14 @@ class TestMsrFile:
         assert b.rdmsr(IA32_PMC0) == 0 and b.rdmsr(IA32_PERF_GLOBAL_CTRL) == 0
         assert MsrFile().rdmsr(IA32_PMC0) == 0
 
+    def test_batch_write_updates_registers_in_place(self):
+        batched, single = MsrFile(), MsrFile()
+        values = {IA32_PERFEVTSEL0 + 1: LLC_MISSES.evtsel_value, IA32_PMC0: 9}
+        batched.wrmsr_batch(values)
+        for addr, value in values.items():
+            single.wrmsr(addr, value)
+        assert list(batched.registers.items()) == list(single.registers.items())
+
     def test_registers_view_is_live_and_read_only(self):
         msrs = MsrFile()
         view = msrs.registers
@@ -202,6 +210,16 @@ class TestPerfMonitor:
             for e in (LLC_MISSES, LLC_REFERENCES, L1_CACHE_MISSES, L1_CACHE_HITS)
         }
         assert programmed == expected
+
+    def test_programming_matches_one_write_per_selector(self):
+        pmus = self._pmu_set(2)
+        PerfMonitor(pmus)
+        events = (LLC_MISSES, LLC_REFERENCES, L1_CACHE_MISSES, L1_CACHE_HITS)
+        reference = MsrFile()
+        for slot, event in enumerate(events):
+            reference.wrmsr(IA32_PERFEVTSEL0 + slot, event.evtsel_value)
+        for pmu in pmus.values():
+            assert list(pmu.msrs.registers.items()) == list(reference.registers.items())
 
     def test_sampling_returns_deltas(self):
         pmus = self._pmu_set(1)

@@ -11,6 +11,11 @@ class TestStateMachineStructure:
     def test_every_state_has_transitions(self):
         assert set(ALLOWED_TRANSITIONS) == set(WorkloadState)
 
+    def test_can_transition_follows_the_map(self):
+        for src, dsts in ALLOWED_TRANSITIONS.items():
+            for dst in WorkloadState:
+                assert can_transition(src, dst) is (dst in dsts), (src, dst)
+
     def test_self_loops_always_allowed(self):
         for state in WorkloadState:
             assert can_transition(state, state)
