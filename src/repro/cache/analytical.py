@@ -24,8 +24,9 @@ exact :mod:`repro.cache.setassoc` model:
   plus a long value tail (Redis, PostgreSQL, Elasticsearch).
 * ``NONE`` (lookbusy): no LLC traffic at all.
 
-All curves are memoized; the simulator asks for thousands of evaluations per
-experiment and each unique configuration is computed once.
+All curves are memoized, once per LLC geometry: the simulator asks for
+thousands of evaluations per experiment, and each unique configuration is
+computed once however many hosts share the geometry.
 """
 
 from __future__ import annotations
@@ -180,6 +181,14 @@ def _scatter_min_expectation(
     return e_min, e_fit, e_k
 
 
+#: One way-curve memo per ``(geometry, zipf_s)``, shared by every model of
+#: that LLC: a curve is a pure function of the footprint and those two, so
+#: a fleet of equal hosts computes each curve once.
+_CURVE_MEMOS: Dict[
+    Tuple[CacheGeometry, float], Dict[tuple, Tuple[np.ndarray, Tuple[float, ...]]]
+] = {}
+
+
 @dataclass(frozen=True)
 class _CurveKey:
     pattern: AccessPattern
@@ -204,8 +213,8 @@ class AnalyticalCacheModel:
         self.zipf_s = zipf_s
         # Per footprint (by its memo key): the way curve and its knot table
         # ``(0.0, *curve)`` (hit rate at 0..num_ways ways), shared by both
-        # lookups below.
-        self._curves: Dict[tuple, Tuple[np.ndarray, Tuple[float, ...]]] = {}
+        # lookups below and by every model of an equal LLC.
+        self._curves = _CURVE_MEMOS.setdefault((geometry, zipf_s), {})
 
     # -- public API -----------------------------------------------------------
 
@@ -256,6 +265,7 @@ class AnalyticalCacheModel:
         else:
             # curve[i] is the hit rate with (i + 1) ways; 0 ways -> 0 hit rate.
             knots = (0.0, *curve.tolist())
+        curve.flags.writeable = False  # shared by every model of this LLC
         entry = self._curves[footprint._memo_key] = (curve, knots)
         return entry
 

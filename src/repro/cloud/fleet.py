@@ -74,6 +74,7 @@ def entitled_ipc(
     tenant slowed only by fleet-wide memory-bandwidth load is not having
     its cache contract violated.  ``None`` once the workload has finished.
     """
+    machine.build_cores(vm.vcpus)
     return entitled_ipcs([(machine, vm, dram_latency_cycles)])[0]
 
 
@@ -81,7 +82,8 @@ def entitled_ipcs(
     tenants: Sequence[Tuple[Machine, VirtualMachine, Optional[float]]],
 ) -> List[Optional[float]]:
     """:func:`entitled_ipc` of many ``(machine, vm, dram latency)`` triples,
-    through one :func:`~repro.cpu.coremodel.core_cpis` pass."""
+    through one :func:`~repro.cpu.coremodel.core_cpis` pass.  Each VM must
+    be attached to its machine's simulation (so its cores are built)."""
     out: List[Optional[float]] = [None] * len(tenants)
     index: List[int] = []
     models, behaviors, hits, drams = [], [], [], []
@@ -97,7 +99,7 @@ def entitled_ipcs(
         ):
             ways = min(vm.baseline_ways, machine.num_ways)
             hit = machine.analytic.hit_rate_fp(phase.footprint, ways)
-        model = machine.core_models[vm.vcpus[0]]
+        model = machine.core_models.built[vm.vcpus[0]]
         index.append(i)
         models.append(model)
         behaviors.append(phase.behavior)

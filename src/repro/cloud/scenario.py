@@ -67,13 +67,14 @@ from repro.engine.events import EventBus
 from repro.engine.runner import derive_seed
 from repro.harness.scenario_file import (
     ScenarioError,
-    build_manager,
     checked_workload,
+    manager_factory,
     parse_fidelity,
     read_socket,
     substrate_from_spec,
 )
 from repro.platform.machine import Machine
+from repro.platform.managers import CacheManager
 from repro.platform.sim import whole_intervals
 
 __all__ = [
@@ -138,6 +139,25 @@ def _parse_poisson(spec: Any, duration_s: float) -> List[TenantSpec]:
     )
 
 
+def _scenario_managers(
+    data: Dict[str, Any], ctx: RunContext, error: Type[ValueError]
+) -> Callable[[], CacheManager]:
+    """The builder of every machine's manager (see :func:`allocation_policy`
+    for how the policy is chosen)."""
+    policy = ctx.policy
+    if policy is None and "policy" in data:
+        policy = canonical_name(data["policy"], "policy", error)
+    manager_spec = _require_mapping(
+        data.get("manager", {"type": "dcat"}), "manager", error
+    )
+    return manager_factory(manager_spec, policy=policy, error=error)
+
+
+def _policy_of(manager: CacheManager) -> Optional[str]:
+    config = getattr(manager, "config", None)
+    return None if config is None else policy_name(config.policy)
+
+
 def allocation_policy(
     data: Dict[str, Any],
     ctx: RunContext,
@@ -153,15 +173,7 @@ def allocation_policy(
     Raises:
         error: For a malformed ``policy`` or ``manager``.
     """
-    policy = ctx.policy
-    if policy is None and "policy" in data:
-        policy = canonical_name(data["policy"], "policy", error)
-    manager_spec = _require_mapping(
-        data.get("manager", {"type": "dcat"}), "manager", error
-    )
-    manager = build_manager(manager_spec, policy=policy, error=error)
-    config = getattr(manager, "config", None)
-    return None if config is None else policy_name(config.policy)
+    return _policy_of(_scenario_managers(data, ctx, error)())
 
 
 def build_fleet_machines(
@@ -227,9 +239,10 @@ def build_fleet_machines(
 
     fidelity_spec = parse_fidelity(data, override=ctx.fidelity, error=error)
 
-    # Validated up front (not per machine) so a sharded build with an
-    # empty `only` still rejects a malformed document.
-    alloc_policy = allocation_policy(data, ctx, error)
+    # Validated and resolved once, up front (not per machine), so a
+    # sharded build with an empty `only` still rejects a malformed document.
+    new_manager = _scenario_managers(data, ctx, error)
+    alloc_policy = _policy_of(new_manager())
     fleet_plan = None
     if "faults" in data:
         # Imported lazily: fault injection is opt-in per scenario.
@@ -241,7 +254,6 @@ def build_fleet_machines(
                 "faults: fault injection requires a dcat manager (other "
                 "regimes have no control loop to fault)"
             )
-    manager_spec = dict(data.get("manager", {"type": "dcat"}))
 
     only_set = None if only is None else set(only)
     machines: List[FleetMachine] = []
@@ -254,7 +266,7 @@ def build_fleet_machines(
             seed=derive_seed(seed, name),
             interval_s=interval_s,
         )
-        manager = build_manager(dict(manager_spec), policy=alloc_policy)
+        manager = new_manager()
         machine_plan = None
         if fleet_plan is not None:
             machine_plan = replace(fleet_plan, seed=derive_seed(fleet_plan.seed, name))

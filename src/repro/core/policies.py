@@ -469,8 +469,17 @@ def policy_name(value: PolicyLike) -> str:
 
 
 def get_strategy(policy: PolicyLike) -> AllocationStrategy:
-    """The registered strategy behind a normalized policy value."""
-    return _STRATEGIES[canonical_name(policy)]
+    """The registered strategy behind a policy value.
+
+    A normalized value (what ``DCatConfig.policy`` holds, looked up every
+    control round) indexes the registry directly; any other spelling goes
+    through :func:`canonical_name`.
+    """
+    name = policy._value_ if type(policy) is AllocationPolicy else policy
+    try:
+        return _STRATEGIES[name]
+    except (KeyError, TypeError):
+        return _STRATEGIES[canonical_name(policy)]
 
 
 for _strategy in (

@@ -43,6 +43,7 @@ overrides it.
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Type, Union
 
@@ -84,6 +85,7 @@ __all__ = [
     "build_workload",
     "checked_workload",
     "load_scenario",
+    "manager_factory",
     "parse_fidelity",
     "read_socket",
     "run_scenario_file",
@@ -223,12 +225,18 @@ def checked_workload(
     return spec
 
 
-def build_manager(
+def manager_factory(
     spec: Dict[str, Any],
     policy: Optional[str] = None,
     error: Type[ValueError] = ScenarioError,
-) -> CacheManager:
-    """Build the cache manager from a scenario's ``manager`` spec.
+) -> Callable[[], CacheManager]:
+    """Check a scenario's ``manager`` spec once; returns a builder of its
+    managers.
+
+    The spec and the allocation policy are resolved here, once: every
+    manager the builder returns shares one :class:`DCatConfig` (the
+    controller only reads it), so a fleet of hosts resolves its policy
+    once, not once per host.
 
     Args:
         policy: Optional allocation-policy override (``--policy`` or a
@@ -242,9 +250,9 @@ def build_manager(
     """
     kind = spec.get("type", "dcat")
     if kind == "shared":
-        return SharedCacheManager()
+        return SharedCacheManager
     if kind == "static":
-        return StaticCatManager()
+        return StaticCatManager
     if kind != "dcat":
         raise error(
             f"manager.type: unknown manager type {kind!r}; use shared/static/dcat"
@@ -262,7 +270,21 @@ def build_manager(
         config = DCatConfig(**config_spec)
     except (TypeError, ValueError) as exc:
         raise error(f"manager.config: bad dcat config: {exc}") from None
-    return DCatManager(config=config)
+    return partial(DCatManager, config=config)
+
+
+def build_manager(
+    spec: Dict[str, Any],
+    policy: Optional[str] = None,
+    error: Type[ValueError] = ScenarioError,
+) -> CacheManager:
+    """The one cache manager a scenario's ``manager`` spec describes (see
+    :func:`manager_factory`).
+
+    Raises:
+        error: For an unknown manager type, policy, or config.
+    """
+    return manager_factory(spec, policy, error)()
 
 
 def parse_fidelity(

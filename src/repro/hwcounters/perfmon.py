@@ -12,7 +12,7 @@ IPC / miss-rate / memory-accesses-per-instruction.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.hwcounters.events import (
     FIXED_CTR_RETIRED_INSTRUCTIONS,
@@ -132,27 +132,47 @@ _read_raw = itemgetter(
 _Raw = Tuple[int, int, int, int, int, int]
 
 
+#: The snapshot of a core's counters at reset.
+_RESET_RAW: _Raw = (0, 0, 0, 0, 0, 0)
+
+
 class PerfMonitor:
     """Programs and samples PMUs for a set of cores.
 
     Args:
-        pmus: Mapping of core id to that core's :class:`CorePmu`.
+        pmus: Mapping of core id to that core's :class:`CorePmu`; each is
+            programmed now and sampled from its counters as they stand.
+        cores: Every core the monitor covers (default: ``pmus``' keys).  A
+            core not in ``pmus`` is not built yet: its baseline is the reset
+            snapshot, and it samples as idle until it is :meth:`adopt`-ed.
     """
 
-    def __init__(self, pmus: Mapping[int, CorePmu]) -> None:
-        if not pmus:
+    def __init__(
+        self, pmus: Mapping[int, CorePmu], cores: Optional[Iterable[int]] = None
+    ) -> None:
+        self._last_raw: Dict[int, _Raw] = dict.fromkeys(
+            pmus if cores is None else cores, _RESET_RAW
+        )
+        if not self._last_raw:
             raise ValueError("PerfMonitor needs at least one core")
         self._registers: Dict[int, Mapping[int, int]] = {}
-        self._last_raw: Dict[int, _Raw] = {}
         for core, pmu in pmus.items():
-            msrs = pmu.msrs
-            msrs.wrmsr_batch(_PROGRAM)
-            self._registers[core] = msrs.registers
+            self.adopt(core, pmu)
             self._last_raw[core] = _read_raw(self._registers[core])
+
+    def adopt(self, core: int, pmu: CorePmu) -> None:
+        """Program a covered core's PMU and sample it from now on.
+
+        Its baseline stays where it was: the reset snapshot for a core built
+        after the monitor, whose counters have not moved since reset.
+        """
+        msrs = pmu.msrs
+        msrs.wrmsr_batch(_PROGRAM)
+        self._registers[core] = msrs.registers
 
     @property
     def cores(self) -> List[int]:
-        return sorted(self._registers)
+        return sorted(self._last_raw)
 
     def sample_core(self, core: int) -> CounterSample:
         """Read one core's counters and return the delta since last sample."""
@@ -165,13 +185,22 @@ class PerfMonitor:
         the last sample still yields the true increment.  Each core's six
         counters come from one grouped register read; the deltas are summed
         in plain locals and one sample is built at the end (see
-        :meth:`CounterSample.aggregate`).
+        :meth:`CounterSample.aggregate`).  A covered core that is not built
+        yet adds nothing, as an idle core would.
+
+        Raises:
+            KeyError: For a core the monitor does not cover.
         """
         l1_ref = llc_ref = llc_miss = ret_ins = cycles = 0
         registers = self._registers
         last_raw = self._last_raw
         for core in cores:
-            raw = _read_raw(registers[core])
+            try:
+                raw = _read_raw(registers[core])
+            except KeyError:
+                if core not in last_raw:
+                    raise
+                continue  # not built yet: still at reset, so a zero delta
             b_miss, b_ref, b_l1_miss, b_l1_hit, b_ins, b_cyc = last_raw[core]
             last_raw[core] = raw
             miss, ref, l1_miss, l1_hit, ins, cyc = raw

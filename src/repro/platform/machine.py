@@ -5,7 +5,8 @@ the hypervisor layer and the controllers run against:
 
 * a :class:`~repro.cpu.socket.SocketSpec` (topology, LLC geometry);
 * the CAT device with its pqos-style library and resctrl frontend;
-* one PMU per hardware thread, fed by per-thread core timing models;
+* one PMU per hardware thread, fed by per-thread core timing models, each
+  built when a vCPU is first pinned to its thread (:class:`CoreMap`);
 * the fast analytical LLC model plus a shared-cache contention solver;
 * a DRAM model whose loaded latency feeds back into the core models.
 
@@ -15,7 +16,7 @@ controller-interval steps; the machine just owns state.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, TypeVar
 
 import numpy as np
 
@@ -31,7 +32,43 @@ from repro.hwcounters.msr import CorePmu
 from repro.hwcounters.perfmon import PerfMonitor
 from repro.mem.dram import DramModel
 
-__all__ = ["Machine"]
+__all__ = ["CoreMap", "Machine"]
+
+T = TypeVar("T")
+
+
+class CoreMap(Mapping[int, T]):
+    """One kind of per-core state over cores ``0 .. size - 1``, in core order.
+
+    It reads as a mapping over every core, but holds only the cores built
+    so far, in :attr:`built`; looking up any other core builds it.  The
+    per-interval stages index :attr:`built` directly (a plain ``dict``):
+    they only reach pinned cores, and pinning builds a core
+    (:meth:`Machine.build_cores`).
+    """
+
+    __slots__ = ("built", "_size", "_build")
+
+    def __init__(self, size: int, build: Callable[[int], None]) -> None:
+        self.built: Dict[int, T] = {}
+        self._size = size
+        self._build = build
+
+    def __getitem__(self, core: int) -> T:
+        try:
+            return self.built[core]
+        except KeyError:
+            self._build(core)
+        return self.built[core]
+
+    def __contains__(self, core: object) -> bool:
+        return isinstance(core, int) and 0 <= core < self._size
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._size))
+
+    def __len__(self) -> int:
+        return self._size
 
 
 class Machine:
@@ -74,24 +111,51 @@ class Machine:
         self.contention = SharedCacheContentionModel(self.analytic)
         self.dram = DramModel()
 
-        self.pmus: Dict[int, CorePmu] = {
-            t: CorePmu() for t in range(self.spec.num_threads)
-        }
-        # One draw seeds every core, in core order: the same values as one
-        # scalar draw per core, and a core's stream does not depend on when
-        # (or whether) it builds its generator.
-        core_seeds = np.random.default_rng(seed).integers(
-            0, 2**63, size=self.spec.num_threads
+        self._seed = seed
+        # Every core's seed, drawn when the first core is built.
+        self._core_seeds: Optional[np.ndarray] = None
+        self._noise_sigma = noise_sigma
+        # Monitors over every core, which adopt each core as it is built.
+        self._monitors: List[PerfMonitor] = []
+        self.pmus: CoreMap[CorePmu] = CoreMap(self.spec.num_threads, self._build_core)
+        self.core_models: CoreMap[CoreTimingModel] = CoreMap(
+            self.spec.num_threads, self._build_core
         )
-        self.core_models: Dict[int, CoreTimingModel] = {
-            t: CoreTimingModel(
-                cycles_per_interval=cycles_per_interval,
-                dram=self.dram,
-                noise_sigma=noise_sigma,
-                seed=core_seed,
+
+    def build_cores(self, cores: Iterable[int]) -> None:
+        """Build the PMU, register file and timing model of each listed core
+        not built yet.  Pinning a vCPU to a core builds it; a host's idle
+        cores are never built.
+
+        Raises:
+            KeyError: For a core this socket does not have.
+        """
+        built = self.pmus.built
+        for core in cores:
+            if core not in built:
+                self._build_core(core)
+
+    def _build_core(self, core: int) -> None:
+        if core not in self.pmus:
+            raise KeyError(core)
+        if self._core_seeds is None:
+            # One draw seeds every core, in core order: the same values as
+            # one scalar draw per core, and a core's stream does not depend
+            # on when (or whether) it or any other core is built.  An idle
+            # host never draws: the draw's generator costs more to build
+            # than the rest of the Machine.
+            self._core_seeds = np.random.default_rng(self._seed).integers(
+                0, 2**63, size=self.spec.num_threads
             )
-            for t, core_seed in enumerate(core_seeds.tolist())
-        }
+        pmu = self.pmus.built[core] = CorePmu()
+        self.core_models.built[core] = CoreTimingModel(
+            cycles_per_interval=self.cycles_per_interval,
+            dram=self.dram,
+            noise_sigma=self._noise_sigma,
+            seed=int(self._core_seeds[core]),
+        )
+        for monitor in self._monitors:
+            monitor.adopt(core, pmu)
 
     # -- derived quantities --------------------------------------------------
 
@@ -100,13 +164,18 @@ class Machine:
         return self.spec.llc.num_ways
 
     def new_perfmon(self, cores: Optional[Iterable[int]] = None) -> PerfMonitor:
-        """A perf monitor over the given cores (default: all threads)."""
-        selected = (
-            self.pmus
-            if cores is None
-            else {c: self.pmus[c] for c in cores}
-        )
-        return PerfMonitor(selected)
+        """A perf monitor over the given cores (default: all threads).
+
+        The listed cores are built now.  The default monitor covers every
+        thread without building one: each core adopts its programming when
+        it is built, and its first sample counts from the reset snapshot,
+        exactly as if it had been built with the monitor.
+        """
+        if cores is not None:
+            return PerfMonitor({c: self.pmus[c] for c in cores})
+        monitor = PerfMonitor(self.pmus.built, cores=self.pmus)
+        self._monitors.append(monitor)
+        return monitor
 
     def effective_ways(self, core: int) -> int:
         """Ways the core's current COS mask grants it."""

@@ -291,7 +291,7 @@ def _stage_execute_cores(batch: SimBatch) -> None:
     hits: List[float] = []
     drams: List[float] = []
     for sim, ctx in batch:
-        core_models = sim.machine.core_models
+        core_models = sim.machine.core_models.built
         dram = sim._dram_latency
         for vm in sim.vms:
             phase = ctx.phases[vm.name]
@@ -331,7 +331,7 @@ def _stage_feed_pmus(batch: SimBatch) -> None:
     """Publish the kernel's counters into the PMUs and the CMT/MBM model."""
     instructions, cycles, l1_hits, llc_refs, llc_misses, _ = batch.cores
     for sim, ctx in batch:
-        pmus = sim.machine.pmus
+        pmus = sim.machine.pmus.built
         for vm in sim.vms:
             acc = ctx.per_vm[vm.name]
             i = acc.first
@@ -435,6 +435,7 @@ class CloudSimulation:
             self._rmid_of[vm.name] = rmid
             for core in vm.vcpus:
                 machine.cmt.assoc_rmid(core, rmid)
+            machine.build_cores(vm.vcpus)
         # RMIDs not handed out above form the pool attach_vm() draws from
         # (RMID 0 stays the unmonitored default, like COS0 on the CAT side).
         used = set(self._rmid_of.values())
@@ -471,6 +472,8 @@ class CloudSimulation:
         resident VM's.  It gets a fresh RMID, empty timelines, and is handed
         to the cache manager (``attach_vm``), which for dCat registers it
         and carves out its baseline ways before the next interval runs.
+        Cores it is the first to be pinned to are built
+        (:meth:`Machine.build_cores <repro.platform.machine.Machine.build_cores>`).
 
         Raises:
             ValueError: On a duplicate name, missing/overlapping vCPUs, or
@@ -493,6 +496,7 @@ class CloudSimulation:
         self._rmid_of[vm.name] = rmid
         for core in vm.vcpus:
             self.machine.cmt.assoc_rmid(core, rmid)
+        self.machine.build_cores(vm.vcpus)
         self.vms.append(vm)
         self.result.records.setdefault(vm.name, [])
         self.result.completions.setdefault(vm.name, [])

@@ -155,7 +155,7 @@ class AnalyticalSubstrate(CacheSubstrate):
                     ways[vm.name] = 0.0
                     continue
                 # Reference rate estimate from last interval's hit rate.
-                cpi_est = machine.core_models[vm.vcpus[0]].cpi(
+                cpi_est = machine.core_models.built[vm.vcpus[0]].cpi(
                     behavior, self._last_hit[vm.name]
                 )
                 ref_rate = (
@@ -398,7 +398,7 @@ class ExactSubstrate(CacheSubstrate):
             phase = phases[vm.name]
             if phase is None:
                 continue
-            cpi = machine.core_models[vm.vcpus[0]].cpi(
+            cpi = machine.core_models.built[vm.vcpus[0]].cpi(
                 phase.behavior, hit_rates[vm.name]
             )
             self._ipc_estimate[vm.name] = 1.0 / cpi

@@ -83,15 +83,22 @@ class ClosedLoopClient:
         if servers < 1:
             raise ValueError("need at least one server")
         # Runs once per VM per interval, up to ``concurrency`` steps each:
-        # invariants are hoisted, but every float op stays as written.
-        think = self.think_time_s
-        in_service = servers - 1
+        # invariants are hoisted, and the recursion runs on floats only (a
+        # float population counter, float server counts), so every op is a
+        # float-float one.  An int converts to its double exactly, so each
+        # result is the one mixed int/float arithmetic gives, bit for bit.
+        service = float(service_time_s)
+        think = float(self.think_time_s)
+        servers_f = float(servers)
+        in_service = servers_f - 1.0
         queue = 0.0
-        response = service_time_s
-        for n in range(1, self.concurrency + 1):
+        response = service
+        n = 0.0
+        for _ in range(self.concurrency):
+            n += 1.0
             ahead = queue - in_service
             waiting_ahead = ahead if ahead > 0.0 else 0.0  # max(0.0, ahead)
-            response = service_time_s * (1.0 + waiting_ahead / servers)
+            response = service * (1.0 + waiting_ahead / servers_f)
             queue = n / (think + response) * response
         throughput = self.concurrency / (think + response)
         utilization = min(1.0, throughput * service_time_s / servers)

@@ -218,6 +218,32 @@ class TestMemoization:
             sys.setprofile(None)
         assert calls == ["hit_rate_fp", "way_curve_fp"]
 
+    def test_models_of_one_llc_share_their_curves(self):
+        footprints = [
+            Footprint(AccessPattern.RANDOM, 9 * MB),
+            Footprint(AccessPattern.SEQUENTIAL, 5 * MB, page_size=PAGE_2M),
+            Footprint(AccessPattern.ZIPF, 40 * MB, zipf_s=0.8),
+            Footprint(AccessPattern.HOTCOLD, 30 * MB, hot_bytes=3 * MB,
+                      hot_fraction=0.7),
+        ]
+        geometry = SocketSpec.xeon_d().llc
+        first, second = (AnalyticalCacheModel(geometry) for _ in range(2))
+        for fp in footprints:
+            curve = first.way_curve_fp(fp)
+            fresh = first._compute_curve(first._key_for(fp))
+            assert second.way_curve_fp(fp) is curve
+            assert np.array_equal(curve, fresh)
+            assert second.hit_rate_fp(fp, 4) == first.hit_rate_fp(fp, 4)
+            with pytest.raises(ValueError, match="read-only"):
+                curve[0] = 0.5
+        # Another geometry or default skew keeps curves of its own.
+        other_llc = AnalyticalCacheModel(SocketSpec.xeon_e5_2697v4().llc)
+        other_skew = AnalyticalCacheModel(geometry, zipf_s=0.5)
+        assert other_llc._curves is not first._curves
+        assert other_skew._curves is not first._curves
+        zipf = Footprint(AccessPattern.ZIPF, 40 * MB)
+        assert other_skew.hit_rate_fp(zipf, 4) != first.hit_rate_fp(zipf, 4)
+
     def test_unpickled_footprint_finds_its_curve(self, e5_model):
         fp = Footprint(AccessPattern.RANDOM, 12 * MB)
         curve = e5_model.way_curve_fp(fp)
@@ -387,6 +413,9 @@ def test_binomial_kernel_matches_scipy_stats_on_shipped_footprints(
         return kernel(ks, n, p)
 
     monkeypatch.setattr(analytical, "_binomial_pmf", recording)
+    # Models of one geometry share their curves: start from an empty memo
+    # so every curve is computed here.
+    monkeypatch.setattr(analytical, "_CURVE_MEMOS", {})
     analytical._scatter_min_expectation.cache_clear()
     try:
         model = AnalyticalCacheModel(geometry)

@@ -12,7 +12,46 @@ from repro.workloads.kvstore import RedisWorkload
 from repro.workloads.search import ElasticsearchWorkload
 
 
+def reference_mva(client, service_time_s, servers):
+    """The MVA recursion as first written, on mixed int/float operands."""
+    response = service_time_s
+    queue = 0.0
+    for n in range(1, client.concurrency + 1):
+        waiting_ahead = max(0.0, queue - (servers - 1))
+        response = service_time_s * (1.0 + waiting_ahead / servers)
+        queue = n / (client.think_time_s + response) * response
+    throughput = client.concurrency / (client.think_time_s + response)
+    wait = max(0.0, response - service_time_s)
+    p99 = service_time_s * (1.0 + 2.3) + wait * math.log(100.0)
+    return AppMetrics(
+        throughput_ops=throughput,
+        avg_latency_s=response,
+        p99_latency_s=max(p99, response),
+        utilization=min(1.0, throughput * service_time_s / servers),
+    )
+
+
 class TestClosedLoopClient:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        concurrency=st.integers(min_value=1, max_value=400),
+        think=st.one_of(
+            st.just(0), st.floats(min_value=0.0, max_value=2.0, allow_subnormal=False)
+        ),
+        service=st.one_of(
+            st.integers(min_value=1, max_value=3),
+            st.floats(min_value=1e-7, max_value=0.1, allow_subnormal=False),
+        ),
+        servers=st.integers(min_value=1, max_value=64),
+    )
+    def test_float_recursion_is_bit_identical(self, concurrency, think, service, servers):
+        client = ClosedLoopClient(concurrency=concurrency, think_time_s=think)
+        got = client.solve(service, servers)
+        want = reference_mva(client, service, servers)
+        assert [float(v).hex() for v in got.__dict__.values()] == [
+            float(v).hex() for v in want.__dict__.values()
+        ]
+
     def test_single_client_no_queueing(self):
         client = ClosedLoopClient(concurrency=1, think_time_s=0.0)
         m = client.solve(service_time_s=0.001, servers=2)

@@ -25,7 +25,9 @@ from repro.cloud import (
     run_churn_scenario,
     scripted_tenants,
 )
+from repro.cloud import scenario as cloud_scenario
 from repro.cloud.lifecycle import TenantSpec
+from repro.core import policies
 from repro.cpu.socket import SocketSpec
 from repro.engine.events import (
     EventBus,
@@ -38,7 +40,7 @@ from repro.engine.events import (
     WorkloadRegistered,
     use_bus,
 )
-from repro.harness import cli
+from repro.harness import cli, scenario_file
 from repro.harness.scenario_file import build_workload
 from repro.platform.machine import Machine
 from repro.platform.managers import DCatManager, SharedCacheManager, StaticCatManager
@@ -524,6 +526,42 @@ class TestManagerChurnHooks:
         for manager in (SharedCacheManager(), StaticCatManager()):
             manager.attach_vm(vm)
             manager.detach_vm("x")
+
+
+class TestScenarioManagers:
+    @pytest.mark.parametrize("policy", [None, "Max-Performance", "memshare"])
+    def test_hosts_share_one_config_resolved_once(self, policy, monkeypatch):
+        calls = []
+        real = policies.canonical_name
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        for module in (policies, scenario_file, cloud_scenario):
+            monkeypatch.setattr(module, "canonical_name", counting)
+        per_fleet = []
+        for machines in (1, 6):
+            calls.clear()
+            scenario = dict(
+                SCENARIO, fleet={"machines": machines, "socket": "xeon_d", "seed": 7}
+            )
+            if policy is not None:
+                scenario["policy"] = policy
+            fleet, _ = load_churn_scenario(scenario)
+            per_fleet.append(len(calls))
+            assert len({id(m.sim.manager.config) for m in fleet.machines}) == 1
+            want = policies.normalize_policy(policy or "max_fairness")
+            assert fleet.machines[-1].sim.manager.config.policy == want
+        assert per_fleet[0] == per_fleet[1]  # once per scenario, not per host
+
+    def test_shared_and_static_managers_build_fresh_per_host(self):
+        for kind, cls in (("shared", SharedCacheManager), ("static", StaticCatManager)):
+            scenario = dict(SCENARIO, manager={"type": kind})
+            fleet, _ = load_churn_scenario(scenario)
+            managers = [m.sim.manager for m in fleet.machines]
+            assert all(type(m) is cls for m in managers)
+            assert len({id(m) for m in managers}) == len(managers)
 
 
 class TestChurnScenarioValidation:

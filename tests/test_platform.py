@@ -1,6 +1,7 @@
 """Tests for repro.platform: machine wiring, VM pinning, managers, and sim."""
 
 import gc
+import random
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cat.cos import mask_way_count
 from repro.core.states import WorkloadState
-from repro.cpu.coremodel import NOISE_BLOCK
+from repro.cpu.coremodel import NOISE_BLOCK, CoreTimingModel
 from repro.cpu.socket import SocketSpec
+from repro.hwcounters.events import L1_CACHE_HITS, L1_CACHE_MISSES, LLC_MISSES, LLC_REFERENCES
+from repro.hwcounters.msr import IA32_PERFEVTSEL0, CorePmu, MsrFile
+from repro.hwcounters.perfmon import CounterSample
 from repro.mem.address import MB
 from repro.platform.machine import Machine
 from repro.platform.managers import DCatManager, SharedCacheManager, StaticCatManager
@@ -110,6 +114,140 @@ class TestLazyCores:
         before = live_generators()
         assert [machine.core_models[0].next_noise() for _ in range(40)] == [1.0] * 40
         assert live_generators() == before
+
+
+def live_core_state():
+    """``(MsrFile, CorePmu, CoreTimingModel)`` objects alive right now."""
+    gc.collect()
+    kinds = (MsrFile, CorePmu, CoreTimingModel)
+    counts = [0, 0, 0]
+    for obj in gc.get_objects():
+        for i, kind in enumerate(kinds):
+            if type(obj) is kind:
+                counts[i] += 1
+    return tuple(counts)
+
+
+def eager_machine(spec, seed):
+    """A host with every core built up front, as hosts once were."""
+    machine = Machine(spec, seed=seed, cycles_per_interval=500_000)
+    machine.build_cores(range(spec.num_threads))
+    return machine
+
+
+SOCKETS = pytest.mark.parametrize(
+    "spec", [SocketSpec.xeon_e5_2697v4(), SocketSpec.xeon_d()],
+    ids=["e5_2697v4", "xeon_d"],
+)
+
+
+class TestPinTimeCores:
+    """A core's PMU, register file and timing model are built when a vCPU
+    is first pinned to it, and a late core behaves like an eager one."""
+
+    def test_idle_host_builds_no_core_until_a_vm_attaches(self):
+        before = live_core_state()
+        machine = Machine(SocketSpec.xeon_d(), seed=3)
+        sim = CloudSimulation(machine, [], DCatManager())
+        assert live_core_state() == before
+        vm = VirtualMachine(name="a", workload=LookbusyWorkload(), vcpus=(4, 9))
+        sim.attach_vm(vm)
+        assert live_core_state() == tuple(n + 2 for n in before)
+        assert sorted(machine.pmus.built) == sorted(machine.core_models.built) == [4, 9]
+
+    def test_maps_cover_every_core_in_order(self):
+        machine = Machine(SocketSpec.xeon_d(), seed=3)
+        n = machine.spec.num_threads
+        for cores in (machine.pmus, machine.core_models):
+            assert len(cores) == n and list(cores) == list(range(n))
+            assert 0 in cores and n - 1 in cores
+            assert n not in cores and -1 not in cores
+        with pytest.raises(KeyError):
+            machine.pmus[n]
+        with pytest.raises(KeyError):
+            machine.build_cores([-1])
+        assert not machine.pmus.built
+        assert machine.core_models[5] is machine.core_models.built[5]  # lookup builds
+        assert list(machine.pmus.built) == [5]
+
+    def test_monitor_programs_a_core_built_after_it(self):
+        spec = SocketSpec.xeon_d()
+        lazy, eager = Machine(spec, seed=3), eager_machine(spec, 3)
+        monitor, reference = lazy.new_perfmon(), eager.new_perfmon()
+        assert monitor.cores == reference.cores == list(range(spec.num_threads))
+        lazy.build_cores([7])
+        selectors = {lazy.pmus[7].msrs.rdmsr(IA32_PERFEVTSEL0 + i) for i in range(4)}
+        assert selectors == {e.evtsel_value for e in (
+            LLC_MISSES, LLC_REFERENCES, L1_CACHE_MISSES, L1_CACHE_HITS)}
+        assert dict(lazy.pmus[7].msrs.registers) == dict(eager.pmus[7].msrs.registers)
+        assert monitor.sample_core(7) == reference.sample_core(7) == CounterSample()
+
+    @SOCKETS
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_churn_matches_an_eager_host(self, spec, seed):
+        rnd = random.Random(seed)
+        hosts = []
+        for machine in (Machine(spec, seed=seed, cycles_per_interval=500_000),
+                        eager_machine(spec, seed)):
+            sim = CloudSimulation(machine, [], DCatManager())
+            hosts.append((machine, sim, machine.new_perfmon()))
+        resident = {}
+        for i in range(60):
+            op = rnd.choice(("attach", "attach", "step", "step", "sample", "detach"))
+            free = sorted(set(range(spec.num_threads)) - {
+                c for cores in resident.values() for c in cores})
+            if op == "attach" and len(free) >= 2 and len(resident) < 6:
+                cores = tuple(rnd.sample(free, rnd.choice((1, 2))))
+                name = f"vm{i}"
+                resident[name] = cores
+                wss_mb = rnd.choice((0, 2, 8, 24))
+                for _, sim, _ in hosts:
+                    workload = (MlrWorkload(wss_mb * MB, name=name) if wss_mb
+                                else LookbusyWorkload(name=name))
+                    sim.attach_vm(VirtualMachine(name=name, workload=workload,
+                                                 baseline_ways=2, vcpus=cores))
+            elif op == "step":
+                for _, sim, _ in hosts:
+                    sim.step()
+            elif op == "sample" and resident:
+                cores = resident[rnd.choice(sorted(resident))]
+                lazy_sample, eager_sample = (mon.sample_cores(cores) for _, _, mon in hosts)
+                assert lazy_sample == eager_sample
+            elif op == "detach" and resident:
+                name = rnd.choice(sorted(resident))
+                del resident[name]
+                for _, sim, _ in hosts:
+                    sim.detach_vm(name)
+        (lazy, lazy_sim, lazy_mon), (eager, eager_sim, eager_mon) = hosts
+        assert lazy_sim.result.records == eager_sim.result.records
+        for core in range(spec.num_threads):
+            assert lazy_mon.sample_core(core) == eager_mon.sample_core(core)
+            assert dict(lazy.pmus[core].msrs.registers) == dict(
+                eager.pmus[core].msrs.registers)
+            assert [lazy.core_models[core].next_noise() for _ in range(NOISE_BLOCK + 1)] == [
+                eager.core_models[core].next_noise() for _ in range(NOISE_BLOCK + 1)]
+
+    @pytest.mark.parametrize("intervals", [0, 1, 5])
+    def test_core_first_pinned_late_samples_like_an_eager_one(self, intervals):
+        spec = SocketSpec.xeon_d()
+        samples, records = [], []
+        for machine in (Machine(spec, seed=5, cycles_per_interval=500_000),
+                        eager_machine(spec, 5)):
+            monitor = machine.new_perfmon()
+            first = VirtualMachine(name="first", workload=LookbusyWorkload(),
+                                   vcpus=(0, 1))
+            sim = CloudSimulation(machine, [first], SharedCacheManager())
+            sim.run(float(intervals))
+            late = VirtualMachine(name="late", workload=MlrWorkload(8 * MB),
+                                  vcpus=(6, 11))
+            sim.attach_vm(late)
+            sim.step()
+            samples.append(monitor.sample_cores(late.vcpus))
+            records.append(sim.result.timeline("late")[0])
+        assert samples[0] == samples[1]
+        assert records[0] == records[1]
+        assert (samples[0].ret_ins, samples[0].cycles) == (
+            records[0].instructions, records[0].cycles)
 
 
 class TestPinning:
