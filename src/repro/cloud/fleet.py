@@ -393,24 +393,30 @@ class FleetResult:
         every unit that may cross a process boundary is encoded on its
         own.
         """
+        import io
         import pickle
 
-        def dumps(part: Any) -> bytes:
-            return pickle.dumps(part, protocol=4)
+        # Each part gets its own Pickler (a fresh memo), and all of them
+        # write into one buffer: a list of parts plus its join would hold
+        # the bytes twice.
+        out = io.BytesIO()
 
-        chunks = [dumps(self.interval_s)]
+        def dump(part: Any) -> None:
+            pickle.Pickler(out, protocol=4).dump(part)
+
+        dump(self.interval_s)
         for name in self.machines:
-            chunks.append(dumps(name))
-            chunks.append(dumps(self.machines[name]))
+            dump(name)
+            dump(self.machines[name])
         for tid in sorted(self.tenants):
-            chunks.append(dumps(tid))
-            chunks.append(dumps(self.tenants[tid]))
-        chunks.append(dumps(self.placements))
-        chunks.append(dumps(self.summary))
+            dump(tid)
+            dump(self.tenants[tid])
+        dump(self.placements)
+        dump(self.summary)
         for name in sorted(self.faults):
-            chunks.append(dumps(name))
-            chunks.append(dumps(self.faults[name]))
-        return b"".join(chunks)
+            dump(name)
+            dump(self.faults[name])
+        return out.getvalue()
 
 
 class CloudFleet:

@@ -87,7 +87,6 @@ class WorkloadStatus(NamedTuple):
     normalized_ipc: Optional[float]
     llc_miss_rate: float
     phase_changed: bool
-    sample: CounterSample
 
 
 @dataclass
@@ -455,16 +454,20 @@ class DCatController:
             busy_budget = self.nominal_cycles_per_core * len(rec.cores)
             rec.idle = sample.cycles < self.config.idle_cycles_fraction * busy_budget
             if bus.active:
+                # The sample's ipc, llc_miss_rate and mem_refs_per_instr,
+                # written out: a subscribed bus pays no property call per
+                # event.
+                l1_ref, llc_ref, llc_miss, ret_ins, cycles = sample
                 bus.emit(
                     SampleCollected.fast(
                         time_s=ctx.time_s,
                         source="controller",
                         workload_id=wid,
-                        ipc=sample.ipc,
-                        llc_miss_rate=sample.llc_miss_rate,
-                        mem_refs_per_instr=sample.mem_refs_per_instr,
-                        instructions=sample.ret_ins,
-                        cycles=sample.cycles,
+                        ipc=ret_ins / cycles if cycles else 0.0,
+                        llc_miss_rate=llc_miss / llc_ref if llc_ref else 0.0,
+                        mem_refs_per_instr=l1_ref / ret_ins if ret_ins else 0.0,
+                        instructions=ret_ins,
+                        cycles=cycles,
                         idle=rec.idle,
                     )
                 )
@@ -611,7 +614,6 @@ class DCatController:
                 normalized_ipc=ipc / baseline_ipc if baseline_ipc else None,
                 llc_miss_rate=sample.llc_miss_rate,
                 phase_changed=ctx.changed[wid],
-                sample=sample,
             )
 
         self._tick += 1

@@ -23,6 +23,7 @@ from enum import Enum
 from typing import (
     Any,
     Callable,
+    ClassVar,
     Dict,
     Iterator,
     List,
@@ -72,24 +73,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Event:
-    """Base class: every event is stamped with the interval's start time."""
+    """Base class: every event is stamped with the interval's start time.
+
+    Each event type also has ``fast(**fields)``, the hot-path constructor
+    (see :func:`_compile_fast`): every field is a required keyword, no
+    default applies, and the instance equals and ``repr``s like a normally
+    constructed one (the equivalence test in ``tests/test_engine.py``).
+    """
 
     time_s: float
 
-    @classmethod
-    def fast(cls, **fields: Any) -> "Event":
-        """Construct without the frozen ``__init__``'s per-field checks.
-
-        A frozen dataclass pays one ``object.__setattr__`` call per field;
-        on the interval loops' emit sites that triples construction cost.
-        This path fills ``__dict__`` directly, so the caller must supply
-        **every** field — defaults are not applied.  Instances compare and
-        ``repr`` identically to normally constructed ones (see the
-        equivalence test in ``tests/test_engine.py``).
-        """
-        self = object.__new__(cls)
-        self.__dict__.update(fields)
-        return self
+    fast: ClassVar[Callable[..., "Event"]]
 
 
 @dataclass(frozen=True)
@@ -281,6 +275,34 @@ class IntervalFinished(Event):
     source: str
 
 
+def _compile_fast(cls: Type[Event]) -> Callable[..., Event]:
+    """Compile ``cls.fast``, the loops' constructor for one event type.
+
+    A frozen dataclass's ``__init__`` pays one ``object.__setattr__`` call
+    per field.  ``fast`` takes the fields as keyword-only parameters (no
+    ``**kwargs`` packing) and stores them straight into the new instance's
+    ``__dict__``, in field order, as ``__init__`` would: every instance's
+    dict then shares its type's key table.  Compiled per type, as
+    ``dataclasses`` compiles ``__init__``.
+    """
+    names = [f.name for f in fields(cls)]
+    stores = "".join(f"    values[{name!r}] = {name}\n" for name in names)
+    source = (
+        f"def fast(*, {', '.join(names)}):\n"
+        f"    self = new(cls)\n"
+        f"    values = self.__dict__\n"
+        f"{stores}"
+        f"    return self\n"
+    )
+    namespace = {"cls": cls, "new": object.__new__}
+    exec(source, namespace)
+    return staticmethod(namespace["fast"])
+
+
+for _event_type in Event.__subclasses__():
+    _event_type.fast = _compile_fast(_event_type)
+
+
 # -- bus --------------------------------------------------------------------
 
 Handler = Callable[[Event], None]
@@ -291,14 +313,17 @@ class EventBus:
 
     ``active`` is True iff at least one handler is subscribed; emitters guard
     event *construction* behind it, so an unobserved loop pays one attribute
-    read per potential emission and nothing else.
+    read per potential emission and nothing else.  Each event type's
+    handlers (catch-all first) are resolved into a tuple on its first
+    emission; subscribing or unsubscribing drops those tuples.
     """
 
-    __slots__ = ("_by_type", "_any", "active")
+    __slots__ = ("_by_type", "_any", "_routes", "active")
 
     def __init__(self) -> None:
         self._by_type: Dict[Type[Event], List[Handler]] = {}
         self._any: List[Handler] = []
+        self._routes: Dict[Type[Event], Tuple[Handler, ...]] = {}
         self.active: bool = False
 
     def subscribe(
@@ -312,24 +337,40 @@ class EventBus:
             self._any.append(handler)
         else:
             self._by_type.setdefault(event_type, []).append(handler)
+        self._routes.clear()
         self.active = True
 
         def unsubscribe() -> None:
             bucket = self._any if event_type is None else self._by_type.get(event_type, [])
             if handler in bucket:
                 bucket.remove(handler)
+            self._routes.clear()
             self.active = bool(self._any or any(self._by_type.values()))
 
         return unsubscribe
 
     def emit(self, event: Event) -> None:
         """Deliver an event to every matching subscriber, in subscribe order."""
-        for handler in self._any:
+        try:
+            handlers = self._routes[type(event)]
+        except KeyError:
+            handlers = self._route(type(event))
+        for handler in handlers:
             handler(event)
-        typed = self._by_type.get(type(event))
-        if typed:
-            for handler in typed:
-                handler(event)
+
+    def _route(self, kind: Type[Event]) -> Tuple[Handler, ...]:
+        """Resolve and cache one event type's handlers, catch-all first.
+
+        A recorder is routed to its ring's bound ``append``, which runs no
+        Python frame per event.
+        """
+        handlers = self._routes[kind] = tuple(
+            handler._events.append
+            if isinstance(handler, RingBufferRecorder)
+            else handler
+            for handler in (*self._any, *self._by_type.get(kind, ()))
+        )
+        return handlers
 
 
 class NullBus(EventBus):

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from repro.cat.layout import pack_contiguous
 from repro.cat.pqos import PqosL3Ca
 from repro.core.config import DCatConfig
-from repro.core.controller import DCatController, StepResult
+from repro.core.controller import DCatController
 from repro.core.states import WorkloadState
 from repro.engine.events import NULL_BUS, EventBus
 from repro.platform.machine import Machine
@@ -123,7 +123,6 @@ class DCatManager(CacheManager):
     def __init__(self, config: Optional[DCatConfig] = None) -> None:
         self.config = config
         self.controller: Optional[DCatController] = None
-        self.last_result: Optional[StepResult] = None
 
     def setup(self, machine: Machine, vms: Sequence[VirtualMachine]) -> None:
         perfmon = machine.new_perfmon()
@@ -145,7 +144,7 @@ class DCatManager(CacheManager):
 
     def control(self) -> None:
         assert self.controller is not None, "setup() was not called"
-        self.last_result = self.controller.step()
+        self.controller.step()
 
     def attach_vm(self, vm: VirtualMachine) -> None:
         """Admit a VM mid-run: register it and carve out its baseline."""

@@ -625,20 +625,25 @@ class CloudSimulation:
     def _record(self, ctx: SimStepContext) -> None:
         """Materialize each VM's interval record (and completion times)."""
         bus = self.bus
+        # One float object for every record of the interval.
+        time_s = self._time_s
         for vm in self.vms:
             acc = ctx.per_vm[vm.name]
             phase = acc.phase
-            app_metrics = self._app_metrics(vm, phase, acc.ipc)
-            self._record_completion(vm, phase, acc.instructions)
+            ipc = acc.ipc
+            hit_rate = ctx.hit_rates[vm.name]
+            instructions = acc.instructions
+            app_metrics = self._app_metrics(vm, phase, ipc)
+            self._record_completion(vm, phase, instructions)
             record = VmIntervalRecord(
-                time_s=self._time_s,
+                time_s=time_s,
                 vm_name=vm.name,
                 phase_name=phase.name if phase else None,
                 ways=ctx.effective_ways[vm.name],
-                llc_hit_rate=ctx.hit_rates[vm.name],
-                ipc=acc.ipc,
+                llc_hit_rate=hit_rate,
+                ipc=ipc,
                 avg_mem_latency_cycles=acc.avg_latency,
-                instructions=acc.instructions,
+                instructions=instructions,
                 cycles=acc.cycles,
                 l1_refs=acc.l1_refs,
                 llc_refs=acc.llc_refs,
@@ -648,15 +653,19 @@ class CloudSimulation:
             )
             self.result.records[vm.name].append(record)
             if bus.active:
+                # The record's llc_miss_rate and mem_refs_per_instr, written
+                # out: a subscribed bus pays no property call per event.
                 bus.emit(
                     SampleCollected.fast(
-                        time_s=ctx.time_s,
+                        time_s=time_s,
                         source="sim",
                         workload_id=vm.name,
-                        ipc=acc.ipc,
-                        llc_miss_rate=record.llc_miss_rate,
-                        mem_refs_per_instr=record.mem_refs_per_instr,
-                        instructions=acc.instructions,
+                        ipc=ipc,
+                        llc_miss_rate=1.0 - hit_rate,
+                        mem_refs_per_instr=(
+                            acc.l1_refs / instructions if instructions else 0.0
+                        ),
+                        instructions=instructions,
                         cycles=acc.cycles,
                         idle=phase is None,
                     )

@@ -39,6 +39,7 @@ is byte-identical to an analytical one.
 from __future__ import annotations
 
 import abc
+import functools
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -69,6 +70,17 @@ __all__ = [
 FIDELITIES = ("analytical", "mixed", "exact")
 
 Resolution = Tuple[Dict[str, float], Dict[str, float]]
+
+
+@functools.lru_cache(maxsize=None)
+def _way_floats(num_ways: int) -> Tuple[float, ...]:
+    """``float(w)`` for ``w`` in ``0..num_ways``, one tuple per LLC shape.
+
+    Every interval record keeps its VM's effective ways as a float; sharing
+    these objects keeps one float per way count alive instead of one per
+    VM-interval (pickle does not memoize floats, so no byte changes).
+    """
+    return tuple(map(float, range(num_ways + 1)))
 
 
 class CacheSubstrate(abc.ABC):
@@ -175,10 +187,11 @@ class AnalyticalSubstrate(CacheSubstrate):
             self._last_hit.update(hit)
             return hit, ways
 
+        way_floats = _way_floats(machine.spec.llc.num_ways)
         for vm in sim.vms:
             phase = phases[vm.name]
             w = machine.effective_ways(vm.vcpus[0])
-            ways[vm.name] = float(w)
+            ways[vm.name] = way_floats[w]
             if phase is None or phase.pattern is AccessPattern.NONE:
                 hit[vm.name] = 0.0
                 continue

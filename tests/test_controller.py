@@ -179,7 +179,7 @@ class TestControlDynamics:
         result = rig.controller.step()
         status = result.statuses["hungry"]
         assert status.ipc == pytest.approx(0.5, rel=0.05)
-        assert status.sample.cycles == 2 * CYCLES
+        assert rig.controller.records["hungry"].last_sample.cycles == 2 * CYCLES
 
     def test_history_accumulates(self):
         rig = self.make_pair()

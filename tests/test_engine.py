@@ -74,6 +74,20 @@ class TestEventBus:
             "IntervalFinished",
         ]
 
+    def test_subscribing_after_an_emission_reroutes(self):
+        bus = EventBus()
+        first, typed, late = [], [], []
+        bus.subscribe(first.append)
+        bus.subscribe(typed.append, IntervalStarted)
+        bus.emit(IntervalStarted(time_s=0.0, source="sim"))
+        unsubscribe = bus.subscribe(late.append)
+        bus.emit(IntervalStarted(time_s=1.0, source="sim"))
+        unsubscribe()
+        bus.emit(IntervalStarted(time_s=2.0, source="sim"))
+        assert [e.time_s for e in first] == [0.0, 1.0, 2.0]
+        assert [e.time_s for e in typed] == [0.0, 1.0, 2.0]
+        assert [e.time_s for e in late] == [1.0]
+
     def test_null_bus_rejects_subscribers(self):
         assert not NULL_BUS.active
         with pytest.raises(TypeError, match="NULL_BUS"):
@@ -105,6 +119,9 @@ class TestEventBus:
         )
         assert fast == slow
         assert repr(fast) == repr(slow)
+        assert list(vars(fast)) == list(vars(slow))
+        with pytest.raises(TypeError):  # every field is required
+            SampleCollected.fast(time_s=1.0, source="sim")
         with pytest.raises(Exception):  # still frozen
             fast.ipc = 1.0
 

@@ -175,10 +175,10 @@ class TestSamplerHardening:
         rig = make_pair()
         rig.feed_all([0, 1, 2, 3])
         rig.perfmon.arm([rig.read_error([0], budget=1)])
-        result = rig.controller.step()
+        rig.controller.step()
         assert "retry" in rig.actions()
         # the retried sample saw the real interval, not zeros
-        assert result.statuses["a"].sample.cycles == 2 * CYCLES
+        assert rig.controller.records["a"].last_sample.cycles == 2 * CYCLES
 
     def test_persistent_read_error_falls_back_to_stale(self):
         rig = make_pair()
@@ -186,10 +186,10 @@ class TestSamplerHardening:
         rig.controller.step()  # interval 1: clean, records last_sample
         rig.feed_all([0, 1, 2, 3])
         rig.perfmon.arm([rig.read_error([0], budget=10)])
-        result = rig.controller.step()
+        rig.controller.step()
         assert "stale_sample" in rig.actions()
         # the stale fallback replays the previous interval's sample
-        assert result.statuses["a"].sample.cycles == 2 * CYCLES
+        assert rig.controller.records["a"].last_sample.cycles == 2 * CYCLES
         assert rig.controller.records["a"].erratic_streak == 1
 
     def test_implausible_sample_not_retried(self):

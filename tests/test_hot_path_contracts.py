@@ -287,7 +287,6 @@ VALUES = [
         normalized_ipc=1.25,
         llc_miss_rate=0.1,
         phase_changed=False,
-        sample=CounterSample(ret_ins=10, cycles=20),
     ),
     PhaseSignature(bucket=-7, idle=False),
 ]
