@@ -13,7 +13,7 @@ Three short studies on the canonical stage:
 Run:  python examples/tuning_and_policies.py
 """
 
-from repro.core.config import AllocationPolicy, DCatConfig
+from repro.core.config import DCatConfig
 from repro.harness.scenarios import build_stage, paper_machine, run_scenario
 from repro.mem.address import MB
 from repro.platform.managers import DCatManager
@@ -59,7 +59,7 @@ def policy_comparison() -> None:
             n_lookbusy=6,
         )
 
-    for policy in (AllocationPolicy.MAX_FAIRNESS, AllocationPolicy.MAX_PERFORMANCE):
+    for policy in ("max_fairness", "max_performance"):
         result = run_scenario(
             factory,
             DCatManager(config=DCatConfig(policy=policy)),
@@ -72,7 +72,7 @@ def policy_comparison() -> None:
             result.steady_mean(vm, "ipc", 5) for vm in ("mlr-8mb", "mlr-12mb")
         )
         print(
-            f"  {policy.value:<16} mlr-8mb={a:.0f} ways, mlr-12mb={b:.0f} ways, "
+            f"  {policy:<16} mlr-8mb={a:.0f} ways, mlr-12mb={b:.0f} ways, "
             f"total IPC={total_ipc:.3f}"
         )
     print("  the DP shifts a scarce way toward the workload that converts it\n")

@@ -21,7 +21,7 @@ Quickstart::
     result = quick_dcat_demo()
 """
 
-from repro.core import AllocationPolicy, DCatConfig, DCatController, WorkloadState
+from repro.core import DCatConfig, DCatController, WorkloadState
 from repro.platform import (
     CloudSimulation,
     DCatManager,
@@ -35,7 +35,6 @@ from repro.platform import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AllocationPolicy",
     "DCatConfig",
     "DCatController",
     "WorkloadState",

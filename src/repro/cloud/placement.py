@@ -46,7 +46,7 @@ __all__ = [
     "SensitivityAwarePolicy",
     "cache_sensitivity",
     "build_policy",
-    "policy_names",
+    "placement_names",
 ]
 
 
@@ -261,7 +261,7 @@ _POLICIES = {
 }
 
 
-def policy_names() -> Sequence[str]:
+def placement_names() -> Sequence[str]:
     """The placement policy names churn scenarios accept."""
     return sorted(_POLICIES)
 

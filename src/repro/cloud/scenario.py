@@ -53,8 +53,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, U
 
 from repro.cloud.fleet import CloudFleet, FleetMachine, FleetResult
 from repro.cloud.lifecycle import MixEntry, TenantSpec, poisson_tenants
-from repro.cloud.placement import build_policy, policy_names
-from repro.core.policies import canonical_name, policy_name
+from repro.cloud.placement import build_policy, placement_names
+from repro.core.policies import canonical_name
 from repro.engine.context import (
     RunContext,
     _get_int,
@@ -155,7 +155,7 @@ def _scenario_managers(
 
 def _policy_of(manager: CacheManager) -> Optional[str]:
     config = getattr(manager, "config", None)
-    return None if config is None else policy_name(config.policy)
+    return None if config is None else config.policy
 
 
 def allocation_policy(
@@ -227,9 +227,9 @@ def build_fleet_machines(
     placement = data.get("placement", "first_fit")
     if isinstance(placement, dict):
         placement = placement.get("policy", "first_fit")
-    if not isinstance(placement, str) or placement not in policy_names():
+    if not isinstance(placement, str) or placement not in placement_names():
         raise error(
-            f"placement: unknown policy {placement!r}; use one of {policy_names()}"
+            f"placement: unknown policy {placement!r}; use one of {placement_names()}"
         )
 
     slo_spec = _require_mapping(data.get("slo", {}), "slo", error)

@@ -7,7 +7,7 @@ from repro.core.allocation import (
     plan_allocation,
 )
 from repro.core.classifier import Decision, categorize
-from repro.core.config import AllocationPolicy, DCatConfig
+from repro.core.config import DCatConfig
 from repro.core.controller import DCatController, StepResult, WorkloadStatus
 from repro.core.hints import DeclaredPhase, DeclaredSchedule, PhaseHint
 from repro.core.perftable import PerformanceTable, PhaseTable
@@ -16,8 +16,6 @@ from repro.core.policies import (
     AllocationStrategy,
     get_strategy,
     normalize_policy,
-    policy_name,
-    register_strategy,
     strategy_names,
 )
 from repro.core.states import ALLOWED_TRANSITIONS, WorkloadState, can_transition
@@ -30,7 +28,6 @@ __all__ = [
     "plan_allocation",
     "Decision",
     "categorize",
-    "AllocationPolicy",
     "DCatConfig",
     "DCatController",
     "StepResult",
@@ -45,8 +42,6 @@ __all__ = [
     "AllocationStrategy",
     "get_strategy",
     "normalize_policy",
-    "policy_name",
-    "register_strategy",
     "strategy_names",
     "ALLOWED_TRANSITIONS",
     "WorkloadState",

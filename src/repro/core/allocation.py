@@ -56,10 +56,9 @@ def plan_allocation(
 ) -> Dict[str, int]:
     """Produce the next ``{workload: ways}`` plan.
 
-    Dispatches to the registered :class:`~repro.core.policies
-    .AllocationStrategy` named by ``config.policy``; the legacy enum
-    members resolve to the ``max_fairness`` / ``max_performance``
-    strategies, which reproduce the pre-registry behaviour byte for byte.
+    Dispatches to the :class:`~repro.core.policies.AllocationStrategy`
+    named by ``config.policy``; ``max_fairness`` and ``max_performance``
+    reproduce the pre-registry behaviour byte for byte.
 
     Raises:
         ValueError: If even the guaranteed minimums cannot fit (more

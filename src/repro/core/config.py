@@ -10,24 +10,10 @@ memory accesses per instruction, a 3x-baseline streaming threshold, and a
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-__all__ = ["AllocationPolicy", "DCatConfig"]
-
-
-class AllocationPolicy(enum.Enum):
-    """The two allocation objectives of paper §3.5.
-
-    Kept for backward compatibility: these two members are the legacy
-    spellings of the ``max_fairness`` / ``max_performance`` strategies in
-    the :mod:`repro.core.policies` registry, which also hosts the rival
-    objectives (``lfoc_clustering``, ``phase_hint``, ``reserved_pooled``).
-    """
-
-    MAX_FAIRNESS = "max_fairness"
-    MAX_PERFORMANCE = "max_performance"
+__all__ = ["DCatConfig"]
 
 
 @dataclass
@@ -56,11 +42,11 @@ class DCatConfig:
             below which the workload counts as idle (immediate Donor).
         min_ways: Smallest allocation CAT permits (1 way on Intel).
         interval_s: Control period (paper's default 1 s).
-        policy: Which allocation objective to pursue — an
-            :class:`AllocationPolicy` member, any registered strategy name
-            or alias (case/separator-insensitive), or None to pick up the
-            current run context's (see
-            :func:`repro.engine.context.use_context`), else max-fairness.
+        policy: Which allocation objective to pursue: any strategy name
+            of :mod:`repro.core.policies` or alias (case/separator-
+            insensitive), or None to pick up the current run context's
+            (see :func:`repro.engine.context.use_context`), else
+            ``max_fairness``.  Always stored as the canonical name.
         grow_step_ways: Ways added per control round to a growing workload.
         shrink_step_ways: Ways removed per round from a low-miss-rate Donor.
         use_performance_table: Reuse per-phase performance tables to jump
@@ -86,7 +72,7 @@ class DCatConfig:
     idle_cycles_fraction: float = 0.05
     min_ways: int = 1
     interval_s: float = 1.0
-    policy: Optional[Union[AllocationPolicy, str]] = None
+    policy: Optional[str] = None
     grow_step_ways: int = 1
     shrink_step_ways: int = 1
     use_performance_table: bool = True

@@ -371,9 +371,6 @@ class DCatController:
 
     def initialize(self) -> None:
         """Program every workload's reserved baseline (static-CAT start)."""
-        plan = {
-            wid: rec.baseline_ways for wid, rec in self._records.items()
-        }
         inputs = [
             AllocationInput(
                 workload_id=wid,

@@ -2,14 +2,15 @@
 
 The paper ships two §3.5 objectives — max-fairness and max-performance —
 but its setting (IaaS under churn) invites more.  This module promotes the
-objective to a first-class :class:`AllocationStrategy` with a registry, so
-:func:`~repro.core.allocation.plan_allocation` dispatches by name instead
-of branching on the two-member enum.  Five strategies ship:
+objective to a first-class :class:`AllocationStrategy` in a fixed table
+keyed by name, so :func:`~repro.core.allocation.plan_allocation`
+dispatches on ``DCatConfig.policy``, always a name of that table.  Five
+strategies ship:
 
 * ``max_fairness`` — steps 1–3 only (reclaim/donate/grant); the paper's
   default, byte-identical to the pre-registry behaviour.
 * ``max_performance`` — steps 1–3 plus the grouped-knapsack rebalance of
-  §3.5's worked example; byte-identical to the pre-registry enum path.
+  §3.5's worked example; byte-identical to the pre-registry behaviour.
 * ``lfoc_clustering`` — LFOC-style: score each workload's miss-curve
   curvature from its learned performance table, squeeze flat-curved
   squanderers (streamers, donors, insensitive tenants) to their protected
@@ -37,14 +38,14 @@ run --policy`` takes into registry experiments.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Mapping, Optional, Sequence, Type, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Type
 
 from repro.core.allocation import (
     AllocationInput,
     _rebalance_max_performance,
     base_plan,
 )
-from repro.core.config import AllocationPolicy, DCatConfig
+from repro.core.config import DCatConfig
 from repro.core.grouping import curvature_score
 from repro.core.perftable import PhaseTable
 from repro.core.states import WorkloadState
@@ -57,19 +58,13 @@ __all__ = [
     "LfocClusteringStrategy",
     "PhaseHintStrategy",
     "ReservedPooledStrategy",
-    "register_strategy",
     "strategy_names",
     "canonical_name",
     "normalize_policy",
-    "policy_name",
     "get_strategy",
     "protected_floors",
     "fit_to_budget",
 ]
-
-#: Anything ``DCatConfig.policy`` accepts: an enum member (legacy), a
-#: registered strategy name, or None (resolve the run context's).
-PolicyLike = Union[AllocationPolicy, str]
 
 
 class AllocationStrategy(abc.ABC):
@@ -82,10 +77,8 @@ class AllocationStrategy(abc.ABC):
     below :func:`protected_floors` is the easy way to comply.
     """
 
-    #: Registry key; also what scenario files and ``--policy`` accept.
+    #: Table key; also what scenario files and ``--policy`` accept.
     name: str = "strategy"
-    #: Extra accepted spellings (normalized), mapped to ``name``.
-    aliases: Sequence[str] = ()
 
     @abc.abstractmethod
     def plan(
@@ -203,7 +196,6 @@ class MaxFairnessStrategy(AllocationStrategy):
     """Paper §3.5 max-fairness: reclaim, donate, grant — nothing more."""
 
     name = "max_fairness"
-    aliases = ("fairness",)
 
     def plan(self, inputs, total_ways, config):
         return base_plan(inputs, total_ways, config)
@@ -213,7 +205,6 @@ class MaxPerformanceStrategy(AllocationStrategy):
     """Paper §3.5 max-performance: the grouped-knapsack rebalance."""
 
     name = "max_performance"
-    aliases = ("performance",)
 
     def plan(self, inputs, total_ways, config):
         plan = base_plan(inputs, total_ways, config)
@@ -240,7 +231,6 @@ class LfocClusteringStrategy(AllocationStrategy):
     """
 
     name = "lfoc_clustering"
-    aliases = ("lfoc",)
 
     _SQUANDER_STATES = (WorkloadState.STREAMING, WorkloadState.DONOR)
 
@@ -292,7 +282,6 @@ class PhaseHintStrategy(AllocationStrategy):
     """
 
     name = "phase_hint"
-    aliases = ("hints", "declared", "phase_hints")
 
     def __init__(self, tolerance: float = 0.3) -> None:
         if tolerance < 0:
@@ -341,7 +330,6 @@ class ReservedPooledStrategy(AllocationStrategy):
     """
 
     name = "reserved_pooled"
-    aliases = ("memshare", "harvest")
 
     #: Nominal marginal benefit for table-less growers: loses every
     #: comparison against a measured gain, wins against "no benefit".
@@ -376,61 +364,52 @@ class ReservedPooledStrategy(AllocationStrategy):
         return plan
 
 
-# -- registry ------------------------------------------------------------------
+# -- the table -----------------------------------------------------------------
 
-_STRATEGIES: Dict[str, AllocationStrategy] = {}
-_ALIASES: Dict[str, str] = {}
+#: Every strategy by name: the only values ``DCatConfig.policy`` holds.
+_STRATEGIES: Dict[str, AllocationStrategy] = {
+    MaxFairnessStrategy.name: MaxFairnessStrategy(),
+    MaxPerformanceStrategy.name: MaxPerformanceStrategy(),
+    LfocClusteringStrategy.name: LfocClusteringStrategy(),
+    PhaseHintStrategy.name: PhaseHintStrategy(),
+    ReservedPooledStrategy.name: ReservedPooledStrategy(),
+}
 
-
-def register_strategy(strategy: AllocationStrategy) -> AllocationStrategy:
-    """Add a strategy to the registry (idempotent per name+instance).
-
-    Raises:
-        ValueError: On a duplicate name or alias owned by another strategy.
-    """
-    name = strategy.name
-    if not name or name != name.strip().lower():
-        raise ValueError(f"strategy name {name!r} must be non-empty lowercase")
-    existing = _STRATEGIES.get(name)
-    if existing is not None and existing is not strategy:
-        raise ValueError(f"allocation strategy {name!r} is already registered")
-    # Validate every alias before touching either table, so a collision
-    # cannot leave a half-registered strategy behind.
-    for alias in strategy.aliases:
-        owner = _ALIASES.get(alias)
-        if owner is not None and owner != name:
-            raise ValueError(
-                f"alias {alias!r} already points at strategy {owner!r}"
-            )
-    _STRATEGIES[name] = strategy
-    for alias in strategy.aliases:
-        _ALIASES[alias] = name
-    return strategy
+#: Extra accepted spellings (normalized), mapped to a strategy name.
+_ALIASES: Dict[str, str] = {
+    "fairness": MaxFairnessStrategy.name,
+    "performance": MaxPerformanceStrategy.name,
+    "lfoc": LfocClusteringStrategy.name,
+    "hints": PhaseHintStrategy.name,
+    "declared": PhaseHintStrategy.name,
+    "phase_hints": PhaseHintStrategy.name,
+    "memshare": ReservedPooledStrategy.name,
+    "harvest": ReservedPooledStrategy.name,
+}
 
 
 def strategy_names() -> List[str]:
-    """Every registered strategy name, sorted (the ``--policy`` vocabulary)."""
+    """Every strategy name, sorted (the ``--policy`` vocabulary)."""
     return sorted(_STRATEGIES)
 
 
 def canonical_name(
-    value: PolicyLike, field: str = "", error: Type[ValueError] = ValueError
+    value: str, field: str = "", error: Type[ValueError] = ValueError
 ) -> str:
-    """Resolve any accepted policy spelling to its registered name.
+    """Resolve any accepted policy spelling to its strategy name.
 
-    Accepts enum members, registered names, aliases, and case/separator
-    variants (``Max-Performance`` → ``max_performance``).
+    Accepts names, aliases, and case/separator variants
+    (``Max-Performance`` → ``max_performance``).
 
     Raises:
-        error: For an unknown policy, listing the registered names, after
-            the ``field`` it came from (``--policy``, ``policy``).
+        error: For a non-string or unknown policy, listing the strategy
+            names, after the ``field`` it came from (``--policy``,
+            ``policy``).
     """
-    if isinstance(value, AllocationPolicy):
-        return value.value
     prefix = f"{field}: " if field else ""
     if not isinstance(value, str):
         raise error(
-            f"{prefix}allocation policy must be a string or AllocationPolicy, "
+            f"{prefix}allocation policy must be a string, "
             f"got {type(value).__name__}"
         )
     name = value.strip().lower().replace("-", "_").replace(" ", "_")
@@ -443,51 +422,28 @@ def canonical_name(
     return name
 
 
-#: Registered names that keep resolving to the legacy enum members, so the
-#: controller's identity comparisons and reports stay byte-identical.
-_LEGACY = {p.value: p for p in AllocationPolicy}
-
-
-def normalize_policy(value: Optional[PolicyLike]) -> PolicyLike:
-    """What ``DCatConfig.policy`` stores: enum for legacy names, else str.
+def normalize_policy(value: Optional[str]) -> str:
+    """What ``DCatConfig.policy`` stores: the canonical strategy name.
 
     ``None`` resolves to the current run context's policy (see
     :func:`repro.engine.context.use_context`), else ``max_fairness``.
 
     Raises:
-        ValueError: For an unknown policy, listing the registered names.
+        ValueError: For an unknown policy, listing the strategy names.
     """
     if value is None:
-        value = current_context().policy or AllocationPolicy.MAX_FAIRNESS
-    name = canonical_name(value)
-    return _LEGACY.get(name, name)
+        value = current_context().policy or MaxFairnessStrategy.name
+    return canonical_name(value)
 
 
-def policy_name(value: PolicyLike) -> str:
-    """The registry name of an already-normalized policy value."""
-    return value.value if isinstance(value, AllocationPolicy) else value
+def get_strategy(policy: str) -> AllocationStrategy:
+    """The strategy behind a policy.
 
-
-def get_strategy(policy: PolicyLike) -> AllocationStrategy:
-    """The registered strategy behind a policy value.
-
-    A normalized value (what ``DCatConfig.policy`` holds, looked up every
-    control round) indexes the registry directly; any other spelling goes
+    A canonical name (what ``DCatConfig.policy`` holds, looked up every
+    control round) indexes the table directly; any other spelling goes
     through :func:`canonical_name`.
     """
-    name = policy._value_ if type(policy) is AllocationPolicy else policy
     try:
-        return _STRATEGIES[name]
+        return _STRATEGIES[policy]
     except (KeyError, TypeError):
         return _STRATEGIES[canonical_name(policy)]
-
-
-for _strategy in (
-    MaxFairnessStrategy(),
-    MaxPerformanceStrategy(),
-    LfocClusteringStrategy(),
-    PhaseHintStrategy(),
-    ReservedPooledStrategy(),
-):
-    register_strategy(_strategy)
-del _strategy

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.config import AllocationPolicy, DCatConfig
+from repro.core.config import DCatConfig
 from repro.harness.results import BarGroup, ExperimentResult, Series, TableResult
 from repro.harness.scenarios import build_stage, run_scenario
 from repro.mem.address import MB
@@ -236,15 +236,15 @@ def run_fig14(seed: int = 1234) -> ExperimentResult:
         )
 
     finals = TableResult(headers=["policy", "mlr-8mb ways", "mlr-12mb ways"])
-    for policy in (AllocationPolicy.MAX_FAIRNESS, AllocationPolicy.MAX_PERFORMANCE):
+    for policy in ("max_fairness", "max_performance"):
         config = DCatConfig(policy=policy)
         res = run_scenario(
             factory, DCatManager(config=config), duration_s=40.0, seed=seed
         )
         for vm in ("mlr-8mb", "mlr-12mb"):
-            result.add(f"ways_{vm}_{policy.value}", _ways_series(res, vm))
+            result.add(f"ways_{vm}_{policy}", _ways_series(res, vm))
         finals.add_row(
-            policy.value,
+            policy,
             res.steady_mean("mlr-8mb", "ways", 5),
             res.steady_mean("mlr-12mb", "ways", 5),
         )

@@ -49,7 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Type, Union
 
 from repro.core.config import DCatConfig
 from repro.core.hints import DeclaredSchedule
-from repro.core.policies import canonical_name, normalize_policy
+from repro.core.policies import canonical_name
 from repro.cpu.socket import SocketSpec
 from repro.engine.context import (
     RunContext,
@@ -263,8 +263,8 @@ def manager_factory(
     if policy is not None:
         config_spec["policy"] = policy
     if "policy" in config_spec:
-        config_spec["policy"] = normalize_policy(
-            canonical_name(config_spec["policy"], "manager.config.policy", error)
+        config_spec["policy"] = canonical_name(
+            config_spec["policy"], "manager.config.policy", error
         )
     try:
         config = DCatConfig(**config_spec)

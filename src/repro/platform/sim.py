@@ -230,7 +230,8 @@ def whole_intervals(duration_s: float, interval_s: float) -> Tuple[int, float]:
     interval once counts reach the tens of millions.  Any other count
     rounds down and the positive remainder is returned.  Every conversion
     of a duration into intervals goes through here: the simulation's and
-    the fleet's ``run`` and the churn scenario loader.
+    the fleet's ``run``, ``run_until_finished``'s cap and the churn
+    scenario loader.
     """
     exact = duration_s / interval_s
     steps = round(exact)
@@ -596,12 +597,22 @@ class CloudSimulation:
     def run_until_finished(
         self, watch: Sequence[str], max_duration_s: float = 3600.0
     ) -> SimulationResult:
-        """Run until the watched VMs' workloads finish (or the cap hits)."""
+        """Run until the watched VMs' workloads finish (or the cap hits).
+
+        The cap runs whole intervals only: a partial last interval would
+        run past it, so ``0.36`` s at a 0.1 s interval is 3 steps.
+
+        Raises:
+            ValueError: If ``max_duration_s`` is negative or a watched
+                name is not a VM of this simulation.
+        """
+        if max_duration_s < 0:
+            raise ValueError(f"max_duration_s must be >= 0, got {max_duration_s}")
         watched = {vm.name: vm for vm in self.vms if vm.name in set(watch)}
         if len(watched) != len(set(watch)):
             missing = set(watch) - set(watched)
             raise ValueError(f"unknown VMs: {sorted(missing)}")
-        steps_cap = int(round(max_duration_s / self.machine.interval_s))
+        steps_cap, _ = whole_intervals(max_duration_s, self.machine.interval_s)
         for _ in range(steps_cap):
             self.step()
             if all(vm.workload.finished for vm in watched.values()):

@@ -9,7 +9,7 @@ from repro.core.allocation import (
     optimize_way_split,
     plan_allocation,
 )
-from repro.core.config import AllocationPolicy, DCatConfig
+from repro.core.config import DCatConfig
 from repro.core.perftable import PhaseTable
 from repro.core.states import WorkloadState
 
@@ -127,7 +127,7 @@ class TestGrants:
 
 class TestMaxPerformanceRebalance:
     def test_moves_way_toward_better_user(self):
-        config = DCatConfig(policy=AllocationPolicy.MAX_PERFORMANCE)
+        config = DCatConfig(policy="max_performance")
         flat = table_of(3, {3: 1.0, 7: 1.05, 8: 1.05})
         steep = table_of(3, {3: 1.0, 7: 1.5, 8: 1.7})
         inputs = [
@@ -139,7 +139,7 @@ class TestMaxPerformanceRebalance:
         assert plan["flat"] == 7
 
     def test_moves_at_most_one_way_per_round(self):
-        config = DCatConfig(policy=AllocationPolicy.MAX_PERFORMANCE)
+        config = DCatConfig(policy="max_performance")
         flat = table_of(3, {3: 1.0, 4: 1.0, 8: 1.0})
         steep = table_of(3, {3: 1.0, 8: 2.0, 12: 3.0})
         inputs = [

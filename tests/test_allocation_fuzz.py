@@ -32,7 +32,7 @@ from repro.core.allocation import (
     _rebalance_max_performance,
     plan_allocation,
 )
-from repro.core.config import AllocationPolicy, DCatConfig
+from repro.core.config import DCatConfig
 from repro.core.hints import DeclaredPhase, DeclaredSchedule, PhaseHint
 from repro.core.perftable import PhaseTable
 from repro.core.policies import strategy_names
@@ -150,8 +150,8 @@ def test_plan_allocation_contract(policy, total_ways, specs):
 def _legacy_plan_allocation(inputs, total_ways, config, policy):
     """The pre-registry §3.5 dispatch, replayed verbatim as a golden pin.
 
-    Steps 1–3 inline (reclaim, donate, grant) followed by the enum branch
-    on the policy — exactly the body ``plan_allocation`` had before the
+    Steps 1–3 inline (reclaim, donate, grant) followed by the branch on
+    the policy — exactly the body ``plan_allocation`` had before the
     strategy registry existed.
     """
     if len(inputs) * config.min_ways > total_ways:
@@ -169,21 +169,19 @@ def _legacy_plan_allocation(inputs, total_ways, config, policy):
                 grant = min(inp.grow_request, free)
                 plan[inp.workload_id] += grant
                 free -= grant
-    if policy is AllocationPolicy.MAX_PERFORMANCE:
+    if policy == "max_performance":
         _rebalance_max_performance(plan, inputs, total_ways, config)
     return plan
 
 
-@pytest.mark.parametrize(
-    "policy", [AllocationPolicy.MAX_FAIRNESS, AllocationPolicy.MAX_PERFORMANCE]
-)
+@pytest.mark.parametrize("policy", ["max_fairness", "max_performance"])
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     total_ways=TOTAL_WAYS,
     specs=st.lists(workload_strategy, min_size=1, max_size=8),
 )
 def test_legacy_policies_byte_identical(policy, total_ways, specs):
-    """Registry dispatch reproduces the pre-refactor enum paths exactly."""
+    """Table dispatch reproduces the pre-registry enum paths exactly."""
     config = DCatConfig(policy=policy)
     inputs = _build_inputs(specs, total_ways)
     if len(inputs) * config.min_ways > total_ways:

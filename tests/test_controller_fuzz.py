@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cat.cat import CacheAllocationTechnology
 from repro.cat.cos import is_contiguous, mask_way_count
 from repro.cat.pqos import PqosLibrary
-from repro.core.config import AllocationPolicy, DCatConfig
+from repro.core.config import DCatConfig
 from repro.core.controller import DCatController
 from repro.hwcounters.events import (
     L1_CACHE_HITS,
@@ -41,7 +41,7 @@ interval_strategy = st.fixed_dictionaries(
 )
 
 
-def build_rig(num_workloads, policy=AllocationPolicy.MAX_FAIRNESS):
+def build_rig(num_workloads, policy="max_fairness"):
     cat = CacheAllocationTechnology(num_ways=20, num_cores=2 * num_workloads)
     pqos = PqosLibrary(cat, way_size_bytes=2359296)
     pmus = {c: CorePmu() for c in range(2 * num_workloads)}
@@ -119,9 +119,7 @@ def test_invariants_hold_under_arbitrary_counter_streams(script):
     )
 )
 def test_invariants_hold_under_max_performance_policy(script):
-    controller, cat, pmus = build_rig(
-        num_workloads=6, policy=AllocationPolicy.MAX_PERFORMANCE
-    )
+    controller, cat, pmus = build_rig(num_workloads=6, policy="max_performance")
     for step_knobs in script:
         for i, knobs in enumerate(step_knobs):
             feed(pmus[2 * i], knobs)

@@ -7,7 +7,7 @@ the qualitative dynamics — rather than absolute numbers.
 
 import pytest
 
-from repro.core.config import AllocationPolicy, DCatConfig
+from repro.core.config import DCatConfig
 from repro.core.states import WorkloadState
 from repro.harness.scenarios import build_stage, run_scenario
 from repro.mem.address import MB
@@ -227,7 +227,7 @@ class TestPolicies:
             )
 
         totals = {}
-        for policy in (AllocationPolicy.MAX_FAIRNESS, AllocationPolicy.MAX_PERFORMANCE):
+        for policy in ("max_fairness", "max_performance"):
             res = run_scenario(
                 factory,
                 DCatManager(config=DCatConfig(policy=policy)),
@@ -237,10 +237,7 @@ class TestPolicies:
             totals[policy] = sum(
                 res.steady_mean(vm, "ipc", 5) for vm in ("mlr-8mb", "mlr-12mb")
             )
-        assert (
-            totals[AllocationPolicy.MAX_PERFORMANCE]
-            >= totals[AllocationPolicy.MAX_FAIRNESS] * 0.999
-        )
+        assert totals["max_performance"] >= totals["max_fairness"] * 0.999
 
 
 class TestPerformanceTableReuse:

@@ -433,6 +433,18 @@ class TestRunDuration:
         with pytest.raises(ValueError, match=">= 0"):
             sim.run(-1.0)
 
+    def test_finish_cap_never_overruns(self):
+        # int(round(0.36 / 0.1)) ran 4 intervals, 0.4 s past a 0.36 s cap.
+        sim = self.make_sim(interval_s=0.1)
+        sim.run_until_finished(["busy"], max_duration_s=0.36)
+        assert self.steps(sim) == 3
+
+    def test_negative_finish_cap_rejected(self):
+        sim = self.make_sim()
+        with pytest.raises(ValueError, match=">= 0"):
+            sim.run_until_finished(["busy"], max_duration_s=-1.0)
+        assert self.steps(sim) == 0
+
 
 INTERVALS = (0.001, 0.01, 0.1, 0.5, 1.0)
 

@@ -1,7 +1,7 @@
-"""The allocation-strategy registry and the three rival strategies.
+"""The allocation-strategy table and the three rival strategies.
 
 The fuzz suite (``test_allocation_fuzz.py``) pins the §3.5 contract and
-the legacy byte-identity; this file covers the registry surface (names,
+the legacy byte-identity; this file covers the table's surface (names,
 aliases, normalization, the run context's policy), the declared-phase
 hint types, and each rival strategy's characteristic behaviour on
 hand-built inputs.
@@ -10,19 +10,17 @@ hand-built inputs.
 import pytest
 
 from repro.core.allocation import AllocationInput, base_plan, plan_allocation
-from repro.core.config import AllocationPolicy, DCatConfig
+from repro.core.config import DCatConfig
 from repro.core.grouping import curvature_score
 from repro.core.hints import DeclaredPhase, DeclaredSchedule, PhaseHint
 from repro.core.perftable import PhaseTable
 from repro.core.policies import (
-    AllocationStrategy,
+    _ALIASES,
     canonical_name,
     fit_to_budget,
     get_strategy,
     normalize_policy,
-    policy_name,
     protected_floors,
-    register_strategy,
     strategy_names,
 )
 from repro.core.states import WorkloadState
@@ -47,7 +45,7 @@ def _table(entries, baseline=3):
     return PhaseTable(baseline_ways=baseline, baseline_ipc=1.0, entries=entries)
 
 
-# -- registry ------------------------------------------------------------------
+# -- the strategy table --------------------------------------------------------
 
 
 def test_registry_ships_five_strategies():
@@ -72,12 +70,13 @@ def test_registry_ships_five_strategies():
         ("declared", "phase_hint"),
         ("memshare", "reserved_pooled"),
         ("harvest", "reserved_pooled"),
-        (AllocationPolicy.MAX_FAIRNESS, "max_fairness"),
-        (AllocationPolicy.MAX_PERFORMANCE, "max_performance"),
     ],
 )
 def test_canonical_name_accepts_every_spelling(spelling, expected):
     assert canonical_name(spelling) == expected
+    policy = DCatConfig(policy=spelling).policy
+    assert policy == expected
+    assert type(policy) is str
 
 
 def test_canonical_name_rejects_unknown_listing_registry():
@@ -94,20 +93,17 @@ def test_canonical_name_rejects_non_strings():
         canonical_name(7)
 
 
-def test_normalize_policy_keeps_legacy_names_as_enum_members():
-    assert normalize_policy("max_fairness") is AllocationPolicy.MAX_FAIRNESS
-    assert normalize_policy("performance") is AllocationPolicy.MAX_PERFORMANCE
+def test_normalize_policy_stores_canonical_names():
+    assert normalize_policy("max_fairness") == "max_fairness"
+    assert normalize_policy("performance") == "max_performance"
     assert normalize_policy("lfoc") == "lfoc_clustering"
-    assert policy_name(AllocationPolicy.MAX_FAIRNESS) == "max_fairness"
-    assert policy_name("phase_hint") == "phase_hint"
+    assert normalize_policy(None) == "max_fairness"
 
 
 def test_config_normalizes_policy_spellings():
-    assert DCatConfig(policy="Max-Performance").policy is (
-        AllocationPolicy.MAX_PERFORMANCE
-    )
+    assert DCatConfig(policy="Max-Performance").policy == "max_performance"
     assert DCatConfig(policy="lfoc").policy == "lfoc_clustering"
-    assert DCatConfig().policy is AllocationPolicy.MAX_FAIRNESS
+    assert DCatConfig().policy == "max_fairness"
 
 
 def test_config_rejects_unknown_policy_listing_registry():
@@ -117,16 +113,16 @@ def test_config_rejects_unknown_policy_listing_registry():
 
 def test_use_context_policy_feeds_fresh_configs():
     assert current_context().policy is None
-    assert DCatConfig().policy is AllocationPolicy.MAX_FAIRNESS
+    assert DCatConfig().policy == "max_fairness"
     with use_context(RunContext.parse(policy="reserved_pooled")):
         assert DCatConfig().policy == "reserved_pooled"
         with use_context(RunContext.parse(policy="performance")):
-            assert DCatConfig().policy is AllocationPolicy.MAX_PERFORMANCE
+            assert DCatConfig().policy == "max_performance"
         # Leaving the inner block restores the outer context.
         assert DCatConfig().policy == "reserved_pooled"
         # An explicit policy still wins over the context's.
         assert DCatConfig(policy="lfoc").policy == "lfoc_clustering"
-    assert DCatConfig().policy is AllocationPolicy.MAX_FAIRNESS
+    assert DCatConfig().policy == "max_fairness"
 
 
 def test_context_without_policy_restores_fairness():
@@ -136,36 +132,16 @@ def test_context_without_policy_restores_fairness():
             use_context(RunContext.parse(policy="banana"))
         assert current_context().policy == "lfoc_clustering"
         with use_context(RunContext()):
-            assert DCatConfig().policy is AllocationPolicy.MAX_FAIRNESS
+            assert DCatConfig().policy == "max_fairness"
 
 
-def test_register_strategy_rejects_collisions():
-    class Dupe(AllocationStrategy):
-        name = "max_fairness"
-
-        def plan(self, inputs, total_ways, config):  # pragma: no cover
-            return {}
-
-    class AliasThief(AllocationStrategy):
-        name = "brand_new"
-        aliases = ("lfoc",)
-
-        def plan(self, inputs, total_ways, config):  # pragma: no cover
-            return {}
-
-    class BadName(AllocationStrategy):
-        name = "Shouty"
-
-        def plan(self, inputs, total_ways, config):  # pragma: no cover
-            return {}
-
-    with pytest.raises(ValueError, match="already registered"):
-        register_strategy(Dupe())
-    with pytest.raises(ValueError, match="alias"):
-        register_strategy(AliasThief())
-    with pytest.raises(ValueError, match="lowercase"):
-        register_strategy(BadName())
-    assert "brand_new" not in strategy_names()
+def test_strategy_table_names_are_canonical():
+    # Every name is its own canonical spelling, so no alias shadows a name.
+    for name in strategy_names():
+        assert name == name.lower()
+        assert canonical_name(name) == name
+        assert get_strategy(name).name == name
+    assert set(_ALIASES.values()) <= set(strategy_names())
 
 
 # -- invariant helpers ---------------------------------------------------------
@@ -334,6 +310,6 @@ def test_reserved_pooled_leaves_unwanted_ways_free():
     assert plan == {"a": 2, "b": 2}
 
 
-def test_get_strategy_resolves_enum_and_aliases():
-    assert get_strategy(AllocationPolicy.MAX_FAIRNESS).name == "max_fairness"
+def test_get_strategy_resolves_names_and_aliases():
+    assert get_strategy("max_fairness").name == "max_fairness"
     assert get_strategy("memshare").name == "reserved_pooled"

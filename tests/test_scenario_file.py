@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core.config import AllocationPolicy
 from repro.harness.scenario_file import (
     ScenarioError,
     load_scenario,
@@ -71,7 +70,7 @@ class TestLoading:
             "type": "dcat", "config": {"policy": "max_performance"}
         }
         _, _, manager, *_ = load_scenario(data)
-        assert manager.config.policy is AllocationPolicy.MAX_PERFORMANCE
+        assert manager.config.policy == "max_performance"
 
 
 class TestValidation:

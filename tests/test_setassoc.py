@@ -188,7 +188,7 @@ class TestBatchEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_batch_bit_exact_vs_scalar(self, data):
-        policy_name = data.draw(
+        kind = data.draw(
             st.sampled_from(("lru", "plru", "random")), label="policy"
         )
         line_size, num_sets, num_ways = data.draw(
@@ -198,11 +198,11 @@ class TestBatchEquivalence:
             line_size=line_size, num_sets=num_sets, num_ways=num_ways
         )
         batch = SetAssociativeCache(
-            geo, make_policy(policy_name, num_sets, num_ways,
+            geo, make_policy(kind, num_sets, num_ways,
                              rng=np.random.default_rng(11))
         )
         scalar = SetAssociativeCache(
-            geo, make_policy(policy_name, num_sets, num_ways,
+            geo, make_policy(kind, num_sets, num_ways,
                              rng=np.random.default_rng(11))
         )
         ev_batch, ev_scalar = [], []

@@ -209,6 +209,18 @@ def test_run_keeps_every_interval_at_long_horizons():
     assert sim._residual_s == 0.0
 
 
+@pytest.mark.parametrize("script", sorted(p.name for p in EXAMPLES.glob("*.py")))
+def test_python_example_runs(script):
+    out = subprocess.run(
+        [sys.executable, str(EXAMPLES / script)],
+        stdout=subprocess.PIPE,
+        check=True,
+        env=_src_env(),
+        timeout=300,
+    ).stdout
+    assert out.strip()
+
+
 # -- churn and fidelity ------------------------------------------------------
 
 
