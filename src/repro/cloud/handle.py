@@ -12,8 +12,9 @@ handle and of the replayed handle compare equal.  That is the service's
 determinism contract — async ingress decides only the *order* commands
 enter the journal, never what any command does.
 
-Reads (:meth:`tenant_stats`, :meth:`fleet_state`, :meth:`snapshot`) are
-not journaled; they never mutate and so cannot perturb a replay.
+Reads (:meth:`tenant_stats`, :meth:`fleet_state`, :meth:`snapshot_json`,
+:meth:`snapshot_digest`) are not journaled; they never mutate and so
+cannot perturb a replay.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Union
 
 from repro.cloud.admission import RejectReason
 from repro.cloud.fleet import CloudFleet
@@ -37,6 +38,9 @@ __all__ = [
 
 #: Ops a journal may contain; anything else is a corrupt journal.
 _OPS = ("admit", "detach", "tick")
+
+#: Encodes one piece of the canonical snapshot: sorted keys, no spaces.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -214,10 +218,6 @@ class FleetHandle:
             return self.tick()
         raise ValueError(f"unknown journal op {op!r}; expected one of {_OPS}")
 
-    def journal_payload(self) -> List[Dict[str, Any]]:
-        """The journal as JSON-ready dicts (the ``GET /v1/trace`` body)."""
-        return [record.payload() for record in self.journal]
-
     # -- reads (not journaled) ---------------------------------------------
 
     def tenant_stats(self, tenant_id: str) -> Dict[str, Any]:
@@ -268,21 +268,30 @@ class FleetHandle:
 
     # -- snapshots ----------------------------------------------------------
 
-    def snapshot(self) -> Dict[str, Any]:
+    def _snapshot_pieces(self) -> Iterator[str]:
         """Everything determinism-relevant the run produced, canonically.
 
         Pure simulation state: per-machine per-tenant interval timelines,
         the placement log, SLO ledgers and the fleet clock.  Deliberately
         excludes wall-clock data (request latencies live only in loadgen
         reports), so online and replayed runs can compare equal.
+
+        Yields the text of ``json.dumps(snapshot, sort_keys=True,
+        separators=(",", ":"))`` in pieces (one per timeline, placement
+        row and tenant ledger), so no reader holds the whole document as
+        objects.  Keys come in sorted order: ``machines``, ``now``,
+        ``placements``, ``tenants``, ``ticks``, and machine names sort as
+        strings (``m10`` before ``m2``).
         """
+        encode = _CANONICAL
         results = self.fleet.machine_results()
-        machines: Dict[str, Any] = {}
-        for machine in self.fleet.machines:
-            result = results[machine.name]
-            timelines: Dict[str, Any] = {}
-            for tid in sorted(result.records):
-                timelines[tid] = [
+        yield '{"machines":{'
+        names = sorted(machine.name for machine in self.fleet.machines)
+        for m, name in enumerate(names):
+            records = results[name].records
+            yield ("," if m else "") + encode(name) + ":{"
+            for t, tid in enumerate(sorted(records)):
+                yield ("," if t else "") + encode(tid) + ":" + encode([
                     [
                         rec.time_s,
                         rec.phase_name,
@@ -293,31 +302,27 @@ class FleetHandle:
                         rec.cycles,
                         rec.state.value if rec.state is not None else None,
                     ]
-                    for rec in result.records[tid]
-                ]
-            machines[machine.name] = timelines
-        return {
-            "now": self.fleet.now,
-            "ticks": self.ticks,
-            "placements": [
-                [p.time_s, p.tenant_id, p.machine, p.reason]
-                for p in self.fleet.placements
-            ],
-            "tenants": {
-                tid: self.tenant_stats(tid)
-                for tid in sorted(self.fleet.accountant.tenants)
-            },
-            "machines": machines,
-        }
+                    for rec in records[tid]
+                ])
+            yield "}"
+        yield '},"now":' + encode(self.fleet.now) + ',"placements":['
+        for i, p in enumerate(self.fleet.placements):
+            yield ("," if i else "") + encode([p.time_s, p.tenant_id, p.machine, p.reason])
+        yield '],"tenants":{'
+        for t, tid in enumerate(sorted(self.fleet.accountant.tenants)):
+            yield ("," if t else "") + encode(tid) + ":" + encode(self.tenant_stats(tid))
+        yield '},"ticks":' + encode(self.ticks) + "}"
 
     def snapshot_json(self) -> bytes:
         """The canonical snapshot encoding byte-identity is judged on."""
-        return json.dumps(
-            self.snapshot(), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        return "".join(self._snapshot_pieces()).encode("utf-8")
 
     def snapshot_digest(self) -> str:
-        return hashlib.sha256(self.snapshot_json()).hexdigest()
+        """sha256 of :meth:`snapshot_json`, hashed piece by piece."""
+        digest = hashlib.sha256()
+        for piece in self._snapshot_pieces():
+            digest.update(piece.encode("utf-8"))
+        return digest.hexdigest()
 
 
 def replay_journal(

@@ -56,7 +56,7 @@ class Decision(NamedTuple):
     grow_request: int = 0
 
 
-def _improvement(record: WorkloadRecord, sample: CounterSample) -> Optional[float]:
+def _improvement(record: WorkloadRecord, ipc: float) -> Optional[float]:
     """Relative IPC improvement attributable to the last grant.
 
     Compares this interval's IPC against the last interval's (measured at
@@ -70,8 +70,8 @@ def _improvement(record: WorkloadRecord, sample: CounterSample) -> Optional[floa
     """
     if not record.got_grant_last_round:
         return None
-    if record.last_ipc > 0 and sample.ipc > 0:
-        return sample.ipc / record.last_ipc - 1.0
+    if record.last_ipc > 0 and ipc > 0:
+        return ipc / record.last_ipc - 1.0
     table = record.table.known_phase(record.signature)
     if table is not None:
         now = table.normalized(record.ways)
@@ -105,6 +105,9 @@ def categorize(
     sample: CounterSample,
     config: DCatConfig,
     pool_empty: bool,
+    *,
+    ipc: float,
+    miss_rate: float,
 ) -> Decision:
     """Run the Fig. 6 state machine for one workload and interval.
 
@@ -115,6 +118,8 @@ def categorize(
         config: Controller thresholds.
         pool_empty: Whether the free pool was exhausted after the previous
             allocation round (the Unknown -> Streaming escape hatch).
+        ipc: The sample's ``ipc``.
+        miss_rate: The sample's ``llc_miss_rate``.
     """
     state = record.state
     ways = record.ways
@@ -123,7 +128,6 @@ def categorize(
     refs_per_kinstr = (
         1000.0 * sample.llc_ref / sample.ret_ins if sample.ret_ins else 0.0
     )
-    miss_rate = sample.llc_miss_rate
     donor_miss_thr = config.llc_miss_rate_thr * DONOR_MISS_RATE_FRACTION
 
     # -- idle / no LLC use: immediate Donor at the minimum ------------------
@@ -177,7 +181,7 @@ def categorize(
         )
 
     if state is WorkloadState.UNKNOWN:
-        gain = _improvement(record, sample)
+        gain = _improvement(record, ipc)
         if gain is not None and gain >= config.ipc_imp_thr:
             return Decision(
                 WorkloadState.RECEIVER, ways, grow_request=config.grow_step_ways
@@ -196,7 +200,7 @@ def categorize(
         )
 
     # RECEIVER: keep growing while grants keep paying.
-    gain = _improvement(record, sample)
+    gain = _improvement(record, ipc)
     if gain is not None and gain < config.ipc_imp_thr:
         return Decision(WorkloadState.KEEPER, ways)
     return Decision(

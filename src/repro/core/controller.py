@@ -106,6 +106,10 @@ class ControlStepContext:
     time_s: float
     result: StepResult
     samples: Dict[str, CounterSample] = field(default_factory=dict)
+    # Each sample's ipc and llc_miss_rate, computed once in collect and
+    # read by every later stage.
+    ipcs: Dict[str, float] = field(default_factory=dict)
+    miss_rates: Dict[str, float] = field(default_factory=dict)
     changed: Dict[str, bool] = field(default_factory=dict)
     decisions: Dict[str, Decision] = field(default_factory=dict)
     reclaiming: Dict[str, bool] = field(default_factory=dict)
@@ -447,21 +451,23 @@ class DCatController:
             else:
                 sample = self.perfmon.sample_cores(rec.cores)
             ctx.samples[wid] = sample
+            # The sample's ipc and llc_miss_rate (and, for the bus, its
+            # mem_refs_per_instr), written out: no property call per
+            # workload-interval.
+            l1_ref, llc_ref, llc_miss, ret_ins, cycles = sample
+            ipc = ctx.ipcs[wid] = ret_ins / cycles if cycles else 0.0
+            miss_rate = ctx.miss_rates[wid] = llc_miss / llc_ref if llc_ref else 0.0
             # Idle detection: the cores barely ran this interval.
             busy_budget = self.nominal_cycles_per_core * len(rec.cores)
-            rec.idle = sample.cycles < self.config.idle_cycles_fraction * busy_budget
+            rec.idle = cycles < self.config.idle_cycles_fraction * busy_budget
             if bus.active:
-                # The sample's ipc, llc_miss_rate and mem_refs_per_instr,
-                # written out: a subscribed bus pays no property call per
-                # event.
-                l1_ref, llc_ref, llc_miss, ret_ins, cycles = sample
                 bus.emit(
                     SampleCollected.fast(
                         time_s=ctx.time_s,
                         source="controller",
                         workload_id=wid,
-                        ipc=ret_ins / cycles if cycles else 0.0,
-                        llc_miss_rate=llc_miss / llc_ref if llc_ref else 0.0,
+                        ipc=ipc,
+                        llc_miss_rate=miss_rate,
                         mem_refs_per_instr=l1_ref / ret_ins if ret_ins else 0.0,
                         instructions=ret_ins,
                         cycles=cycles,
@@ -499,9 +505,9 @@ class DCatController:
                     self._phase_change_decision(rec)
                 )
             elif not ctx.stale.get(wid):
-                sample = ctx.samples[wid]
-                self._record_performance(rec, sample)
-                self._update_unknown_bookkeeping(rec, sample)
+                ipc = ctx.ipcs[wid]
+                self._record_performance(rec, ipc)
+                self._update_unknown_bookkeeping(rec, ipc)
 
     def _stage_categorize(self, ctx: ControlStepContext) -> None:
         """Step 4 — run the Fig. 6 state machine for phase-stable workloads."""
@@ -517,8 +523,10 @@ class DCatController:
                 continue
             if ctx.changed[wid]:
                 continue  # decided in get_baseline
-            sample = ctx.samples[wid]
-            decision = categorize(rec, sample, self.config, self._pool_empty)
+            decision = categorize(
+                rec, ctx.samples[wid], self.config, self._pool_empty,
+                ipc=ctx.ipcs[wid], miss_rate=ctx.miss_rates[wid],
+            )
             if (
                 decision.state is WorkloadState.UNKNOWN
                 and rec.shrunk_last_round
@@ -574,14 +582,14 @@ class DCatController:
         """Write back records, publish statuses, advance controller time."""
         bus = self.bus
         for wid, rec in self._records.items():
-            sample = ctx.samples[wid]
+            miss_rate = ctx.miss_rates[wid]
             decision = ctx.decisions[wid]
             if (
                 decision.state is WorkloadState.KEEPER
                 and rec.state in (WorkloadState.UNKNOWN, WorkloadState.RECEIVER)
             ):
                 rec.growth_ceiling_ways = rec.ways
-                rec.growth_ceiling_miss_rate = sample.llc_miss_rate
+                rec.growth_ceiling_miss_rate = miss_rate
             elif decision.state is WorkloadState.UNKNOWN:
                 # A fresh growth episode invalidates the old stop point.
                 rec.growth_ceiling_ways = 0
@@ -595,11 +603,11 @@ class DCatController:
                         new_state=decision.state.value,
                     )
                 )
-            ipc = sample.ipc
+            ipc = ctx.ipcs[wid]
             rec.prev_ways = rec.ways
             rec.ways = ctx.plan[wid]
             rec.state = decision.state
-            rec.last_sample = sample
+            rec.last_sample = ctx.samples[wid]
             rec.last_ipc = ipc
             table = ctx.phase_tables[wid]
             baseline_ipc = table.baseline_ipc if table else None
@@ -609,7 +617,7 @@ class DCatController:
                 ways=ctx.plan[wid],
                 ipc=ipc,
                 normalized_ipc=ipc / baseline_ipc if baseline_ipc else None,
-                llc_miss_rate=sample.llc_miss_rate,
+                llc_miss_rate=miss_rate,
                 phase_changed=ctx.changed[wid],
             )
 
@@ -637,9 +645,8 @@ class DCatController:
                     )
         return Decision(WorkloadState.RECLAIM, rec.baseline_ways), True
 
-    def _record_performance(self, rec: WorkloadRecord, sample: CounterSample) -> None:
+    def _record_performance(self, rec: WorkloadRecord, ipc: float) -> None:
         """Feed this interval's IPC into the phase's performance table."""
-        ipc = sample.ipc
         if rec.signature.idle or rec.idle or ipc <= 0:
             return
         phase_table = rec.table.phase(rec.signature)
@@ -647,15 +654,13 @@ class DCatController:
             phase_table.record_baseline(ipc)
         phase_table.record(rec.ways, ipc)
 
-    def _update_unknown_bookkeeping(
-        self, rec: WorkloadRecord, sample: CounterSample
-    ) -> None:
+    def _update_unknown_bookkeeping(self, rec: WorkloadRecord, ipc: float) -> None:
         """Count grants that failed to improve an Unknown workload."""
         if rec.state is not WorkloadState.UNKNOWN:
             return
         if not rec.got_grant_last_round:
             return
-        gain = _improvement(rec, sample)
+        gain = _improvement(rec, ipc)
         if gain is None or gain < self.config.ipc_imp_thr:
             rec.unknown_grants += 1
         else:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import asyncio
 from time import perf_counter
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Tuple, Union
 
 from repro.cloud.handle import FleetHandle
 from repro.cloud.lifecycle import TenantSpec
@@ -50,15 +50,20 @@ from repro.service.config import ServiceConfig, ServiceSetup
 from repro.service.http import (
     HttpError,
     HttpRequest,
+    encode_json,
     json_response,
     read_request,
     render_response,
+    response_head,
 )
 
 __all__ = ["ControllerDaemon"]
 
 #: The queue sentinel that tells the worker to exit after the backlog.
 _STOP = "__stop__"
+
+#: A whole response, or its parts to write in order (head, then body).
+Response = Union[bytes, Tuple[bytes, bytearray]]
 
 
 class ControllerDaemon:
@@ -225,7 +230,8 @@ class ControllerDaemon:
                 response = json_response(
                     status, {"error": f"{type(exc).__name__}: {exc}"}
                 )
-            writer.write(response)
+            for part in (response,) if isinstance(response, bytes) else response:
+                writer.write(part)
             await writer.drain()
             self._http_requests.labels(
                 route=route, method=method, status=str(status)
@@ -242,7 +248,7 @@ class ControllerDaemon:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
-    async def _dispatch(self, request: HttpRequest) -> Tuple[str, int, bytes]:
+    async def _dispatch(self, request: HttpRequest) -> Tuple[str, int, Response]:
         """Route one request; returns ``(route_label, status, response)``."""
         method, path = request.method, request.path.split("?", 1)[0]
         if path == "/healthz":
@@ -272,11 +278,8 @@ class ControllerDaemon:
         if path == "/v1/trace":
             if method != "GET":
                 return "/v1/trace", 405, json_response(405, {"error": "GET only"})
-            body = {
-                "journal": self.handle.journal_payload(),
-                "snapshot_sha256": self.handle.snapshot_digest(),
-            }
-            return "/v1/trace", 200, json_response(200, body)
+            body = self._trace_body()
+            return "/v1/trace", 200, (response_head(200, len(body)), body)
         if path == "/v1/tenants":
             if method != "POST":
                 return "/v1/tenants", 405, json_response(405, {"error": "POST only"})
@@ -318,6 +321,19 @@ class ControllerDaemon:
         except UnknownTenantError as exc:
             return route, 404, json_response(404, {"error": str(exc)})
         return route, 200, json_response(200, result)
+
+    def _trace_body(self) -> bytearray:
+        """The bytes :func:`json_response` renders for ``{"journal":
+        [record payloads], "snapshot_sha256": digest}``, encoded one
+        journal record at a time instead of from a list of dicts."""
+        body = bytearray(b'{"journal": [')
+        for seq, record in enumerate(self.handle.journal):
+            if seq:
+                body += b", "
+            body += encode_json(record.payload()).encode("utf-8")
+        digest = encode_json(self.handle.snapshot_digest())
+        body += f'], "snapshot_sha256": {digest}}}\n'.encode("utf-8")
+        return body
 
     def _stats(self, tenant_id: str) -> Tuple[str, int, bytes]:
         route = "/v1/tenants/{id}/stats"

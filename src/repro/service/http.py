@@ -19,7 +19,9 @@ __all__ = [
     "HttpError",
     "HttpRequest",
     "read_request",
+    "response_head",
     "render_response",
+    "encode_json",
     "json_response",
     "request_once",
 ]
@@ -114,25 +116,37 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
     return HttpRequest(method=method.upper(), path=target, headers=headers, body=body)
 
 
+def response_head(
+    status: int, length: int, content_type: str = "application/json"
+) -> bytes:
+    """The status line and headers of a ``Connection: close`` response
+    whose body is ``length`` bytes."""
+    phrase = STATUS_PHRASES.get(status, "Unknown")
+    head = (
+        f"HTTP/1.1 {status} {phrase}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {length}\r\n"
+        f"Connection: close\r\n"
+        f"\r\n"
+    )
+    return head.encode("latin-1")
+
+
 def render_response(
     status: int,
     body: bytes = b"",
     content_type: str = "application/json",
 ) -> bytes:
     """One full ``Connection: close`` HTTP/1.1 response."""
-    phrase = STATUS_PHRASES.get(status, "Unknown")
-    head = (
-        f"HTTP/1.1 {status} {phrase}\r\n"
-        f"Content-Type: {content_type}\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n"
-        f"\r\n"
-    )
-    return head.encode("latin-1") + body
+    return response_head(status, len(body), content_type) + body
+
+
+#: The JSON text of a :func:`json_response` body (before its newline).
+encode_json = json.JSONEncoder(sort_keys=True).encode
 
 
 def json_response(status: int, payload: Any) -> bytes:
-    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    body = (encode_json(payload) + "\n").encode("utf-8")
     return render_response(status, body)
 
 

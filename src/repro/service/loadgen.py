@@ -13,7 +13,8 @@ daemon journals.
 ``run_loadtest`` is the whole acceptance harness behind
 ``dcat-experiment loadtest``: boot a daemon on an ephemeral port, drive
 the plan, shut down gracefully, then **replay the recorded journal
-through the offline churn path** and demand a byte-identical snapshot,
+through the offline churn path** and demand a byte-identical snapshot
+(compared by its sha256, :meth:`~repro.cloud.handle.FleetHandle.snapshot_digest`),
 zero invariant violations, and the admission-latency SLO.  The verdict
 is committed as ``BENCH_service.json`` (schema ``dcat-service-bench/v1``).
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cloud.handle import replay_journal
+from repro.cloud.handle import CommandRecord, replay_journal
 from repro.service.config import ServiceConfig, load_service_config
 from repro.service.daemon import ControllerDaemon
 from repro.service.http import request_once
@@ -197,7 +198,7 @@ def _latency_block(latencies: Sequence[float]) -> Dict[str, Any]:
 
 async def _orchestrate(
     config: ServiceConfig, plan: Sequence[AdmitPlan]
-) -> Tuple[LoadReport, List[Dict[str, Any]], bytes, int, int]:
+) -> Tuple[LoadReport, List[CommandRecord], str, int, int]:
     daemon = ControllerDaemon(config, port=0)
     await daemon.start()
     try:
@@ -209,12 +210,10 @@ async def _orchestrate(
             report.errors.append(f"/healthz degraded: HTTP {status} {health}")
     finally:
         await daemon.stop()
-    journal = daemon.handle.journal_payload()
-    snapshot = daemon.handle.snapshot_json()
     return (
         report,
-        journal,
-        snapshot,
+        daemon.handle.journal,
+        daemon.handle.snapshot_digest(),
         daemon.setup.violation_count(),
         daemon.setup.intervals_checked(),
     )
@@ -248,16 +247,15 @@ def run_loadtest(
     if duration_s is None:
         duration_s = 5.0 if quick else 8.0
     plan = plan_requests(rps, duration_s, seed=seed)
-    report, journal, snapshot, violations, intervals = asyncio.run(
+    report, journal, digest, violations, intervals = asyncio.run(
         _orchestrate(config, plan)
     )
 
     replayed = replay_journal(lambda: config.build().fleet, journal)
     try:
-        replay_snapshot = replayed.snapshot_json()
+        replay_identical = replayed.snapshot_digest() == digest
     finally:
         replayed.fleet.close()
-    replay_identical = replay_snapshot == snapshot
 
     failures: List[str] = []
     if report.errors:
@@ -278,8 +276,6 @@ def run_loadtest(
         failures.append(f"{violations} invariant violation(s) during serving")
     if not replay_identical:
         failures.append("journal replay diverged from the live run")
-
-    import hashlib
 
     payload: Dict[str, Any] = {
         "format": SERVICE_BENCH_FORMAT,
@@ -310,7 +306,7 @@ def run_loadtest(
         "determinism": {
             "journal_commands": len(journal),
             "replay_identical": replay_identical,
-            "snapshot_sha256": hashlib.sha256(snapshot).hexdigest(),
+            "snapshot_sha256": digest,
         },
         "slo": {
             "p99_budget_s": p99_budget_s,

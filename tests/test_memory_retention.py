@@ -6,12 +6,20 @@ per-interval lists themselves become bounded, the bytes each VM-interval
 leaves behind are pinned here, so a field added to a retained record (a
 counter sample on every status, say) fails a test instead of quietly
 growing every long run.
+
+Reads of the whole run are bounded too: hashing the canonical snapshot
+and answering ``GET /v1/trace`` encode piece by piece, so neither holds
+the run as objects.
 """
 
+import asyncio
 import gc
 import tracemalloc
 
 from repro.cloud.scenario import load_churn_scenario
+from repro.service.config import load_service_config
+from repro.service.daemon import ControllerDaemon
+from repro.service.http import HttpRequest
 
 #: Reserved ways of one host's five tenants: the whole 12-way xeon_d LLC.
 SLOT_WAYS = (3, 3, 2, 2, 2)
@@ -82,4 +90,71 @@ def test_dense_fleet_growth_per_vm_interval_is_bounded():
     assert growth <= MAX_BYTES_PER_VM_INTERVAL, (
         f"{growth:.0f} B kept per VM-interval, "
         f"bound {MAX_BYTES_PER_VM_INTERVAL} B"
+    )
+
+
+#: Peak bytes the digest may hold, per byte of canonical snapshot: about
+#: one placement, timeline or ledger piece, plus the sorted tenant ids.
+#: Building the snapshot as dicts first peaked near 10x.
+MAX_DIGEST_PEAK_PER_SNAPSHOT_BYTE = 0.05
+
+#: Peak bytes of one ``GET /v1/trace`` response, per body byte: the body
+#: itself, its growth headroom and the digest.  Building the journal as
+#: dicts and the snapshot as objects first peaked above 40x.
+MAX_TRACE_PEAK_PER_BODY_BYTE = 3.0
+
+
+def churned_daemon(rounds=200):
+    """A daemon whose 12 hosts saw ``rounds`` ticks of four 5 s tenants
+    each, applied through its handle (no server started)."""
+    daemon = ControllerDaemon(load_service_config({
+        "fleet": {"machines": 12, "socket": "xeon_d", "seed": 7},
+        "manager": {"type": "dcat"},
+        "placement": "least_loaded",
+    }), port=0)
+    handle = daemon.handle
+    for tick in range(rounds):
+        for slot, workload in enumerate(MIX[:4]):
+            handle.admit(f"t{tick}-{slot}", 2, workload, lifetime_s=5.0)
+        handle.tick()
+    return daemon
+
+
+def traced_peak(call):
+    """Peak traced bytes above the start while ``call()`` runs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def test_snapshot_digest_and_trace_response_peaks_are_bounded():
+    daemon = churned_daemon()
+    handle = daemon.handle
+    # Catches the machines' clocks up, so the peaks below measure reads.
+    size = len(handle.snapshot_json())
+
+    digest_peak, _ = traced_peak(handle.snapshot_digest)
+    assert digest_peak <= MAX_DIGEST_PEAK_PER_SNAPSHOT_BYTE * size, (
+        f"digest peaked at {digest_peak:,} B for a {size:,} B snapshot"
+    )
+
+    async def trace_body_length():
+        # Only the length leaves the loop: a large result returned from
+        # ``asyncio.run`` is itself copied.
+        _, status, (_, body) = await daemon._dispatch(
+            HttpRequest("GET", "/v1/trace", {}, b"")
+        )
+        assert status == 200
+        return len(body)
+
+    asyncio.run(trace_body_length())  # first-run allocations of the loop
+    trace_peak, length = traced_peak(lambda: asyncio.run(trace_body_length()))
+    assert trace_peak <= MAX_TRACE_PEAK_PER_BODY_BYTE * length, (
+        f"GET /v1/trace peaked at {trace_peak:,} B for a {length:,} B body"
     )

@@ -13,7 +13,7 @@ import json
 from repro.cloud.handle import replay_journal
 from repro.service.config import load_service_config
 from repro.service.daemon import ControllerDaemon
-from repro.service.http import request_once
+from repro.service.http import json_response, request_once
 
 CONFIG = {
     "fleet": {"machines": 2, "socket": "xeon_d", "seed": 7, "interval_s": 1.0},
@@ -26,8 +26,8 @@ CONFIG = {
 MLR = {"type": "mlr", "wss_mb": 8}
 
 
-async def _with_daemon(body, **daemon_kwargs):
-    config = load_service_config(CONFIG)
+async def _with_daemon(body, config=CONFIG, **daemon_kwargs):
+    config = load_service_config(config)
     daemon = ControllerDaemon(config, port=0, **daemon_kwargs)
     await daemon.start()
     try:
@@ -43,6 +43,17 @@ def run_with_daemon(body, **daemon_kwargs):
 
 async def call(daemon, method, path, payload=None):
     return await request_once("127.0.0.1", daemon.port, method, path, payload)
+
+
+async def raw_get(daemon, path):
+    """Every byte the daemon sends back for one GET, head included."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", daemon.port)
+    writer.write(f"GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n".encode())
+    await writer.drain()
+    response = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    return response
 
 
 class TestHttpLifecycle:
@@ -106,6 +117,35 @@ class TestHttpLifecycle:
             assert len(trace["snapshot_sha256"]) == 64
 
         run_with_daemon(body)
+
+    def test_trace_bytes_match_the_dict_rendering(self):
+        # A clock that never fires, so the journal holds only what the
+        # test applies.
+        quiet = dict(CONFIG, service={"tick_interval_s": 3600.0})
+
+        def rendered(handle):
+            return json_response(200, {
+                "journal": [record.payload() for record in handle.journal],
+                "snapshot_sha256": handle.snapshot_digest(),
+            })
+
+        async def body(daemon):
+            assert daemon.handle.journal == []
+            assert await raw_get(daemon, "/v1/trace") == rendered(daemon.handle)
+            for name in ("t1", "t2"):
+                await call(
+                    daemon, "POST", "/v1/tenants",
+                    {"name": name, "baseline_ways": 3, "workload": MLR,
+                     "lifetime_s": 5.0},
+                )
+            daemon.handle.tick()
+            await call(daemon, "DELETE", "/v1/tenants/t1")
+            assert [r.op for r in daemon.handle.journal] == [
+                "admit", "admit", "tick", "detach"
+            ]
+            assert await raw_get(daemon, "/v1/trace") == rendered(daemon.handle)
+
+        run_with_daemon(body, config=quiet)
 
     def test_request_validation_and_routing_errors(self):
         async def body(daemon):
@@ -261,6 +301,6 @@ class TestConcurrentIngress:
         # And the serialized journal replays byte-identically offline.
         config = load_service_config(CONFIG)
         replayed = replay_journal(
-            lambda: config.build().fleet, daemon.handle.journal_payload()
+            lambda: config.build().fleet, daemon.handle.journal
         )
         assert replayed.snapshot_json() == daemon.handle.snapshot_json()

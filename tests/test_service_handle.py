@@ -7,9 +7,12 @@ reproduce the live snapshot byte-for-byte.  These tests pin that
 contract without any HTTP in the way.
 """
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.admission import RejectReason, classify_rejection
 from repro.cloud.handle import FleetHandle, replay_journal
@@ -120,20 +123,18 @@ class TestReplay:
         config = load_service_config(CONFIG)
         live = FleetHandle(config.build().fleet)
         self.run_mixed_sequence(live)
-        replayed = replay_journal(
-            lambda: config.build().fleet, live.journal_payload()
-        )
+        replayed = replay_journal(lambda: config.build().fleet, live.journal)
         assert replayed.snapshot_json() == live.snapshot_json()
         assert replayed.snapshot_digest() == live.snapshot_digest()
         # Replay re-journals through the same paths: journals match too.
-        assert replayed.journal_payload() == live.journal_payload()
+        assert replayed.journal == live.journal
 
     def test_replay_accepts_plain_dicts(self):
         # The journal round-trips through JSON (GET /v1/trace).
         config = load_service_config(CONFIG)
         live = FleetHandle(config.build().fleet)
         self.run_mixed_sequence(live)
-        wire = json.loads(json.dumps(live.journal_payload()))
+        wire = json.loads(json.dumps([r.payload() for r in live.journal]))
         replayed = replay_journal(lambda: config.build().fleet, wire)
         assert replayed.snapshot_json() == live.snapshot_json()
 
@@ -157,6 +158,109 @@ class TestReplay:
             handle.admit("t0", 3, MLR)
             handle.tick()
         assert a.snapshot_digest() == b.snapshot_digest()
+
+
+#: Twelve hosts, so machine names ``m10`` and ``m11`` sort before ``m2``.
+TWELVE = dict(
+    CONFIG, fleet={"machines": 12, "socket": "xeon_d", "seed": 7, "interval_s": 1.0}
+)
+
+MIX = (MLR, {"type": "redis"}, {"type": "lookbusy"}, {"type": "mload", "wss_mb": 60})
+
+
+def oracle_snapshot_json(handle):
+    """The canonical snapshot as the dict encoder built it: the whole run
+    as nested lists and dicts, then one sorted-key, space-free dump."""
+    results = handle.fleet.machine_results()
+    machines = {}
+    for machine in handle.fleet.machines:
+        records = results[machine.name].records
+        machines[machine.name] = {
+            tid: [
+                [rec.time_s, rec.phase_name, rec.ways, rec.llc_hit_rate, rec.ipc,
+                 rec.instructions, rec.cycles,
+                 rec.state.value if rec.state is not None else None]
+                for rec in records[tid]
+            ]
+            for tid in sorted(records)
+        }
+    snapshot = {
+        "now": handle.fleet.now,
+        "ticks": handle.ticks,
+        "placements": [
+            [p.time_s, p.tenant_id, p.machine, p.reason]
+            for p in handle.fleet.placements
+        ],
+        "tenants": {
+            tid: handle.tenant_stats(tid)
+            for tid in sorted(handle.fleet.accountant.tenants)
+        },
+        "machines": machines,
+    }
+    return json.dumps(snapshot, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def assert_matches_oracle(handle):
+    expected = oracle_snapshot_json(handle)
+    assert handle.snapshot_json() == expected
+    assert handle.snapshot_digest() == hashlib.sha256(expected).hexdigest()
+
+
+commands = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("admit"),
+            st.integers(min_value=1, max_value=6),
+            st.sampled_from(range(len(MIX))),
+            st.sampled_from([None, 1.5, 4.0]),
+        ),
+        st.tuples(st.just("detach"), st.integers(min_value=0, max_value=50)),
+        st.tuples(st.just("tick")),
+    ),
+    max_size=40,
+)
+
+
+class TestCanonicalSnapshot:
+    @settings(max_examples=40, deadline=None)
+    # Every host busy, then departures by lifetime and by detach.
+    @example(
+        steps=[("admit", 2, 0, 1.5)] * 14 + [("tick",)] * 3
+        + [("detach", 1), ("admit", 3, 3, None), ("tick",)]
+    )
+    @given(steps=commands)
+    def test_streamed_snapshot_matches_dict_oracle(self, steps):
+        handle = make_handle(TWELVE)
+        names = []
+        for step in steps:
+            if step[0] == "admit":
+                _, ways, kind, lifetime_s = step
+                names.append(f"t{len(names)}")
+                handle.admit(names[-1], ways, MIX[kind], lifetime_s=lifetime_s)
+            elif step[0] == "detach" and names:
+                name = names[step[1] % len(names)]
+                if handle.fleet.machine_of(name) is not None:
+                    handle.detach(name)
+            elif step[0] == "tick":
+                handle.tick()
+        assert_matches_oracle(handle)
+
+    def test_zero_tenants(self):
+        handle = make_handle(TWELVE)
+        assert_matches_oracle(handle)
+        snapshot = json.loads(handle.snapshot_json())
+        assert snapshot["tenants"] == {} and snapshot["placements"] == []
+        assert all(timelines == {} for timelines in snapshot["machines"].values())
+
+    def test_machines_without_timelines_sort_as_strings(self):
+        handle = make_handle(TWELVE)
+        handle.admit("t0", 3, MLR)
+        handle.tick()
+        assert_matches_oracle(handle)
+        machines = json.loads(handle.snapshot_json())["machines"]
+        assert list(machines) == sorted(f"m{i}" for i in range(12))
+        assert list(machines)[:4] == ["m0", "m1", "m10", "m11"]
+        assert sum(timelines == {} for timelines in machines.values()) == 11
 
 
 class TestFleetState:
