@@ -99,7 +99,7 @@ def entitled_ipcs(
         ):
             ways = min(vm.baseline_ways, machine.num_ways)
             hit = machine.analytic.hit_rate_fp(phase.footprint, ways)
-        model = machine.core_models.built[vm.vcpus[0]]
+        model = machine.core_models[vm.vcpus[0]]
         index.append(i)
         models.append(model)
         behaviors.append(phase.behavior)

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, List, Opti
 
 from repro.cache.analytical import AccessPattern
 from repro.cloud.lifecycle import TenantSpec
-from repro.core.grouping import curvature_score
+from repro.core.policies import curvature_score
 from repro.workloads.base import PhasedWorkload, Workload
 
 if TYPE_CHECKING:  # placement sees machines; fleet imports placement
@@ -57,7 +57,7 @@ def cache_sensitivity(
 
     Evaluates the analytical LLC model on the workload's largest-footprint
     phase at ``baseline_ways`` and at the full LLC; the slope between the
-    two — :func:`repro.core.grouping.curvature_score`, the same figure the
+    two — :func:`repro.core.policies.curvature_score`, the same figure the
     LFOC allocation strategy computes from learned performance tables — is
     how much each extra way is worth.  A streaming scan or a working set
     that already fits in the reservation scores ~0, exactly the tenants

@@ -446,16 +446,18 @@ class DCatController:
         bus = self.bus
         hardened = self.config.hardened
         for wid, rec in self._records.items():
-            if hardened:
-                sample = self._sample_hardened(wid, rec, ctx)
-            else:
-                sample = self.perfmon.sample_cores(rec.cores)
-            ctx.samples[wid] = sample
             # The sample's ipc and llc_miss_rate (and, for the bus, its
             # mem_refs_per_instr), written out: no property call per
-            # workload-interval.
+            # workload-interval, and the hardened sampler hands back the
+            # ipc its gate checked.
+            if hardened:
+                sample, ipc = self._sample_hardened(wid, rec, ctx)
+            else:
+                sample = self.perfmon.sample_cores(rec.cores)
+                ipc = sample.ret_ins / sample.cycles if sample.cycles else 0.0
+            ctx.samples[wid] = sample
+            ctx.ipcs[wid] = ipc
             l1_ref, llc_ref, llc_miss, ret_ins, cycles = sample
-            ipc = ctx.ipcs[wid] = ret_ins / cycles if cycles else 0.0
             miss_rate = ctx.miss_rates[wid] = llc_miss / llc_ref if llc_ref else 0.0
             # Idle detection: the cores barely ran this interval.
             busy_budget = self.nominal_cycles_per_core * len(rec.cores)
@@ -811,17 +813,20 @@ class DCatController:
             f"core {core} association with COS {cos_id} did not take effect"
         )
 
-    def _plausible(self, rec: WorkloadRecord, sample: CounterSample) -> bool:
+    def _plausible(self, rec: WorkloadRecord, ipc: float, cycles: int) -> bool:
         """Physical sanity gate: IPC and per-interval cycle-budget bounds."""
-        if sample.ipc > MAX_PLAUSIBLE_IPC:
+        if ipc > MAX_PLAUSIBLE_IPC:
             return False
         budget = self.nominal_cycles_per_core * len(rec.cores)
-        return sample.cycles <= MAX_PLAUSIBLE_CYCLES_SLACK * budget
+        return cycles <= MAX_PLAUSIBLE_CYCLES_SLACK * budget
 
     def _sample_hardened(
         self, wid: str, rec: WorkloadRecord, ctx: ControlStepContext
-    ) -> CounterSample:
+    ) -> Tuple[CounterSample, float]:
         """Sample with bounded retries, a plausibility gate, stale fallback.
+
+        Returns the sample and its IPC (for an accepted read, the quotient
+        the gate checked).
 
         A transient :class:`CounterReadError` is retried up to
         ``SAMPLER_MAX_RETRIES`` extra times (the fault raises before the
@@ -835,6 +840,7 @@ class DCatController:
         bus = self.bus
         time_s = ctx.time_s
         sample: Optional[CounterSample] = None
+        ipc = 0.0
         kind = ""
         attempts = 0
         for attempts in range(1, SAMPLER_MAX_RETRIES + 2):
@@ -843,7 +849,9 @@ class DCatController:
             except CounterReadError:
                 kind = "counter_read_error"
                 continue
-            if self._plausible(rec, candidate):
+            ret_ins, cycles = candidate.ret_ins, candidate.cycles
+            ipc = ret_ins / cycles if cycles else 0.0
+            if self._plausible(rec, ipc, cycles):
                 sample = candidate
             else:
                 # The interval's deltas are already consumed; retrying
@@ -875,7 +883,7 @@ class DCatController:
                                 attempts=attempts,
                             )
                         )
-            return sample
+            return sample, ipc
         ctx.stale[wid] = True
         rec.erratic_streak += 1
         if bus.active:
@@ -900,7 +908,8 @@ class DCatController:
                         attempts=rec.erratic_streak,
                     )
                 )
-        return rec.last_sample if rec.last_sample is not None else CounterSample()
+        stale = rec.last_sample if rec.last_sample is not None else CounterSample()
+        return stale, stale.ipc
 
     # -- introspection ------------------------------------------------------------
 

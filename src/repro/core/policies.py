@@ -38,7 +38,7 @@ run --policy`` takes into registry experiments.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Mapping, Optional, Sequence, Type
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Type
 
 from repro.core.allocation import (
     AllocationInput,
@@ -46,7 +46,6 @@ from repro.core.allocation import (
     base_plan,
 )
 from repro.core.config import DCatConfig
-from repro.core.grouping import curvature_score
 from repro.core.perftable import PhaseTable
 from repro.core.states import WorkloadState
 from repro.engine.context import current_context
@@ -64,6 +63,7 @@ __all__ = [
     "get_strategy",
     "protected_floors",
     "fit_to_budget",
+    "curvature_score",
 ]
 
 
@@ -157,6 +157,35 @@ def _apportion(budget: int, weights: Mapping[str, float]) -> Dict[str, int]:
     for wid in order[:left]:
         granted[wid] += 1
     return granted
+
+
+def curvature_score(
+    value_of: Callable[[int], float], floor: int, ceiling: int
+) -> float:
+    """Mean per-way gain of a ways->value curve between floor and ceiling.
+
+    The LFOC-style sensitivity figure both layers use: placement evaluates
+    the analytical hit-rate curve between a tenant's reservation and the
+    full LLC; the LFOC allocation strategy evaluates a learned performance
+    table between its smallest and largest recorded allocations.  A curve
+    that is flat past its floor (a streaming scan, or a working set already
+    resident) scores ~0 — exactly the workloads that can be packed tightly
+    without hurting anyone.
+
+    Args:
+        value_of: The curve (hit rate, normalized IPC, ...) as a function
+            of the way count; only evaluated at ``floor`` and ``ceiling``.
+        floor: The allocation the workload already holds (or is owed).
+        ceiling: The largest allocation worth considering.
+
+    Returns:
+        ``max(0, value_of(ceiling) - value_of(floor)) / (ceiling - floor)``,
+        or 0.0 when ``ceiling <= floor`` (no headroom to score).
+    """
+    if ceiling <= floor:
+        return 0.0
+    gain = value_of(ceiling) - value_of(floor)
+    return max(0.0, gain) / (ceiling - floor)
 
 
 def _table_curvature(table: Optional[PhaseTable]) -> Optional[float]:

@@ -125,7 +125,10 @@ def _bench_aggregate() -> Callable[[], None]:
     return run
 
 
-def _warm_stage(seed: int, warmup_s: float):
+def _warm_stage(seed: int, warmup_s: float, bus=None, substrate=None):
+    """The 6-VM dCat stage (an 8 MB MLR target beside five lookbusy VMs on
+    the paper machine) after ``warmup_s`` of virtual time, on the given
+    event bus and cache substrate (defaults: the run's own)."""
     from repro.harness.scenarios import build_stage, paper_machine
     from repro.mem.address import MB
     from repro.platform.managers import DCatManager
@@ -140,7 +143,7 @@ def _warm_stage(seed: int, warmup_s: float):
         n_lookbusy=5,
     )
     manager = DCatManager()
-    sim = CloudSimulation(machine, vms, manager)
+    sim = CloudSimulation(machine, vms, manager, bus=bus, substrate=substrate)
     sim.run(warmup_s)
     return sim, manager
 
@@ -163,28 +166,15 @@ def _bench_sim_step_null_bus() -> Callable[[], None]:
 
 def _bench_sim_step_ring_bus() -> Callable[[], None]:
     from repro.engine.events import EventBus, RingBufferRecorder
-    from repro.harness.scenarios import build_stage, paper_machine
-    from repro.mem.address import MB
-    from repro.platform.managers import DCatManager
-    from repro.platform.sim import CloudSimulation
-    from repro.workloads.mlr import MlrWorkload
 
     bus = EventBus()
     bus.subscribe(RingBufferRecorder(capacity=100_000))
-    machine = paper_machine(seed=5)
-    vms = build_stage(
-        machine,
-        [MlrWorkload(8 * MB, start_delay_s=1.0, name="target")],
-        baseline_ways=3,
-        n_lookbusy=5,
-    )
-    sim = CloudSimulation(machine, vms, DCatManager(), bus=bus)
-    sim.run(5.0)
+    sim, _ = _warm_stage(seed=5, warmup_s=5.0, bus=bus)
     return sim.step
 
 
 def _warm_fidelity_stage(fidelity: str, seed: int, warmup_s: float):
-    """A warm stage running on the named cache substrate (see substrate.py).
+    """The warm stage on the named cache substrate (see substrate.py).
 
     The exact/mixed legs use a modest trace budget (20k accesses/interval)
     so the full-mode bench stays tractable while still timing the real
@@ -193,29 +183,14 @@ def _warm_fidelity_stage(fidelity: str, seed: int, warmup_s: float):
     steady state), so they warm for 40 s: quick and full mode then time
     the same steady interval.
     """
-    from repro.harness.scenarios import build_stage, paper_machine
-    from repro.mem.address import MB
-    from repro.platform.managers import DCatManager
-    from repro.platform.sim import CloudSimulation
     from repro.platform.substrate import build_substrate
-    from repro.workloads.mlr import MlrWorkload
 
     options = {}
     if fidelity in ("exact", "mixed"):
         options = {"accesses_per_interval": 20_000, "seed": seed}
     if fidelity == "mixed":
         options["sample_rate"] = 1.0  # every interval spot-checks: worst case
-    machine = paper_machine(seed=seed)
-    vms = build_stage(
-        machine,
-        [MlrWorkload(8 * MB, start_delay_s=1.0, name="target")],
-        baseline_ways=3,
-        n_lookbusy=5,
-    )
-    sim = CloudSimulation(
-        machine, vms, DCatManager(), substrate=build_substrate(fidelity, **options)
-    )
-    sim.run(warmup_s)
+    sim, _ = _warm_stage(seed, warmup_s, substrate=build_substrate(fidelity, **options))
     return sim
 
 

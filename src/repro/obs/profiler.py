@@ -53,14 +53,3 @@ class StageProfiler:
         self._seconds.labels(loop=loop, stage=stage).observe(elapsed_s)
         self._invocations.labels(loop=loop, stage=stage).inc()
 
-    # -- snapshot helpers ---------------------------------------------------
-
-    def invocations(self, loop: str, stage: str) -> int:
-        """How many times ``stage`` of ``loop`` ran (0 if never)."""
-        return int(
-            self.registry.value("dcat_stage_invocations_total", loop=loop, stage=stage)
-        )
-
-    def total_seconds(self, loop: str, stage: str) -> float:
-        """Cumulative wall time spent in ``stage`` of ``loop``."""
-        return self.registry.sum_value("dcat_stage_seconds", loop=loop, stage=stage)

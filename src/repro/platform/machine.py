@@ -6,7 +6,8 @@ the hypervisor layer and the controllers run against:
 * a :class:`~repro.cpu.socket.SocketSpec` (topology, LLC geometry);
 * the CAT device with its pqos-style library and resctrl frontend;
 * one PMU per hardware thread, fed by per-thread core timing models, each
-  built when a vCPU is first pinned to its thread (:class:`CoreMap`);
+  built when a vCPU is first pinned to its thread
+  (:meth:`Machine.build_cores`);
 * the fast analytical LLC model plus a shared-cache contention solver;
 * a DRAM model whose loaded latency feeds back into the core models.
 
@@ -16,7 +17,7 @@ controller-interval steps; the machine just owns state.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, TypeVar
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -32,43 +33,7 @@ from repro.hwcounters.msr import CorePmu
 from repro.hwcounters.perfmon import PerfMonitor
 from repro.mem.dram import DramModel
 
-__all__ = ["CoreMap", "Machine"]
-
-T = TypeVar("T")
-
-
-class CoreMap(Mapping[int, T]):
-    """One kind of per-core state over cores ``0 .. size - 1``, in core order.
-
-    It reads as a mapping over every core, but holds only the cores built
-    so far, in :attr:`built`; looking up any other core builds it.  The
-    per-interval stages index :attr:`built` directly (a plain ``dict``):
-    they only reach pinned cores, and pinning builds a core
-    (:meth:`Machine.build_cores`).
-    """
-
-    __slots__ = ("built", "_size", "_build")
-
-    def __init__(self, size: int, build: Callable[[int], None]) -> None:
-        self.built: Dict[int, T] = {}
-        self._size = size
-        self._build = build
-
-    def __getitem__(self, core: int) -> T:
-        try:
-            return self.built[core]
-        except KeyError:
-            self._build(core)
-        return self.built[core]
-
-    def __contains__(self, core: object) -> bool:
-        return isinstance(core, int) and 0 <= core < self._size
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._size))
-
-    def __len__(self) -> int:
-        return self._size
+__all__ = ["Machine"]
 
 
 class Machine:
@@ -117,10 +82,10 @@ class Machine:
         self._noise_sigma = noise_sigma
         # Monitors over every core, which adopt each core as it is built.
         self._monitors: List[PerfMonitor] = []
-        self.pmus: CoreMap[CorePmu] = CoreMap(self.spec.num_threads, self._build_core)
-        self.core_models: CoreMap[CoreTimingModel] = CoreMap(
-            self.spec.num_threads, self._build_core
-        )
+        # The cores built so far; the per-interval stages only reach pinned
+        # cores, and pinning builds a core.
+        self.pmus: Dict[int, CorePmu] = {}
+        self.core_models: Dict[int, CoreTimingModel] = {}
 
     def build_cores(self, cores: Iterable[int]) -> None:
         """Build the PMU, register file and timing model of each listed core
@@ -130,13 +95,12 @@ class Machine:
         Raises:
             KeyError: For a core this socket does not have.
         """
-        built = self.pmus.built
         for core in cores:
-            if core not in built:
+            if core not in self.pmus:
                 self._build_core(core)
 
     def _build_core(self, core: int) -> None:
-        if core not in self.pmus:
+        if not 0 <= core < self.spec.num_threads:
             raise KeyError(core)
         if self._core_seeds is None:
             # One draw seeds every core, in core order: the same values as
@@ -147,8 +111,8 @@ class Machine:
             self._core_seeds = np.random.default_rng(self._seed).integers(
                 0, 2**63, size=self.spec.num_threads
             )
-        pmu = self.pmus.built[core] = CorePmu()
-        self.core_models.built[core] = CoreTimingModel(
+        pmu = self.pmus[core] = CorePmu()
+        self.core_models[core] = CoreTimingModel(
             cycles_per_interval=self.cycles_per_interval,
             dram=self.dram,
             noise_sigma=self._noise_sigma,
@@ -163,17 +127,14 @@ class Machine:
     def num_ways(self) -> int:
         return self.spec.llc.num_ways
 
-    def new_perfmon(self, cores: Optional[Iterable[int]] = None) -> PerfMonitor:
-        """A perf monitor over the given cores (default: all threads).
+    def new_perfmon(self) -> PerfMonitor:
+        """A perf monitor over every thread.
 
-        The listed cores are built now.  The default monitor covers every
-        thread without building one: each core adopts its programming when
-        it is built, and its first sample counts from the reset snapshot,
-        exactly as if it had been built with the monitor.
+        It builds no core: each core adopts its programming when it is
+        built, and its first sample counts from the reset snapshot, exactly
+        as if it had been built with the monitor.
         """
-        if cores is not None:
-            return PerfMonitor({c: self.pmus[c] for c in cores})
-        monitor = PerfMonitor(self.pmus.built, cores=self.pmus)
+        monitor = PerfMonitor(self.pmus, cores=range(self.spec.num_threads))
         self._monitors.append(monitor)
         return monitor
 

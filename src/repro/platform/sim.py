@@ -292,7 +292,7 @@ def _stage_execute_cores(batch: SimBatch) -> None:
     hits: List[float] = []
     drams: List[float] = []
     for sim, ctx in batch:
-        core_models = sim.machine.core_models.built
+        core_models = sim.machine.core_models
         dram = sim._dram_latency
         for vm in sim.vms:
             phase = ctx.phases[vm.name]
@@ -332,7 +332,7 @@ def _stage_feed_pmus(batch: SimBatch) -> None:
     """Publish the kernel's counters into the PMUs and the CMT/MBM model."""
     instructions, cycles, l1_hits, llc_refs, llc_misses, _ = batch.cores
     for sim, ctx in batch:
-        pmus = sim.machine.pmus.built
+        pmus = sim.machine.pmus
         for vm in sim.vms:
             acc = ctx.per_vm[vm.name]
             i = acc.first
@@ -730,12 +730,17 @@ class CloudSimulation:
     def _record_completion(
         self, vm: VirtualMachine, phase: Optional[Phase], instructions: int
     ) -> None:
-        """Record a work-bounded phase's finish time with sub-interval accuracy."""
+        """Record a work-bounded phase's finish time with sub-interval accuracy.
+
+        ``phase`` is the phase the interval ran (the workload's active one,
+        as advance has not run yet), so its budget is read from it directly.
+        """
         workload = vm.workload
-        if phase is None or not isinstance(workload, PhasedWorkload):
+        if (phase is None or phase.instructions is None
+                or not isinstance(workload, PhasedWorkload)):
             return
-        remaining = workload.remaining_instructions()
-        if remaining is None or instructions <= 0 or instructions < remaining:
+        remaining = max(0, phase.instructions - workload.instructions_in_phase)
+        if instructions <= 0 or instructions < remaining:
             return
         fraction = remaining / instructions
         finish = self._time_s + fraction * self.machine.interval_s

@@ -167,7 +167,7 @@ class AnalyticalSubstrate(CacheSubstrate):
                     ways[vm.name] = 0.0
                     continue
                 # Reference rate estimate from last interval's hit rate.
-                cpi_est = machine.core_models.built[vm.vcpus[0]].cpi(
+                cpi_est = machine.core_models[vm.vcpus[0]].cpi(
                     behavior, self._last_hit[vm.name]
                 )
                 ref_rate = (
@@ -216,8 +216,10 @@ class ExactSubstrate(CacheSubstrate):
     streams sequentially from the master seed (the historical exact-platform
     discipline, preserved bit-for-bit); VMs that
     churn in later derive per-name seeds so arrival order cannot perturb
-    other tenants' streams.  A departed tenant's lines stay resident until
-    evicted — exactly as on real hardware.
+    other tenants' streams.  Each line is tagged with its owner's RMID
+    (CMT counts occupancy per RMID on hardware too), and a departed
+    tenant's lines stay resident until evicted — exactly as on real
+    hardware.
 
     Args:
         accesses_per_interval: Total sampled LLC references driven per
@@ -249,8 +251,6 @@ class ExactSubstrate(CacheSubstrate):
         self._tables: Dict[str, PageTable] = {}
         self._trace_rng: Dict[str, np.random.Generator] = {}
         self._generators: Dict[Tuple[str, str], TraceGenerator] = {}
-        self._cos_of: Dict[str, int] = {}
-        self._free_cos: List[int] = []
         # Previous-interval IPC estimates seed the reference-rate split.
         self._ipc_estimate: Dict[str, float] = {}
 
@@ -274,21 +274,12 @@ class ExactSubstrate(CacheSubstrate):
             self._trace_rng[vm.name] = np.random.default_rng(
                 master.integers(0, 2**63)
             )
-        for i, vm in enumerate(sim.vms):
-            self._cos_of[vm.name] = i + 1
+        for vm in sim.vms:
             self._ipc_estimate[vm.name] = 0.3
-        num_cos = machine.pqos.cap_get().num_cos
-        used = set(self._cos_of.values())
-        self._free_cos = [c for c in range(1, num_cos) if c not in used]
 
     def on_attach(self, vm: "VirtualMachine") -> None:
-        if vm.name in self._cos_of:
+        if vm.name in self._tables:
             return  # bind() already registered the initial resident set
-        if not self._free_cos:
-            raise ValueError(
-                f"exact substrate has no free COS tag for VM {vm.name!r}"
-            )
-        self._cos_of[vm.name] = self._free_cos.pop(0)
         self._tables[vm.name] = PageTable(
             rng=np.random.default_rng(derive_seed(self.seed, vm.name))
         )
@@ -298,10 +289,6 @@ class ExactSubstrate(CacheSubstrate):
         self._ipc_estimate[vm.name] = 0.3
 
     def on_detach(self, vm_name: str) -> None:
-        cos = self._cos_of.pop(vm_name, None)
-        if cos is not None:
-            self._free_cos.append(cos)
-            self._free_cos.sort()
         self._tables.pop(vm_name, None)
         self._trace_rng.pop(vm_name, None)
         self._ipc_estimate.pop(vm_name, None)
@@ -395,7 +382,7 @@ class ExactSubstrate(CacheSubstrate):
                 else machine.cat.effective_mask(vm.vcpus[0])
             )
             chunk_hits = self.llc.access_many(
-                part, mask=mask, cos=self._cos_of[name]
+                part, mask=mask, cos=sim.rmid_of(name)
             )
             if ci >= measure_from:
                 hits[name] += chunk_hits
@@ -411,7 +398,7 @@ class ExactSubstrate(CacheSubstrate):
             phase = phases[vm.name]
             if phase is None:
                 continue
-            cpi = machine.core_models.built[vm.vcpus[0]].cpi(
+            cpi = machine.core_models[vm.vcpus[0]].cpi(
                 phase.behavior, hit_rates[vm.name]
             )
             self._ipc_estimate[vm.name] = 1.0 / cpi
@@ -428,16 +415,16 @@ class ExactSubstrate(CacheSubstrate):
         occupancy = self.llc.occupancy_by_cos()
         for vm in sim.vms:
             if shared:
-                ways[vm.name] = occupancy.get(self._cos_of[vm.name], 0) / max(
+                ways[vm.name] = occupancy.get(sim.rmid_of(vm.name), 0) / max(
                     1, machine.spec.llc.num_sets
                 )
             else:
                 ways[vm.name] = float(machine.effective_ways(vm.vcpus[0]))
 
-        # Exact occupancy feeds the CMT model (line-accurate, per COS).
+        # Exact occupancy feeds the CMT model (line-accurate, per RMID).
         for vm in sim.vms:
             rmid = sim.rmid_of(vm.name)
-            lines = occupancy.get(self._cos_of[vm.name], 0)
+            lines = occupancy.get(rmid, 0)
             machine.cmt.report_occupancy(
                 rmid, lines * machine.spec.llc.line_size
             )

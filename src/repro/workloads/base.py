@@ -166,7 +166,8 @@ class PhasedWorkload(Workload):
             self._phases.insert(0, idle_phase(duration_s=start_delay_s, name="warmup-idle"))
         self._index = 0
         self._elapsed_in_phase = 0.0
-        self._instructions_in_phase = 0
+        #: Instructions retired in the active phase so far (read-only).
+        self.instructions_in_phase = 0
         self._finished = False
 
     # -- Workload interface --------------------------------------------------
@@ -182,14 +183,14 @@ class PhasedWorkload(Workload):
         if elapsed_s < 0 or executed_instructions < 0:
             raise ValueError("progress cannot be negative")
         self._elapsed_in_phase += elapsed_s
-        self._instructions_in_phase += executed_instructions
+        self.instructions_in_phase += executed_instructions
         phase = self._phases[self._index]
         done_by_time = (
             phase.duration_s is not None and self._elapsed_in_phase >= phase.duration_s
         )
         done_by_work = (
             phase.instructions is not None
-            and self._instructions_in_phase >= phase.instructions
+            and self.instructions_in_phase >= phase.instructions
         )
         if done_by_time or done_by_work:
             self._next_phase()
@@ -201,7 +202,7 @@ class PhasedWorkload(Workload):
     def reset(self) -> None:
         self._index = 0
         self._elapsed_in_phase = 0.0
-        self._instructions_in_phase = 0
+        self.instructions_in_phase = 0
         self._finished = False
 
     # -- progress inspection ----------------------------------------------------
@@ -216,11 +217,11 @@ class PhasedWorkload(Workload):
         phase = self.current_phase()
         if phase is None or phase.instructions is None:
             return None
-        return max(0, phase.instructions - self._instructions_in_phase)
+        return max(0, phase.instructions - self.instructions_in_phase)
 
     def _next_phase(self) -> None:
         self._elapsed_in_phase = 0.0
-        self._instructions_in_phase = 0
+        self.instructions_in_phase = 0
         self._index += 1
         if self._index >= len(self._phases):
             if self.loop:

@@ -161,15 +161,17 @@ class TestProfilerHook:
         assert get_default_profiler() is None
         for _ in range(3):
             loop.run(None)
-        assert profiler.invocations("demo", "a") == 3
-        assert profiler.invocations("demo", "b") == 3
-        assert profiler.total_seconds("demo", "a") > 0.0
+        registry = profiler.registry
+        assert registry.value("dcat_stage_invocations_total", loop="demo", stage="a") == 3
+        assert registry.value("dcat_stage_invocations_total", loop="demo", stage="b") == 3
+        assert registry.sum_value("dcat_stage_seconds", loop="demo", stage="a") > 0.0
 
     def test_loop_without_profiler_records_nothing(self):
         profiler = StageProfiler()
         loop = StagedLoop([("a", lambda ctx: None)], name="demo")
         loop.run(None)
-        assert profiler.invocations("demo", "a") == 0
+        assert profiler.registry.value(
+            "dcat_stage_invocations_total", loop="demo", stage="a") == 0
 
     def test_spliced_stage_is_profiled(self):
         profiler = StageProfiler()
@@ -177,7 +179,8 @@ class TestProfilerHook:
             loop = StagedLoop([("a", lambda ctx: None)], name="demo")
         loop.insert_before("a", ("pre", lambda ctx: None))
         loop.run(None)
-        assert profiler.invocations("demo", "pre") == 1
+        assert profiler.registry.value(
+            "dcat_stage_invocations_total", loop="demo", stage="pre") == 1
 
     def test_use_profiler_restores_previous(self):
         outer = StageProfiler()

@@ -44,7 +44,8 @@ class TestMachine:
 
     def test_one_pmu_per_thread(self):
         m = small_machine()
-        assert len(m.pmus) == m.spec.num_threads
+        m.build_cores(range(m.spec.num_threads))
+        assert len(m.pmus) == len(m.core_models) == m.spec.num_threads
 
     def test_effective_ways_follows_cat(self):
         m = small_machine()
@@ -91,11 +92,12 @@ class TestLazyCores:
     def test_core_streams_equal_eager_per_core_seeding(self, spec, seed):
         draws = NOISE_BLOCK + 3  # crosses a block refill
         machine = Machine(spec, seed=seed, noise_sigma=0.005)
-        # Draw the last core first: a stream must not depend on build order.
-        got = {
-            t: [machine.core_models[t].next_noise() for _ in range(draws)]
-            for t in reversed(range(spec.num_threads))
-        }
+        # Build and draw the last core first: a stream must not depend on
+        # build order.
+        got = {}
+        for t in reversed(range(spec.num_threads)):
+            machine.build_cores([t])
+            got[t] = [machine.core_models[t].next_noise() for _ in range(draws)]
         want = eager_core_noise(spec, seed, 0.005, draws)
         assert [got[t] for t in range(spec.num_threads)] == want
 
@@ -103,6 +105,7 @@ class TestLazyCores:
         before = live_generators()
         machine = Machine(SocketSpec.xeon_d(), seed=3)
         assert live_generators() == before
+        machine.build_cores([5])
         machine.core_models[5].next_noise()
         assert live_generators() == before + 1
         for _ in range(2 * NOISE_BLOCK):
@@ -112,6 +115,7 @@ class TestLazyCores:
     def test_noise_free_core_never_builds_one(self):
         machine = Machine(SocketSpec.xeon_d(), seed=3, noise_sigma=0.0)
         before = live_generators()
+        machine.build_cores([0])
         assert [machine.core_models[0].next_noise() for _ in range(40)] == [1.0] * 40
         assert live_generators() == before
 
@@ -153,22 +157,20 @@ class TestPinTimeCores:
         vm = VirtualMachine(name="a", workload=LookbusyWorkload(), vcpus=(4, 9))
         sim.attach_vm(vm)
         assert live_core_state() == tuple(n + 2 for n in before)
-        assert sorted(machine.pmus.built) == sorted(machine.core_models.built) == [4, 9]
+        assert sorted(machine.pmus) == sorted(machine.core_models) == [4, 9]
 
-    def test_maps_cover_every_core_in_order(self):
+    def test_build_cores_range_checks_and_builds_once(self):
         machine = Machine(SocketSpec.xeon_d(), seed=3)
         n = machine.spec.num_threads
-        for cores in (machine.pmus, machine.core_models):
-            assert len(cores) == n and list(cores) == list(range(n))
-            assert 0 in cores and n - 1 in cores
-            assert n not in cores and -1 not in cores
-        with pytest.raises(KeyError):
-            machine.pmus[n]
-        with pytest.raises(KeyError):
-            machine.build_cores([-1])
-        assert not machine.pmus.built
-        assert machine.core_models[5] is machine.core_models.built[5]  # lookup builds
-        assert list(machine.pmus.built) == [5]
+        for core in (-1, n):
+            with pytest.raises(KeyError):
+                machine.build_cores([core])
+        assert not machine.pmus and not machine.core_models
+        machine.build_cores([5, 0])
+        model = machine.core_models[5]
+        machine.build_cores([5])
+        assert machine.core_models[5] is model
+        assert list(machine.pmus) == list(machine.core_models) == [5, 0]
 
     def test_monitor_programs_a_core_built_after_it(self):
         spec = SocketSpec.xeon_d()
@@ -220,6 +222,7 @@ class TestPinTimeCores:
                     sim.detach_vm(name)
         (lazy, lazy_sim, lazy_mon), (eager, eager_sim, eager_mon) = hosts
         assert lazy_sim.result.records == eager_sim.result.records
+        lazy.build_cores(range(spec.num_threads))
         for core in range(spec.num_threads):
             assert lazy_mon.sample_core(core) == eager_mon.sample_core(core)
             assert dict(lazy.pmus[core].msrs.registers) == dict(

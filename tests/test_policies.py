@@ -11,12 +11,12 @@ import pytest
 
 from repro.core.allocation import AllocationInput, base_plan, plan_allocation
 from repro.core.config import DCatConfig
-from repro.core.grouping import curvature_score
 from repro.core.hints import DeclaredPhase, DeclaredSchedule, PhaseHint
 from repro.core.perftable import PhaseTable
 from repro.core.policies import (
     _ALIASES,
     canonical_name,
+    curvature_score,
     fit_to_budget,
     get_strategy,
     normalize_policy,

@@ -18,7 +18,6 @@ context's fidelity as the default for simulations built without one.
 """
 
 import io
-from types import SimpleNamespace
 
 import pytest
 
@@ -32,7 +31,7 @@ from repro.engine.events import (
 from repro.mem.address import MB
 from repro.obs.collectors import BusMetricsCollector
 from repro.platform.machine import Machine
-from repro.platform.managers import DCatManager, StaticCatManager
+from repro.platform.managers import DCatManager, SharedCacheManager, StaticCatManager
 from repro.platform.sim import CloudSimulation
 from repro.platform.substrate import (
     FIDELITIES,
@@ -230,34 +229,47 @@ class TestBindContract:
             AnalyticalSubstrate().sim
 
 
-class TestExactCosRecycling:
-    def test_departed_vm_cos_is_reused(self):
+class TestExactRmidTags:
+    """The exact LLC tags each line with its owner's RMID, so a tenant's
+    tag is the simulation's RMID and is recycled with it."""
+
+    def test_departed_vm_rmid_tags_the_next_arrival(self):
         machine = Machine(seed=1)
-        substrate = ExactSubstrate()
+        substrate = ExactSubstrate(accesses_per_interval=4_000)
         sim = CloudSimulation(
             machine, single_tenant_stage(machine), StaticCatManager(),
             substrate=substrate,
         )
         sim.run(1.0)
-        recycled = substrate._cos_of["lb0"]
-        sim.detach_vm("lb0")
-        assert "lb0" not in substrate._cos_of
-        assert recycled in substrate._free_cos
-        # A later arrival picks the lowest free COS back up.
-        lowest = min(substrate._free_cos)
-        substrate.on_attach(SimpleNamespace(name="newcomer"))
-        assert substrate._cos_of["newcomer"] == lowest
+        assert set(substrate.llc.occupancy_by_cos()) == {sim.rmid_of("target")}
+        recycled = sim.rmid_of("target")
+        sim.detach_vm("target")
+        sim.attach_vm(VirtualMachine(
+            "newcomer", MlrWorkload(8 * MB, name="newcomer"), baseline_ways=1,
+            vcpus=(8, 9),
+        ))
+        assert sim.rmid_of("newcomer") == recycled
+        before = substrate.llc.occupancy_by_cos()[recycled]
+        sim.run(1.0)
+        assert substrate.llc.occupancy_by_cos()[recycled] > before
 
-    def test_cos_exhaustion_is_an_error(self):
+    def test_shared_host_attaches_a_sixteenth_vm(self):
+        """Tags are not bounded by the 16 classes of service: a shared
+        host (no CAT classes in use) can hold as many tenants as RMIDs."""
         machine = Machine(seed=1)
-        substrate = ExactSubstrate()
-        CloudSimulation(
-            machine, single_tenant_stage(machine), StaticCatManager(),
-            substrate=substrate,
+        vms = pin_vms(
+            [VirtualMachine(f"lb{i}", LookbusyWorkload(name=f"lb{i}")) for i in range(15)],
+            machine.spec, vcpus_per_vm=1,
         )
-        substrate._free_cos.clear()
-        with pytest.raises(ValueError, match="no free COS"):
-            substrate.on_attach(SimpleNamespace(name="overflow"))
+        substrate = ExactSubstrate(accesses_per_interval=4_000)
+        sim = CloudSimulation(machine, vms, SharedCacheManager(), substrate=substrate)
+        sim.attach_vm(VirtualMachine(
+            "late", MlrWorkload(2 * MB, name="late"), vcpus=(20,),
+        ))
+        sim.run(2.0)
+        assert sim.rmid_of("late") == 16
+        assert substrate.llc.occupancy_by_cos()[16] > 0
+        assert sim.result.timeline("late")[-1].llc_hit_rate > 0.0
 
 
 class TestDefaultFidelitySlot:
